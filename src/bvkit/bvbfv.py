@@ -8,7 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from .collar import BoundaryPackage, preboundary_reduce, project_vector_field
+from itertools import accumulate
+
+from .collar import (
+    BoundaryPackage,
+    FieldSpec,
+    QuadraticLocalTheory,
+    boundary_one_form,
+    preboundary_reduce,
+    project_vector_field,
+)
 from .complexes import CellComplex, coboundary, hodge_star
 from .graded import (
     GradedSymplecticSpace,
@@ -32,8 +41,6 @@ from .numkit import (
 from .symplect import OneForm
 
 __all__ = [
-    "GradedVectorSpace", "GradedSymplecticSpace",
-    "TruncatedPolynomialAlgebra", "poisson_bracket",
     "LinearCohomologicalField", "ConstraintSet", "BVBFVPackage",
     "DependentConstraints", "NonAbelianBrackets", "NotSymplecticField",
     "bfv_resolve", "bfv_cohomology", "hamiltonian_of",
@@ -246,6 +253,14 @@ def _graded_from_antisymmetric(plain: Matrix,
     return Matrix.from_rows(out)
 
 
+def _graded_fields(m: CellComplex,
+                   layout: tuple[FieldSpec, ...]) -> GradedVectorSpace:
+    """One coordinate `name.cell` per cell per field, in layout order,
+    carrying the field's degree."""
+    return GradedVectorSpace.make((f"{f.name}.{x}", f.degree)
+                                  for f in layout for x in m.cells[f.cell_dim])
+
+
 def _infer_boundary_degrees(projection: Matrix,
                             bulk: GradedVectorSpace) -> list[int]:
     degs = []
@@ -270,17 +285,12 @@ def build_ed_package(m: CellComplex, d: int = 2,
     if bf is False and (m.weights is None or not m.cubical):
         raise ValueError("the metric term needs a weighted cubical complex")
     nv, ne, nf = m.n_cells(0), m.n_cells(1), m.n_cells(2)
-    n = 2 * nv + 2 * ne + 2 * nf
-    # variable blocks: c, A, B, B+, A+, c+
-    off_c, off_a, off_b = 0, nv, nv + ne
-    off_bp, off_ap, off_cp = nv + ne + nf, nv + ne + 2 * nf, nv + 2 * ne + 2 * nf
-    labels = [(f"c.{x}", 1) for x in m.cells[0]]
-    labels += [(f"A.{x}", 0) for x in m.cells[1]]
-    labels += [(f"B.{x}", 0) for x in m.cells[2]]
-    labels += [(f"Bp.{x}", -1) for x in m.cells[2]]
-    labels += [(f"Ap.{x}", -1) for x in m.cells[1]]
-    labels += [(f"cp.{x}", -2) for x in m.cells[0]]
-    gv = GradedVectorSpace.make(labels)
+    layout = (FieldSpec("c", 0, 1), FieldSpec("A", 1, 0), FieldSpec("B", 2, 0),
+              FieldSpec("Bp", 2, -1), FieldSpec("Ap", 1, -1),
+              FieldSpec("cp", 0, -2))
+    off_c, off_a, off_b, off_bp, off_ap, off_cp, n = accumulate(
+        (m.n_cells(f.cell_dim) for f in layout), initial=0)
+    gv = _graded_fields(m, layout)
 
     d0 = coboundary(m, 0)
     d1 = coboundary(m, 1)
@@ -354,11 +364,10 @@ def build_ed_package(m: CellComplex, d: int = 2,
 
     # variational boundary term: rows of the fields whose conjugates are
     # differentiated in S, at boundary cells; antifield rows stay bulk
-    bset = set([off_a + e for e in bd_e] + [off_c + v for v in bd_v])
-    alpha_tilde = OneForm(n, Matrix.from_rows([
-        list(hessian.row(a)) if a in bset else [Fraction(0)] * n
-        for a in range(n)]))
-    pkg = preboundary_reduce(alpha_tilde)
+    bd_fields = tuple(sorted([off_a + e for e in bd_e]
+                             + [off_c + v for v in bd_v]))
+    pkg = preboundary_reduce(boundary_one_form(
+        QuadraticLocalTheory(m, layout, hessian), bd_fields))
     if not pkg.basic:
         raise ValueError("boundary one-form failed to descend")
     pi = pkg.projection
@@ -376,7 +385,6 @@ def build_ed_package(m: CellComplex, d: int = 2,
     s_boundary = hamiltonian_of(q_boundary, boundary)
     bd_anti = tuple(sorted([off_ap + e for e in bd_e]
                            + [off_cp + v for v in bd_v]))
-    bd_fields = tuple(sorted(bset))
     return BVBFVPackage(bulk, action, hessian, q_bulk, boundary, pkg.alpha,
                         q_boundary, s_boundary, pi, pkg, bd_anti, bd_fields)
 
@@ -508,39 +516,31 @@ def corner_extend(sigma: CellComplex) -> CornerData:
     """Reduce the boundary generator pairing ghosts with the dual-field
     divergence on a piece Sigma with corners: one (ghost, field) pair per
     corner cell survives and the corner field vanishes."""
-    if not any(sigma.boundary_indices(k) for k in range(sigma.dim + 1)):
-        empty = GradedVectorSpace.make([])
-        pkg = preboundary_reduce(OneForm.zero(0))
-        empty_pkg = preboundary_reduce(OneForm(0, Matrix.zeros(0, 0)))
-        return CornerData(empty, Matrix.zeros(0, 0), empty_pkg)
+    if sigma.is_closed():
+        empty_pkg = preboundary_reduce(OneForm.zero(0))
+        return CornerData(GradedVectorSpace.make([]), Matrix.zeros(0, 0),
+                          empty_pkg)
     nv, ne = sigma.n_cells(0), sigma.n_cells(1)
-    n = nv + ne  # ghosts on vertices, dual field on edges
+    # ghosts on vertices, dual field on edges, paired by the divergence
+    layout = (FieldSpec("c", 0, 1), FieldSpec("B", 1, 0))
     dd = sigma.boundary_op(1)
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for v in range(nv):
-        for e in range(ne):
-            g[v][nv + e] += dd[v, e]
-            g[nv + e][v] += dd[v, e]
-    corner_v = set(sigma.boundary_indices(0))
-    coeff = Matrix.from_rows([
-        g[a] if a in corner_v else [Fraction(0)] * n for a in range(n)])
-    pkg = preboundary_reduce(OneForm(n, coeff))
-    degs = []
-    for i in range(pkg.projection.rows):
-        support = {0 if j >= nv else 1 for j in range(n)
-                   if pkg.projection[i, j] != 0}
-        degs.append(next(iter(support)))
-    gv = GradedVectorSpace.make([(f"z{i}", degs[i]) for i in range(len(degs))])
-    q_corner = project_vector_field(Matrix.zeros(n, n), pkg)
+    action = Matrix.zeros(nv, nv).hstack(dd).vstack(
+        dd.transpose().hstack(Matrix.zeros(ne, ne)))
+    pkg = preboundary_reduce(boundary_one_form(
+        QuadraticLocalTheory(sigma, layout, action),
+        sigma.boundary_indices(0)))
+    degs = _infer_boundary_degrees(pkg.projection,
+                                   _graded_fields(sigma, layout))
+    gv = GradedVectorSpace.make([(f"z{i}", d) for i, d in enumerate(degs)])
+    q_corner = project_vector_field(Matrix.zeros(nv + ne, nv + ne), pkg)
     return CornerData(gv, q_corner, pkg)
 
 
 def boundary_bfv_reduction(sigma: CellComplex, d: int) -> dict[int, int]:
     """Cohomology of the boundary field on linear functionals, per ghost
     degree, for the gauge theory on a closed Sigma of dimension d - 1."""
-    for k in range(sigma.dim + 1):
-        if sigma.boundary_indices(k):
-            raise ValueError("sigma must be closed")
+    if not sigma.is_closed():
+        raise ValueError("sigma must be closed")
     nv, ne = sigma.n_cells(0), sigma.n_cells(1)
     n = nv + 2 * ne + nv  # c, A, B (dual), A+ (dual top)
     off_c, off_a, off_b, off_ap = 0, nv, nv + ne, nv + 2 * ne

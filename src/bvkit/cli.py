@@ -18,7 +18,6 @@ from typing import Optional
 
 from .bvbfv import (
     ConstraintSet,
-    TruncatedPolynomialAlgebra,
     bfv_cohomology,
     bfv_resolve,
     boundary_bfv_reduction,
@@ -26,7 +25,6 @@ from .bvbfv import (
     check_bvbfv,
     corner_extend,
     moduli_of_vacua,
-    poisson_bracket,
 )
 from .collar import (
     BoundaryPackage,
@@ -43,8 +41,13 @@ from .complexes import (
     path_complex,
     torus_complex,
 )
-from .graded import GradedSymplecticSpace, GradedVectorSpace
-from .numkit import Matrix, frac, vec
+from .graded import (
+    GradedSymplecticSpace,
+    GradedVectorSpace,
+    TruncatedPolynomialAlgebra,
+    poisson_bracket,
+)
+from .numkit import Matrix, Subspace, frac, vec
 from .relations import LinearRelation, compose
 from .symplect import OneForm, PresymplecticSpace
 from .theories import (
@@ -55,7 +58,6 @@ from .theories import (
     on_shell_action,
     subgraph_theory,
 )
-from .numkit import Subspace
 
 __all__ = ["main", "run"]
 
@@ -417,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--input", default=None)
     ap.add_argument("--output", default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--tolerance", type=float, default=1e-9)
     ap.add_argument("--fixture",
                     default=os.environ.get("BVKIT_FIXTURE"))
     ap.add_argument("--order", type=int, default=None)

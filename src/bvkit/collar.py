@@ -15,13 +15,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import CellComplex
-from .numkit import Matrix, Subspace, kernel
+from .numkit import Matrix, Subspace, dot, kernel, section_of
 from .symplect import (
     NotBasic,
     OneForm,
     PresymplecticSpace,
     presymplectic_reduce,
-    reduce_one_form,
 )
 
 
@@ -65,26 +64,6 @@ class QuadraticLocalTheory:
     def n_vars(self) -> int:
         return sum(self.complex.n_cells(f.cell_dim) for f in self.field_layout)
 
-    def field_offset(self, name: str) -> int:
-        off = 0
-        for f in self.field_layout:
-            if f.name == name:
-                return off
-            off += self.complex.n_cells(f.cell_dim)
-        raise KeyError(name)
-
-    def var_index(self, name: str, cell: int) -> int:
-        return self.field_offset(name) + cell
-
-    def field_of_var(self, a: int) -> tuple[FieldSpec, int]:
-        off = 0
-        for f in self.field_layout:
-            n = self.complex.n_cells(f.cell_dim)
-            if a < off + n:
-                return f, a - off
-            off += n
-        raise IndexError(a)
-
     def boundary_vars(self) -> list[int]:
         """Variables sitting on boundary-flagged cells."""
         out = []
@@ -96,8 +75,7 @@ class QuadraticLocalTheory:
         return sorted(out)
 
     def action_value(self, x) -> Fraction:
-        gx = self.action.apply(x)
-        return sum((a * b for a, b in zip(x, gx)), Fraction(0)) / 2
+        return dot(x, self.action.apply(x)) / 2
 
     def variation(self, x) -> tuple[Fraction, ...]:
         """Covector of dS at x: dS(x)[dx] = variation(x) . dx."""
@@ -245,31 +223,25 @@ class BoundaryPackage:
 def preboundary_reduce(a: OneForm) -> BoundaryPackage:
     """Reduce the preboundary two-form d(a) by its kernel and push a
     down when it is basic."""
-    omega = a.d()
-    v = PresymplecticSpace(a.ambient_dim, omega)
-    red = presymplectic_reduce(v)
+    red = presymplectic_reduce(PresymplecticSpace(a.ambient_dim, a.d()))
     try:
-        alpha = reduce_one_form(v, a)
-        basic = True
+        alpha = red.descend(a)
     except NotBasic:
         alpha = None
-        basic = False
-    return BoundaryPackage(red.space, alpha, red.projection, basic)
+    return BoundaryPackage(red.space, alpha, red.projection, alpha is not None)
 
 
 def project_vector_field(q: Matrix, pkg: BoundaryPackage) -> Matrix:
     """Descend a linear vector field through the reduction: the unique
-    Q with Q @ projection = projection @ q, when q preserves the kernel."""
+    Q with Q @ projection = projection @ q, when q preserves the kernel.
+
+    With E = section @ projection, I - E maps onto the kernel, so q
+    preserves it exactly when projection @ q @ E = projection @ q."""
     p = pkg.projection
     if q.shape != (p.cols, p.cols):
         raise ValueError("vector field size mismatch")
-    ker = kernel(p)
-    for kv in ker.basis:
-        if not ker.contains(q.apply(kv)):
-            raise NotProjectable("field does not preserve the kernel")
-    from .numkit import section_of
-
-    s = section_of(p)
-    out = p @ q @ s
-    assert out @ p == p @ q
+    pq = p @ q
+    out = pq @ section_of(p)
+    if out @ p != pq:
+        raise NotProjectable("field does not preserve the kernel")
     return out

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numkit import Matrix, Subspace, Vector, frac, kernel
+from .numkit import Matrix, Subspace, Vector, block_diag, frac, kernel
 
 
 class NotCubical(ValueError):
@@ -58,6 +58,10 @@ class CellComplex:
 
     def boundary_indices(self, k: int) -> list[int]:
         return [i for i, b in enumerate(self.boundary_flags[k]) if b]
+
+    def is_closed(self) -> bool:
+        """True when no cell of any dimension carries the boundary flag."""
+        return not any(any(flags) for flags in self.boundary_flags)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_cells(k) for k in range(self.dim + 1))
@@ -244,8 +248,6 @@ def disjoint_union(a: CellComplex, b: CellComplex) -> CellComplex:
             a.n_cells(k - 1), 0)
         ob = b.boundary_op(k) if k <= b.dim else Matrix.zeros(
             b.n_cells(k - 1), 0)
-        from .numkit import block_diag
-
         ops.append(block_diag(oa, ob))
     flags = tuple(
         (a.boundary_flags[k] if k <= a.dim else ())

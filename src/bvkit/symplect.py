@@ -17,8 +17,11 @@ from .numkit import (
     Matrix,
     Subspace,
     Vector,
+    block_diag,
+    dot,
     kernel,
     quotient,
+    rref,
     section_of,
     zero_vec,
 )
@@ -57,7 +60,7 @@ class PresymplecticSpace:
         return PresymplecticSpace(dim, Matrix.zeros(dim, dim))
 
     def pairing(self, u, v) -> Fraction:
-        return sum((a * b for a, b in zip(u, self.omega.apply(v))), Fraction(0))
+        return dot(u, self.omega.apply(v))
 
     def kernel_subspace(self) -> Subspace:
         return kernel(self.omega)
@@ -95,7 +98,7 @@ class OneForm:
         return tuple(a + c for a, c in zip(self.coeff.apply(x), self.const))
 
     def evaluate(self, x, dx) -> Fraction:
-        return sum((a * b for a, b in zip(self.at(x), dx)), Fraction(0))
+        return dot(self.at(x), dx)
 
     def d(self) -> Matrix:
         return d_of_coeff(self.coeff)
@@ -136,6 +139,24 @@ class Reduction:
     space: PresymplecticSpace
     projection: Matrix
     section: Matrix = field(compare=False)
+
+    def descend(self, a: OneForm) -> OneForm:
+        """The one-form on the reduced space whose pullback is a.
+
+        With E = section @ projection, I - E maps onto the kernel, so a is
+        basic (coeff and coeff^T vanish on the kernel, const is orthogonal
+        to it) exactly when pulling back S^T coeff S and S^T const gives
+        a again. Raises NotBasic otherwise.
+        """
+        p, s = self.projection, self.section
+        pt, st = p.transpose(), s.transpose()
+        coeff_red = st @ a.coeff @ s
+        const_red = st.apply(a.const)
+        if pt @ coeff_red @ p != a.coeff:
+            raise NotBasic("one-form is not invariant along the kernel")
+        if pt.apply(const_red) != tuple(a.const):
+            raise NotBasic("one-form is not horizontal on the kernel")
+        return OneForm(self.space.dim, coeff_red, const_red)
 
 
 def presymplectic_reduce(v: PresymplecticSpace) -> Reduction:
@@ -187,7 +208,7 @@ def gotay_embed(c: PresymplecticSpace) -> GotayEmbedding:
     n = c.dim
     if k == 0:
         return GotayEmbedding(c, Matrix.identity(n), Subspace.full(n))
-    _, pivots = _kernel_pivots(ker)
+    _, pivots = rref(ker.matrix())
     # selector P with P[i, pivots[i]] = 1; K in RREF makes P k_j = e_j
     sel = Matrix.from_rows([
         [Fraction(1 if j == pivots[i] else 0) for j in range(n)]
@@ -200,12 +221,6 @@ def gotay_embed(c: PresymplecticSpace) -> GotayEmbedding:
     image = Subspace.from_span(n + k, [tuple(row) + (Fraction(0),) * k
                                        for row in Matrix.identity(n).entries])
     return GotayEmbedding(space, emb, image)
-
-
-def _kernel_pivots(ker: Subspace) -> tuple[Matrix, list[int]]:
-    from .numkit import rref
-
-    return rref(ker.matrix())
 
 
 class NotBasic(Exception):
@@ -224,26 +239,11 @@ def reduce_one_form(v: PresymplecticSpace, a: OneForm) -> OneForm:
     """
     if a.d() != v.omega:
         raise ValueError("one-form is not a primitive of omega")
-    red = presymplectic_reduce(v)
-    ker = v.kernel_subspace()
-    for kv in ker.basis:
-        if any(x != 0 for x in a.coeff.apply(kv)):
-            raise NotBasic("one-form is not invariant along the kernel")
-        if any(x != 0 for x in a.coeff.transpose().apply(kv)):
-            raise NotBasic("one-form is not invariant along the kernel")
-        if sum((x * y for x, y in zip(a.const, kv)), Fraction(0)) != 0:
-            raise NotBasic("one-form is not horizontal on the kernel")
-    sec = red.section
-    coeff_red = sec.transpose() @ a.coeff @ sec
-    const_red = sec.transpose().apply(a.const)
-    assert red.projection.transpose() @ coeff_red @ red.projection == a.coeff
-    return OneForm(red.space.dim, coeff_red, const_red)
+    return presymplectic_reduce(v).descend(a)
 
 
 def twisted_product(source: PresymplecticSpace,
                     target: PresymplecticSpace) -> PresymplecticSpace:
     """Source-sign-reversed product carrying (-omega_src) + omega_tgt."""
-    from .numkit import block_diag
-
     return PresymplecticSpace(source.dim + target.dim,
                               block_diag(-source.omega, target.omega))

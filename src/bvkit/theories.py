@@ -18,6 +18,7 @@ from .numkit import (
     Matrix,
     Subspace,
     block_diag,
+    dot,
     kernel,
     solve,
     solve_matrix,
@@ -70,8 +71,7 @@ class ScalarFieldTheory:
         return d0.transpose() @ w @ d0
 
     def energy(self, phi: Sequence[Fraction]) -> Fraction:
-        lp = self.laplacian().apply(phi)
-        return sum((a * b for a, b in zip(phi, lp)), Fraction(0)) / 2
+        return dot(phi, self.laplacian().apply(phi)) / 2
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,7 @@ def on_shell_action(t: ScalarFieldTheory, boundary_values: dict) -> Fraction:
     ½ phi^T Lambda phi through the boundary-reduced operator."""
     op = dtn(t)
     phi = vec([boundary_values[v] for v in op.vertices])
-    lam_phi = op.matrix.apply(phi)
-    return sum((a * b for a, b in zip(phi, lam_phi)), Fraction(0)) / 2
+    return dot(phi, op.matrix.apply(phi)) / 2
 
 
 def scalar_phase_space(n_points: int) -> PresymplecticSpace:
@@ -355,16 +354,11 @@ def dirac_counterexample(n: int) -> tuple[PresymplecticSpace, LinearRelation,
     return space, rel, rel.classify()
 
 
-def _closed_check(sigma: CellComplex):
-    for k in range(sigma.dim + 1):
-        if sigma.boundary_indices(k):
-            raise ValueError("sigma must be closed")
-
-
 def ed_boundary_space(sigma: CellComplex) -> tuple[PresymplecticSpace, OneForm]:
     """Boundary fields of electrodynamics on a closed Sigma: a gauge field
     on edges and a dual-indexed B on edges, with alpha = sum B dA."""
-    _closed_check(sigma)
+    if not sigma.is_closed():
+        raise ValueError("sigma must be closed")
     n = sigma.n_cells(1)
     rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
@@ -394,7 +388,8 @@ def classical_boundary_ed(sigma: CellComplex) -> tuple[BoundaryPackage,
 def classical_boundary_bf(sigma: CellComplex) -> tuple[Subspace, Subspace]:
     """Cauchy data of abelian BF: flat A times closed dual B; the
     characteristic directions shift A and B by exact forms."""
-    _closed_check(sigma)
+    if not sigma.is_closed():
+        raise ValueError("sigma must be closed")
     n = sigma.n_cells(1)
     flat_a = kernel(coboundary(sigma, 1))
     closed_b = kernel(sigma.boundary_op(1))

@@ -1,5 +1,7 @@
 import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +169,11 @@ def test_failing_residual_gives_exit_one(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "dtn", fake)
     code, rep, _ = run_cli(tmp_path, ["dtn"])
     assert code == 1 and rep["status"] == "fail"
+
+
+def test_readme_flag_list_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    listed = readme.split("Flags:", 1)[1].split("\n\n", 1)[0]
+    options = [s for a in cli.build_parser()._actions
+               for s in a.option_strings if s not in ("-h", "--help")]
+    assert re.findall(r"`(--[a-z-]+)`", listed) == options

@@ -21,7 +21,7 @@ from bvkit.complexes import (
     path_complex,
     validate,
 )
-from bvkit.numkit import Matrix, kernel, vec
+from bvkit.numkit import Matrix, kernel, section_of, vec
 
 
 def point_complex():
@@ -34,8 +34,8 @@ def graph_laplacian(cx):
     return d0.transpose() @ w @ d0
 
 
-def scalar_theory_on_collar(layers):
-    collar = CollarModel.build(point_complex(), layers)
+def scalar_theory_on_collar(layers, base=None):
+    collar = CollarModel.build(base or point_complex(), layers)
     t = QuadraticLocalTheory(collar.total, (FieldSpec("phi", 0),),
                              graph_laplacian(collar.total))
     return collar, t
@@ -177,3 +177,42 @@ def test_projected_square_zero_descends():
             continue
         out = project_vector_field(q, pkg)
         assert (out @ out).is_zero()
+
+
+def preserves_kernel_vectorwise(q, pkg):
+    """Reference rule: q descends when it maps each kernel basis vector
+    of the projection back into the kernel."""
+    ker = pkg.kernel_subspace()
+    return all(ker.contains(q.apply(k)) for k in ker.basis)
+
+
+def test_project_vector_field_matches_kernel_vector_rule():
+    rng = random.Random(43)
+    pkgs = [preboundary_reduce(boundary_one_form(
+        scalar_theory_on_collar(layers, base)[1]))
+        for layers, base in ((2, None), (3, None), (4, None),
+                             (2, path_complex(2)), (2, circle_complex(3)))]
+    seen = set()
+    for trial in range(60):
+        pkg = pkgs[trial % len(pkgs)]
+        p = pkg.projection
+        n = p.cols
+
+        def rand():
+            return Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                                     for _ in range(n)])
+
+        q = rand()
+        if trial % 2:
+            # q0 E + (I - E) q1 with E = S p maps the kernel into itself
+            e = section_of(p) @ p
+            q = q @ e + (Matrix.identity(n) - e) @ rand()
+        expected = preserves_kernel_vectorwise(q, pkg)
+        seen.add(expected)
+        if expected:
+            out = project_vector_field(q, pkg)
+            assert out @ p == p @ q
+        else:
+            with pytest.raises(NotProjectable):
+                project_vector_field(q, pkg)
+    assert seen == {True, False}

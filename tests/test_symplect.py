@@ -5,6 +5,7 @@ import pytest
 from bvkit.numkit import (
     Matrix,
     Subspace,
+    dot,
     intersect,
     kernel,
     rank,
@@ -245,6 +246,49 @@ def test_reduce_one_form_requires_primitive():
     v = PresymplecticSpace.standard(1)
     with pytest.raises(ValueError):
         reduce_one_form(v, OneForm.zero(2))
+
+
+def basic_by_kernel_vectors(v, a):
+    """Reference rule: a descends when coeff, coeff^T and const all
+    vanish on each kernel basis vector of omega."""
+    wt = a.coeff.transpose()
+    return all(not any(a.coeff.apply(k)) and not any(wt.apply(k))
+               and dot(a.const, k) == 0
+               for k in v.kernel_subspace().basis)
+
+
+def test_reduce_one_form_matches_kernel_vector_rule():
+    rng = random.Random(41)
+    seen = set()
+    for trial in range(80):
+        n = rng.randint(1, 6)
+        r = rng.randint(1, n)
+        # W = R^T M R and c = R^T u vanish on ker R; perturb them sometimes
+        rm = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                               for _ in range(r)])
+        m = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(r)]
+                              for _ in range(r)])
+        rows = [list(row) for row in (rm.transpose() @ m @ rm).entries]
+        c = list(rm.transpose().apply(vec([rng.randint(-2, 2)
+                                           for _ in range(r)])))
+        if trial % 3 == 1:
+            rows[rng.randrange(n)][rng.randrange(n)] += 1
+        if trial % 3 == 2:
+            c[rng.randrange(n)] += 1
+        w = Matrix.from_rows(rows)
+        v = PresymplecticSpace(n, d_of_coeff(w))
+        a = OneForm(n, w, vec(c))
+        expected = basic_by_kernel_vectors(v, a)
+        seen.add((expected, v.kernel_subspace().dim > 0))
+        if expected:
+            red = reduce_one_form(v, a)
+            p = presymplectic_reduce(v).projection
+            assert p.transpose() @ red.coeff @ p == w
+            assert p.transpose().apply(red.const) == a.const
+        else:
+            with pytest.raises(NotBasic):
+                reduce_one_form(v, a)
+    assert {(True, True), (False, True)} <= seen
 
 
 def test_one_form_evaluate_affine():
