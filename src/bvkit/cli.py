@@ -129,17 +129,20 @@ def _load_input(cfg) -> dict:
         raise CommandError("this command requires --input")
     try:
         with open(cfg.input) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except OSError as e:
         raise CommandError(f"cannot read input: {e}")
     except json.JSONDecodeError as e:
         raise CommandError(f"malformed JSON: {e}")
+    if not isinstance(data, dict):
+        raise CommandError("input must be a JSON object")
+    return data
 
 
 def _complex_of(data: dict) -> CellComplex:
     try:
         return CellComplex.from_dict(data)
-    except (KeyError, TypeError, ValueError) as e:
+    except (IndexError, KeyError, TypeError, ValueError) as e:
         raise CommandError(f"malformed complex JSON: {e!r}")
 
 
@@ -236,10 +239,9 @@ def cmd_glue(cfg) -> dict:
     cut = list(data["cut"])
     lv, rv = set(data["left"]), set(data["right"])
     g = whole.graph
-    d1 = g.boundary_op(1)
     e_left, e_right = [], []
-    for j, e in enumerate(g.cells[1]):
-        ends = {g.cells[0][i] for i in range(d1.rows) if d1[i, j] != 0}
+    for e, faces in zip(g.cells[1], g.faces(1)):
+        ends = {g.cells[0][i] for i, _ in faces}
         (e_left if ends <= lv else e_right).append(e)
     wb = set(whole.boundary_names())
     t_left = subgraph_theory(whole, sorted(lv),
@@ -403,7 +405,7 @@ def run(cfg) -> dict:
     except CommandError as e:
         report["status"] = "error"
         report["payload"] = {"diagnostic": str(e)}
-    except (KeyError, TypeError, ValueError) as e:
+    except (ArithmeticError, KeyError, TypeError, ValueError) as e:
         report["status"] = "error"
         report["payload"] = {"diagnostic": f"{type(e).__name__}: {e}"}
     return report

@@ -53,6 +53,17 @@ class CellComplex:
             return Matrix.zeros(0, self.n_cells(0))
         raise ValueError(f"no boundary operator in degree {k}")
 
+    def faces(self, k: int) -> list[list[tuple[int, Fraction]]]:
+        """For each k-cell, its (face index, incidence coefficient) pairs
+        in face order, read in one pass over boundary_op(k)."""
+        op = self.boundary_op(k)
+        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(op.cols)]
+        for i, row in enumerate(op.entries):
+            for j, x in enumerate(row):
+                if x:
+                    out[j].append((i, x))
+        return out
+
     def interior_indices(self, k: int) -> list[int]:
         return [i for i, b in enumerate(self.boundary_flags[k]) if not b]
 
@@ -75,11 +86,9 @@ class CellComplex:
             "cells": [list(c) for c in self.cells],
             "boundary": [
                 {"cell": self.cells[k][j],
-                 "faces": [[self.cells[k - 1][i], str(op[i, j])]
-                           for i in range(op.rows) if op[i, j] != 0]}
+                 "faces": [[self.cells[k - 1][i], str(x)] for i, x in fs]}
                 for k in range(1, self.dim + 1)
-                for op in [self.boundary_op(k)]
-                for j in range(op.cols)
+                for j, fs in enumerate(self.faces(k))
             ],
             "boundary_flags": [
                 self.cells[k][i]
@@ -192,12 +201,17 @@ def cohomology(k: CellComplex, degree: int,
     return CohomologyReport(degree, relative, len(reps), tuple(reps))
 
 
+def hodge_weights(k: CellComplex, degree: int) -> tuple[Fraction, ...]:
+    """The per-cell weights on the diagonal of the Hodge star."""
+    if not k.cubical or k.weights is None:
+        raise NotCubical("hodge star needs a weighted cubical complex")
+    return k.weights[degree]
+
+
 def hodge_star(k: CellComplex, degree: int) -> Matrix:
     """Diagonal pairing of degree-k cochains with dual cochains via the
     per-cell weights; identity for unit weights."""
-    if not k.cubical or k.weights is None:
-        raise NotCubical("hodge star needs a weighted cubical complex")
-    return Matrix.diagonal(k.weights[degree])
+    return Matrix.diagonal(hodge_weights(k, degree))
 
 
 def _edge_boundary(vertex_names: Sequence[str],

@@ -1,4 +1,5 @@
-"""Exact rational dense linear algebra: matrices, subspaces, quotients.
+"""Exact rational linear algebra: dense matrices, subspaces, quotients,
+and a sparse Schur complement.
 
 All arithmetic is over the rationals (`fractions.Fraction`), so every
 identity checked elsewhere in the package holds exactly, not up to
@@ -12,6 +13,8 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
 
 
 def frac(x) -> Fraction:
@@ -265,6 +268,63 @@ def invert(a: Matrix) -> Optional[Matrix]:
     if a.rows != a.cols:
         raise ValueError("only square matrices are invertible")
     return solve_matrix(a, Matrix.identity(a.rows))
+
+
+def schur_complement(a: Matrix, keep: Sequence[int],
+                     drop: Sequence[int]) -> Optional[Matrix]:
+    """a[keep,keep] - a[keep,drop] a[drop,drop]^-1 a[drop,keep] in `keep`
+    order, or None when a[drop,drop] is singular.
+
+    Sparse exact elimination of the dropped indices one pivot at a time
+    (Kron reduction when `a` is a graph Laplacian). Rows are dicts of
+    their nonzero entries and each column keeps the set of rows it meets,
+    so only nonzeros are touched and fill-in follows the sparsity pattern.
+    The pivot is the nonzero dropped diagonal entry whose row has the
+    fewest nonzeros (ties to the lowest index); when every remaining one
+    is zero, the same rule picks an entry anywhere in the dropped block
+    and its row and column go together. The Schur complement is unique, so
+    the pivot order does not change the result.
+    """
+    idx = list(keep) + list(drop)
+    rows: dict[int, dict[int, Fraction]] = {}
+    cols: dict[int, set[int]] = {j: set() for j in idx}
+    for i in idx:
+        src = a.entries[i]
+        rows[i] = {j: src[j] for j in idx if src[j]}
+        for j in rows[i]:
+            cols[j].add(i)
+    drop_rows, drop_cols = set(drop), set(drop)
+    while drop_rows:
+        diag = [(len(rows[p]), p) for p in drop_rows
+                if p in drop_cols and p in rows[p]]
+        if diag:
+            p = q = min(diag)[1]
+        else:
+            live = [(len(rows[p]), p) for p in drop_rows
+                    if not drop_cols.isdisjoint(rows[p])]
+            if not live:
+                return None
+            p = min(live)[1]
+            q = min(drop_cols.intersection(rows[p]))
+        drop_rows.remove(p)
+        drop_cols.remove(q)
+        prow = rows.pop(p)
+        pivot = prow.pop(q)
+        for j in prow:
+            cols[j].discard(p)
+        for i in cols.pop(q) - {p}:
+            row = rows[i]
+            f = row.pop(q) / pivot
+            for j, x in prow.items():
+                y = row.get(j, _ZERO) - f * x
+                if y:
+                    row[j] = y
+                    cols[j].add(i)
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+    return Matrix(len(keep), len(keep), tuple(
+        tuple(rows[i].get(j, _ZERO) for j in keep) for i in keep))
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,15 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .collar import BoundaryPackage, preboundary_reduce
-from .complexes import CellComplex, coboundary, hodge_star
+from .complexes import CellComplex, coboundary, hodge_weights
 from .numkit import (
     Matrix,
     Subspace,
     block_diag,
     dot,
     kernel,
+    schur_complement,
     solve,
-    solve_matrix,
     unit_vec,
     vec,
     zero_vec,
@@ -66,9 +66,15 @@ class ScalarFieldTheory:
         return [self.graph.cells[0][i] for i in self.graph.interior_indices(0)]
 
     def laplacian(self) -> Matrix:
-        d0 = coboundary(self.graph, 0)
-        w = hodge_star(self.graph, 1)
-        return d0.transpose() @ w @ d0
+        """d0^T W d0, assembled edge by edge: an edge of weight w with
+        faces (a, x_a) adds w x_a x_b at (a, b)."""
+        n = self.graph.n_cells(0)
+        lap = [[Fraction(0)] * n for _ in range(n)]
+        for w, faces in zip(hodge_weights(self.graph, 1), self.graph.faces(1)):
+            for a, xa in faces:
+                for b, xb in faces:
+                    lap[a][b] += w * xa * xb
+        return Matrix(n, n, tuple(tuple(r) for r in lap))
 
     def energy(self, phi: Sequence[Fraction]) -> Fraction:
         return dot(phi, self.laplacian().apply(phi)) / 2
@@ -84,26 +90,17 @@ class DtNOperator:
 
 def dtn(t: ScalarFieldTheory,
         order: Optional[Sequence[str]] = None) -> DtNOperator:
-    """Schur complement of the weighted Laplacian onto the boundary block."""
-    names = list(t.vertex_names)
+    """Schur complement of the weighted Laplacian onto the boundary block,
+    by Kron reduction of the interior vertices."""
     boundary = list(order) if order is not None else t.boundary_names()
     if set(boundary) != set(t.boundary_names()):
         raise ValueError("order must enumerate the boundary vertices")
-    interior = t.interior_names()
-    lap = t.laplacian()
-    b_idx = [names.index(v) for v in boundary]
-    i_idx = [names.index(v) for v in interior]
-    a_bb = lap.submatrix(b_idx, b_idx)
-    if not interior:
-        return DtNOperator(tuple(boundary), a_bb)
-    a_bi = lap.submatrix(b_idx, i_idx)
-    a_ib = lap.submatrix(i_idx, b_idx)
-    a_ii = lap.submatrix(i_idx, i_idx)
-    # one joint elimination instead of a full inverse
-    x = solve_matrix(a_ii, a_ib, require_unique=True)
-    if x is None:
+    index = {v: i for i, v in enumerate(t.vertex_names)}
+    s = schur_complement(t.laplacian(), [index[v] for v in boundary],
+                         [index[v] for v in t.interior_names()])
+    if s is None:
         raise SingularInterior("interior Laplacian block is singular")
-    return DtNOperator(tuple(boundary), a_bb - a_bi @ x)
+    return DtNOperator(tuple(boundary), s)
 
 
 def harmonic_extension(t: ScalarFieldTheory,
@@ -200,9 +197,8 @@ def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
         eset = set(edges)
         e_idx = [j for j in range(g.n_cells(1)) if g.cells[1][j] in eset]
     else:
-        e_idx = [j for j in range(g.n_cells(1))
-                 if all(g.cells[0][i] in vset
-                        for i in range(d1.rows) if d1[i, j] != 0)]
+        e_idx = [j for j, faces in enumerate(g.faces(1))
+                 if all(g.cells[0][i] in vset for i, _ in faces)]
     cells = (tuple(g.cells[0][i] for i in v_idx),
              tuple(g.cells[1][j] for j in e_idx))
     bset = set(boundary)

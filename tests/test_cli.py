@@ -157,6 +157,28 @@ def test_missing_input_is_error(tmp_path):
     assert code == 2 and rep["status"] == "error"
 
 
+def _path3_weight(w):
+    fix = cli.FIXTURES["path3"](None)
+    fix["weights"][1][0] = w
+    return fix
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["dtn"], _path3_weight("1/0")),
+    (["hj-action"], {"complex": cli.FIXTURES["path3"](None),
+                     "boundary_values": {"v0": "1/0", "v2": "0"}}),
+    (["bfv-resolve"], {"n_pairs": 1, "constraints": [["1/0", "0"]]}),
+    (["bv-check"], [1, 2]),
+    (["dtn"], {"dims": 2, "cells": [["a", "b"], ["e"]], "boundary": []}),
+], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
+        "bfv-resolve-zero-denominator", "bv-check-top-level-array",
+        "dtn-dims-beyond-cells"])
+def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
+    code, rep, _ = run_cli(tmp_path, args, payload)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["payload"]["diagnostic"]
+
+
 def test_unknown_fixture_is_error(tmp_path):
     code, rep, _ = run_cli(tmp_path, ["fixtures", "--fixture", "nope"])
     assert code == 2 and rep["status"] == "error"

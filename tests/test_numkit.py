@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvkit.complexes import path_complex
 from bvkit.numkit import (
     Matrix,
     Subspace,
@@ -14,11 +15,14 @@ from bvkit.numkit import (
     quotient,
     rank,
     rref,
+    schur_complement,
     section_of,
     solve,
+    solve_matrix,
     sum_spaces,
     vec,
 )
+from bvkit.theories import ScalarFieldTheory, dtn
 
 
 def random_matrix(rng, rows, cols, den=4, num=6):
@@ -128,6 +132,48 @@ def test_invert_roundtrip():
     a = Matrix.from_rows([[2, 1], [1, 1]])
     ainv = invert(a)
     assert a @ ainv == Matrix.identity(2)
+
+
+def dense_schur(a, keep, drop):
+    """The textbook formula through one dense joint elimination."""
+    x = solve_matrix(a.submatrix(drop, drop), a.submatrix(drop, keep),
+                     require_unique=True)
+    if x is None:
+        return None
+    return a.submatrix(keep, keep) - a.submatrix(keep, drop) @ x
+
+
+def test_schur_complement_matches_dense_formula():
+    rng = random.Random(17)
+    outcomes = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        density = rng.choice([0.2, 0.4, 0.7])
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        if rng.random() < 0.4:  # force off-diagonal pivots
+            for i in range(n):
+                rows[i][i] = 0
+        a = Matrix(n, n, tuple(vec(r) for r in rows))
+        role = [rng.choice(["keep", "drop", "drop", "neither"])
+                for _ in range(n)]
+        keep = [i for i in range(n) if role[i] == "keep"]
+        drop = [i for i in range(n) if role[i] == "drop"]
+        rng.shuffle(keep)
+        rng.shuffle(drop)
+        got = schur_complement(a, keep, drop)
+        assert got == dense_schur(a, keep, drop)
+        outcomes[got is None] += 1
+    assert min(outcomes.values()) > 30
+
+
+def test_schur_complement_with_zero_diagonal_interior():
+    # interior block [[0, 1], [1, 0]]: invertible, but no diagonal pivot
+    t = ScalarFieldTheory(path_complex(4, weights=[1, -1, 1]))
+    lap = t.laplacian()
+    assert lap.submatrix([1, 2], [1, 2]) == Matrix.from_rows([[0, 1], [1, 0]])
+    assert dtn(t).matrix == Matrix.from_rows([[1, -1], [-1, 1]])
 
 
 def test_subspace_sum_intersect_axes():

@@ -1,18 +1,23 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from bvkit.complexes import (
     CellComplex,
+    NotCubical,
     circle_complex,
+    coboundary,
     disjoint_union,
     grid_complex,
+    hodge_star,
     path_complex,
     torus_complex,
+    triangulated_grid_complex,
 )
-from bvkit.numkit import Matrix, kernel, vec
+from bvkit.numkit import Matrix, kernel, schur_complement, vec
 from bvkit.relations import compose, identity_relation
 from bvkit.symplect import (
     NotBasic,
@@ -41,6 +46,7 @@ from bvkit.theories import (
     subgraph_theory,
     with_boundary_vertices,
 )
+from test_acceptance import partitioned_theory
 
 
 def random_connected_theory(rng, n, boundary_count):
@@ -113,6 +119,29 @@ def test_dtn_symmetric_psd_constant_kernel():
             assert q >= 0
 
 
+def test_laplacian_matches_dense_formula():
+    rng = random.Random(23)
+    for _ in range(10):
+        t = random_connected_theory(rng, rng.randint(2, 12), 1)
+        d0 = coboundary(t.graph, 0)
+        assert t.laplacian() == d0.transpose() @ hodge_star(t.graph, 1) @ d0
+
+
+def test_laplacian_needs_weighted_cubical_graph():
+    t = ScalarFieldTheory(triangulated_grid_complex(1, 1))
+    with pytest.raises(NotCubical, match="weighted cubical complex"):
+        t.laplacian()
+
+
+@pytest.mark.parametrize("n", [3, 50, 200, 1000])
+def test_dtn_unit_path_ladder(n):
+    start = time.monotonic()
+    s = Fraction(1, n - 1)
+    lam = dtn(ScalarFieldTheory(path_complex(n))).matrix
+    assert lam == Matrix.from_rows([[s, -s], [-s, s]])
+    assert time.monotonic() - start < 10
+
+
 def test_evolution_relation_path3_lagrangian():
     t = ScalarFieldTheory(path_complex(3))
     rel = evolution_relation_scalar(t, ["v0"], ["v2"])
@@ -182,6 +211,37 @@ def test_glue_grid_middle_column():
     right = subgraph_theory(t, rv, right_bd + cut, edges=redges)
     rep = glue_scalar(t, cut, left, right)
     assert rep.exact and rep.lagrangian
+
+
+def test_glue_matches_crabtree_haynsworth():
+    # the halves' DtN maps, summed on the cut and reduced onto in + out,
+    # give the whole DtN map (quotient formula for Schur complements)
+    rng = random.Random(404)
+    for _ in range(25):
+        t, cut, t_l, t_r = partitioned_theory(
+            rng, rng.randint(4, 20), rng.randint(4, 20), rng.randint(1, 4))
+        wb = set(t.boundary_names())
+        in_v = sorted(wb & set(t_l.vertex_names))
+        out_v = sorted(wb & set(t_r.vertex_names))
+        names = in_v + cut + out_v
+        pos = {v: i for i, v in enumerate(names)}
+        total = [[Fraction(0)] * len(names) for _ in names]
+        for op in (dtn(t_l, order=in_v + cut), dtn(t_r, order=cut + out_v)):
+            for i, u in enumerate(op.vertices):
+                for j, v in enumerate(op.vertices):
+                    total[pos[u]][pos[v]] += op.matrix[i, j]
+        glued = schur_complement(Matrix.from_rows(total),
+                                 [pos[v] for v in in_v + out_v],
+                                 [pos[v] for v in cut])
+        assert glued == dtn(t, order=in_v + out_v).matrix
+
+
+def test_glue_490_vertices():
+    start = time.monotonic()
+    t, cut, t_l, t_r = partitioned_theory(random.Random(490), 240, 240, 10)
+    rep = glue_scalar(t, cut, t_l, t_r)
+    assert rep.exact and rep.lagrangian
+    assert time.monotonic() - start < 10
 
 
 def test_glue_rejects_bad_partition():
