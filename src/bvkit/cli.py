@@ -172,6 +172,8 @@ def _ed_input(data: dict):
     else:
         name = data.get("fixture", "disk")
         size = int(data.get("size", 2))
+        if name in ("disk", "torus") and size < 1:
+            raise CommandError(f"{name} size must be at least 1, got {size}")
         if name == "disk":
             m = grid_complex(size, size)
         elif name == "annulus":

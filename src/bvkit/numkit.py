@@ -1,5 +1,5 @@
 """Exact rational linear algebra: dense matrices, subspaces, quotients,
-and a sparse Schur complement.
+and a Schur complement, all reduced by one sparse elimination step.
 
 All arithmetic is over the rationals (`fractions.Fraction`), so every
 identity checked elsewhere in the package holds exactly, not up to
@@ -37,7 +37,7 @@ def unit_vec(n: int, i: int) -> Vector:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
 
 
 @dataclass(frozen=True)
@@ -93,18 +93,18 @@ class Matrix:
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
         return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b for a, b in zip(ra, rb))
+            tuple(a + b if b else a for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
         return Matrix(self.rows, self.cols, tuple(
-            tuple(a - b for a, b in zip(ra, rb))
+            tuple(a - b if b else a for a, b in zip(ra, rb))
             for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(
-            tuple(-a for a in r) for r in self.entries))
+            tuple(-a if a else a for a in r) for r in self.entries))
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
@@ -131,7 +131,9 @@ class Matrix:
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if self.cols != len(v):
             raise ValueError("vector length mismatch")
-        return tuple(dot(r, v) for r in self.entries)
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((r[j] * x for j, x in nz if r[j]), _ZERO)
+                     for r in self.entries)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -178,40 +180,66 @@ def block_diag(*blocks: Matrix) -> Matrix:
     return Matrix.from_rows(out)
 
 
+def _eliminate(rows: dict[int, dict[int, Fraction]],
+               cols: dict[int, set[int]], p: int, q: int) -> None:
+    """Subtract multiples of row p from every other row that meets column
+    q, so that q is left only in row p; the column row sets follow."""
+    prow = rows[p]
+    pivot = prow[q]
+    rest = [(j, x) for j, x in prow.items() if j != q]
+    for i in cols[q]:
+        if i == p:
+            continue
+        row = rows[i]
+        f = row.pop(q) / pivot
+        for j, x in rest:
+            y = row.get(j, _ZERO) - f * x
+            if y:
+                row[j] = y
+                cols[j].add(i)
+            else:
+                del row[j]
+                cols[j].discard(i)
+    cols[q] = {p}
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form with leftmost pivots scaled to 1.
 
     Returns the reduced matrix and the strictly increasing pivot column
     list. Canonical: two row-equivalent matrices reduce identically.
+
+    Sparse Gauss-Jordan over {col: Fraction} row dicts: the columns are
+    taken in order, each pivots on the not-yet-pivot row that meets it
+    with the fewest nonzeros (ties to the lowest row), and `_eliminate`
+    clears it from every other row. The RREF is unique, so the pivot
+    choice does not change the result.
     """
-    a = [list(r) for r in m.entries]
+    if not m.rows:
+        return m, []
+    rows: dict[int, dict[int, Fraction]] = {}
+    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
+    for i, src in enumerate(m.entries):
+        rows[i] = row = {j: x for j, x in enumerate(src) if x}
+        for j in row:
+            cols[j].add(i)
+    free = {i for i, row in rows.items() if row}
     pivots: list[int] = []
-    pr = 0
-    for pc in range(m.cols):
-        pivot_row = None
-        for i in range(pr, m.rows):
-            if a[i][pc] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+    order: list[int] = []
+    for q in range(m.cols):
+        live = cols[q] & free
+        if not live:
             continue
-        a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        inv = 1 / a[pr][pc]
-        a[pr] = [x * inv for x in a[pr]]
-        # skip zero entries of the pivot row; elimination rows stay sparse
-        hot = [j for j, y in enumerate(a[pr]) if y != 0]
-        for i in range(m.rows):
-            if i != pr and a[i][pc] != 0:
-                f = a[i][pc]
-                row = a[i]
-                prow = a[pr]
-                for j in hot:
-                    row[j] = row[j] - f * prow[j]
-        pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
-            break
-    return Matrix.from_rows(a) if m.rows else m, pivots
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        free.remove(p)
+        inv = 1 / rows[p][q]
+        rows[p] = {j: x * inv for j, x in rows[p].items()}
+        _eliminate(rows, cols, p, q)
+        pivots.append(q)
+        order.append(p)
+    out = [[rows[p].get(j, _ZERO) for j in range(m.cols)] for p in order]
+    out += [[_ZERO] * m.cols] * (m.rows - len(order))
+    return Matrix.from_rows(out), pivots
 
 
 def rank(m: Matrix) -> int:
@@ -308,21 +336,9 @@ def schur_complement(a: Matrix, keep: Sequence[int],
             q = min(drop_cols.intersection(rows[p]))
         drop_rows.remove(p)
         drop_cols.remove(q)
-        prow = rows.pop(p)
-        pivot = prow.pop(q)
-        for j in prow:
+        _eliminate(rows, cols, p, q)
+        for j in rows.pop(p):
             cols[j].discard(p)
-        for i in cols.pop(q) - {p}:
-            row = rows[i]
-            f = row.pop(q) / pivot
-            for j, x in prow.items():
-                y = row.get(j, _ZERO) - f * x
-                if y:
-                    row[j] = y
-                    cols[j].add(i)
-                else:
-                    del row[j]
-                    cols[j].discard(i)
     return Matrix(len(keep), len(keep), tuple(
         tuple(rows[i].get(j, _ZERO) for j in keep) for i in keep))
 
@@ -366,10 +382,14 @@ class Subspace:
     def contains(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if all(x == 0 for x in v):
-            return True
-        stacked = Subspace.from_span(self.ambient_dim, list(self.basis) + [vec(v)])
-        return stacked.dim == self.dim
+        # the basis is in RREF: each row's pivot entry is 0 in every other
+        # row, so v lies in the span iff v - sum v[pivot_i] b_i vanishes
+        w = list(v)
+        for b in self.basis:
+            c = w[next(j for j, x in enumerate(b) if x)]
+            if c:
+                w = [y - c * x if x else y for y, x in zip(w, b)]
+        return not any(w)
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)

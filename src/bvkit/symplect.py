@@ -159,6 +159,10 @@ class Reduction:
         return OneForm(self.space.dim, coeff_red, const_red)
 
 
+class PullbackMismatch(ValueError):
+    pass
+
+
 def presymplectic_reduce(v: PresymplecticSpace) -> Reduction:
     """Quotient by ker(omega); the induced form is nondegenerate and
     satisfies projection^T @ omega_red @ projection = omega."""
@@ -167,7 +171,8 @@ def presymplectic_reduce(v: PresymplecticSpace) -> Reduction:
     sec = section_of(proj)
     omega_red = sec.transpose() @ v.omega @ sec
     reduced = PresymplecticSpace(dim_red, omega_red)
-    assert proj.transpose() @ omega_red @ proj == v.omega
+    if proj.transpose() @ omega_red @ proj != v.omega:
+        raise PullbackMismatch("projection^T omega_red projection != omega")
     return Reduction(reduced, proj, sec)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -235,6 +236,38 @@ def test_moduli_closed_torus_bf():
     # flat fields and locally constant duals in the middle, one class of
     # ghosts and one of top antifields at the ends
     assert {d: v for d, v in mod.items() if v} == {1: 1, 0: 3, -1: 3, -2: 1}
+
+
+# Size-ladder oracles: the closed forms above at sizes past the fixtures,
+# each under the 10 s wall-clock limit of the acceptance tests.
+
+def test_moduli_annulus_ladder():
+    start = time.monotonic()
+    mod = moduli_of_vacua(build_ed_package(annulus_complex(5)))
+    assert {d: v for d, v in mod.items() if v} == {0: 1, -1: 1}
+    assert time.monotonic() - start < 10
+
+
+def test_moduli_disk_trivial_ladder():
+    start = time.monotonic()
+    mod = moduli_of_vacua(build_ed_package(grid_complex(4, 4)))
+    assert all(v == 0 for v in mod.values())
+    assert time.monotonic() - start < 10
+
+
+def test_moduli_closed_torus_bf_ladder():
+    start = time.monotonic()
+    p = build_ed_package(torus_complex(4, 4), bf=True)
+    check_all(p)
+    mod = moduli_of_vacua(p)
+    assert {d: v for d, v in mod.items() if v} == {1: 1, 0: 3, -1: 3, -2: 1}
+    assert time.monotonic() - start < 10
+
+
+def test_disk_package_identities_ladder():
+    start = time.monotonic()
+    check_all(build_ed_package(grid_complex(6, 6)))
+    assert time.monotonic() - start < 10
 
 
 def test_corner_interval():

@@ -170,9 +170,13 @@ def _path3_weight(w):
     (["bfv-resolve"], {"n_pairs": 1, "constraints": [["1/0", "0"]]}),
     (["bv-check"], [1, 2]),
     (["dtn"], {"dims": 2, "cells": [["a", "b"], ["e"]], "boundary": []}),
+    (["bv-check"], {"fixture": "disk", "size": 0}),
+    (["bv-check"], {"fixture": "disk", "size": -1}),
+    (["moduli"], {"fixture": "torus", "size": 0}),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
-        "dtn-dims-beyond-cells"])
+        "dtn-dims-beyond-cells", "bv-check-empty-disk",
+        "bv-check-negative-disk", "moduli-empty-torus"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"

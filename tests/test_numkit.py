@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from bvkit.complexes import path_complex
 from bvkit.numkit import (
     Matrix,
     Subspace,
+    dot,
     intersect,
     invert,
     kernel,
@@ -54,6 +57,96 @@ def bareiss_rank(m):
         if r == rows:
             break
     return r
+
+
+def dense_rref(m):
+    """Dense Gauss-Jordan with the first nonzero row as pivot: the oracle
+    for the sparse `rref`."""
+    a = [list(r) for r in m.entries]
+    pivots = []
+    pr = 0
+    for pc in range(m.cols):
+        pivot_row = next((i for i in range(pr, m.rows) if a[i][pc] != 0),
+                         None)
+        if pivot_row is None:
+            continue
+        a[pr], a[pivot_row] = a[pivot_row], a[pr]
+        inv = 1 / a[pr][pc]
+        a[pr] = [x * inv for x in a[pr]]
+        for i in range(m.rows):
+            if i != pr and a[i][pc] != 0:
+                f = a[i][pc]
+                a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
+        pivots.append(pc)
+        pr += 1
+    return Matrix(m.rows, m.cols, tuple(vec(r) for r in a)), pivots
+
+
+def random_rref_case(rng):
+    """A seeded matrix with the shapes and structure RREF must handle:
+    empty and 1x1 shapes, zero rows and columns, duplicate and dependent
+    rows, and entries with large numerators."""
+    shape = rng.random()
+    if shape < 0.05:
+        rows, cols = 0, rng.randint(0, 5)
+    elif shape < 0.1:
+        rows, cols = rng.randint(1, 5), 0
+    elif shape < 0.15:
+        rows, cols = 1, 1
+    else:
+        rows, cols = rng.randint(1, 8), rng.randint(1, 9)
+    num = 10 ** 30 if rng.random() < 0.2 else 6
+    density = rng.choice([0.2, 0.5, 0.9])
+    a = [[Fraction(rng.randint(-num, num), rng.randint(1, 5))
+          if rng.random() < density else Fraction(0) for _ in range(cols)]
+         for _ in range(rows)]
+    if rows and cols:
+        if rng.random() < 0.3:
+            j = rng.randrange(cols)
+            for r in a:
+                r[j] = Fraction(0)
+        if rng.random() < 0.3:
+            a[rng.randrange(rows)] = [Fraction(0)] * cols
+        if rows >= 2 and rng.random() < 0.4:
+            a[rng.randrange(rows)] = list(a[rng.randrange(rows)])
+        if rows >= 3 and rng.random() < 0.4:
+            u, w = rng.sample(range(rows), 2)
+            c, d = Fraction(rng.randint(-3, 3)), Fraction(1, rng.randint(1, 4))
+            a[rng.randrange(rows)] = [c * x + d * y for x, y in zip(a[u], a[w])]
+    return Matrix(rows, cols, tuple(tuple(r) for r in a))
+
+
+def test_rref_matches_dense_gauss_jordan():
+    rng = random.Random(23)
+    seen = {"empty": 0, "one": 0, "deficient": 0, "big": 0}
+    for _ in range(300):
+        m = random_rref_case(rng)
+        red, pivots = rref(m)
+        assert (red, pivots) == dense_rref(m)
+        seen["empty"] += 0 in m.shape
+        seen["one"] += m.shape == (1, 1)
+        seen["deficient"] += 0 < len(pivots) < min(m.shape)
+        seen["big"] += any(abs(x.numerator) > 10 ** 20
+                           for r in m.entries for x in r)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_products_skip_zeros_exactly():
+    rng = random.Random(29)
+
+    def sparse(n):
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                if rng.random() < 0.25 else Fraction(0) for _ in range(n)]
+
+    for _ in range(100):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        m = Matrix(rows, cols, tuple(tuple(sparse(cols)) for _ in range(rows)))
+        v = sparse(cols)
+        dense = tuple(sum((r[j] * v[j] for j in range(cols)), Fraction(0))
+                      for r in m.entries)
+        assert m.apply(v) == dense
+        u = sparse(cols)
+        assert dot(u, v) == sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
 def test_rref_identity():
@@ -231,6 +324,30 @@ def test_subspace_equality_is_canonical(rows_a, rows_b):
     assert both == again
     if both.dim == u.dim:
         assert both == u
+
+
+def test_contains_matches_stacked_span():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        gens = [[rng.choice([0, 0, 1, -2, Fraction(3, 2)]) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        u = Subspace.from_span(n, gens)
+        coeffs = [rng.randint(-2, 2) for _ in gens]
+        inside = [sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0))
+                  for j in range(n)]
+        for v in (vec(inside), vec([rng.randint(-2, 2) for _ in range(n)])):
+            stacked = Subspace.from_span(n, list(u.basis) + [v])
+            assert u.contains(v) == (stacked.dim == u.dim)
+        assert u.contains(vec(inside))
+
+
+def test_no_runtime_asserts_in_src():
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_subspace_ambient_mismatch_raises():
