@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from typing import Iterable, Iterator
 
 from .collar import (
     BoundaryPackage,
@@ -25,7 +26,7 @@ from .graded import (
     Monomial,
     Polynomial,
     TruncatedPolynomialAlgebra,
-    derivation_apply,
+    normalize_monomial,
     poisson_bracket,
 )
 from .numkit import (
@@ -35,6 +36,7 @@ from .numkit import (
     image,
     intersect,
     kernel,
+    sparse_rank,
     sum_spaces,
     unit_vec,
 )
@@ -74,21 +76,39 @@ class LinearCohomologicalField:
         n = self.space.dim
         if self.matrix.shape != (n, n):
             raise ValueError("field matrix size mismatch")
+        rows = []
         for a in range(n):
-            for b in range(n):
-                if self.matrix[a, b] != 0 and \
-                        self.space.degree(b) != self.space.degree(a) + 1:
+            rows.append(tuple((b, x) for b, x in enumerate(self.matrix.row(a))
+                              if x))
+            for b, _ in rows[a]:
+                if self.space.degree(b) != self.space.degree(a) + 1:
                     raise ValueError("field must raise degree by one")
         if not (self.matrix @ self.matrix).is_zero():
             raise ValueError("field must square to zero")
+        object.__setattr__(self, "_rows", tuple(rows))
 
-    def images(self) -> list[Polynomial]:
-        return [Polynomial.build(self.space, [
-            ((b,), self.matrix[a, b]) for b in range(self.space.dim)])
-            for a in range(self.space.dim)]
+    def _words(self, m: Monomial) -> Iterator[tuple[Monomial, Fraction]]:
+        """Q(m) as unnormalized words: Q is linear and odd, so the
+        generator at each position is replaced by each Q[a, b] x_b, with
+        sign (-1)^(odd generators before it)."""
+        odd = 0
+        for pos, a in enumerate(m):
+            for b, x in self._rows[a]:
+                yield m[:pos] + (b,) + m[pos + 1:], -x if odd else x
+            odd ^= self.space.parity(a)
+
+    def on_monomial(self, m: Monomial) -> dict[Monomial, Fraction]:
+        """The nonzero terms of Q(m), each word normalized."""
+        out: dict[Monomial, Fraction] = {}
+        for word, x in self._words(m):
+            mono, sign = normalize_monomial(self.space, word)
+            if mono is not None:
+                out[mono] = out.get(mono, 0) + sign * x
+        return {w: x for w, x in out.items() if x}
 
     def apply(self, p: Polynomial) -> Polynomial:
-        return derivation_apply(self.space, self.images(), p)
+        return Polynomial.build(self.space, (
+            (word, c * x) for m, c in p.terms for word, x in self._words(m)))
 
 
 @dataclass(frozen=True)
@@ -188,32 +208,28 @@ def hamiltonian_of(q: LinearCohomologicalField,
 
 
 def bfv_cohomology(q: LinearCohomologicalField,
-                   algebra: TruncatedPolynomialAlgebra, degree: int) -> int:
-    """dim ker/im of the derivation on the truncated polynomial algebra
-    at the given ghost degree."""
-    gv = algebra.generators
-    here = algebra.monomials_of_ghost_degree(degree)
-    above = algebra.monomials_of_ghost_degree(degree + 1)
-    below = algebra.monomials_of_ghost_degree(degree - 1)
-    idx_here = {m: i for i, m in enumerate(here)}
-    idx_above = {m: i for i, m in enumerate(above)}
+                   algebra: TruncatedPolynomialAlgebra,
+                   degrees: Iterable[int]) -> dict[int, int]:
+    """dim H^d of the derivation on the truncated polynomial algebra at
+    each requested ghost degree d.
 
-    def q_matrix(src, tgt_idx, tgt_len):
-        cols = []
-        for m in src:
-            p = q.apply(Polynomial.build(gv, [(m, Fraction(1))]))
-            col = [Fraction(0)] * tgt_len
-            for mono, cf in p.terms:
-                col[tgt_idx[mono]] = cf
-            cols.append(col)
-        if not cols:
-            return Matrix.zeros(tgt_len, 0)
-        return Matrix.from_rows(cols).transpose()
+    dim H^d = n_d - rank Q_d - rank Q_(d-1), where n_d counts the degree-d
+    monomials and Q_d maps them to degree d + 1. Each rank is computed
+    once, exactly, from sparse rows Q(m) over the degree-d monomials m.
+    """
+    by_degree = algebra.monomials_by_ghost_degree()
+    ranks: dict[int, int] = {}
 
-    d_here = q_matrix(here, idx_above, len(above))
-    d_below = q_matrix(below, idx_here, len(here))
-    cocycles = kernel(d_here) if here else Subspace.zero(0)
-    return cocycles.dim - image(d_below).dim
+    def rank_of(d: int) -> int:
+        if d not in ranks:
+            index = {m: i for i, m in enumerate(by_degree.get(d + 1, []))}
+            ranks[d] = sparse_rank(
+                ({index[w]: x for w, x in q.on_monomial(m).items()}
+                 for m in by_degree.get(d, [])), len(index))
+        return ranks[d]
+
+    return {d: len(by_degree.get(d, [])) - rank_of(d) - rank_of(d - 1)
+            for d in degrees}
 
 
 @dataclass(frozen=True)

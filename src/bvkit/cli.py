@@ -157,13 +157,24 @@ def _darboux(n_pairs: int) -> GradedSymplecticSpace:
     return GradedSymplecticSpace(GradedVectorSpace.make(labels), std.omega, 0)
 
 
+def _count(data: dict, key: str, default: Optional[int] = None) -> int:
+    """A non-negative JSON integer field (not a bool, float or string)."""
+    x = data.get(key, default) if default is not None else data[key]
+    if type(x) is not int or x < 0:
+        raise CommandError(f"{key} must be a non-negative integer, got {x!r}")
+    return x
+
+
 def _constraint_set(data: dict) -> ConstraintSet:
-    n_pairs = int(data["n_pairs"])
-    rows = tuple(vec([frac(x) for x in row]) for row in data["constraints"])
-    for row in rows:
+    n_pairs = _count(data, "n_pairs")
+    rows = []
+    for row in data["constraints"]:
+        if not isinstance(row, list):
+            raise CommandError(f"constraint must be a list, got {row!r}")
         if len(row) != 2 * n_pairs:
             raise CommandError("constraint length must be 2 * n_pairs")
-    return ConstraintSet(_darboux(n_pairs), rows)
+        rows.append(vec([frac(x) for x in row]))
+    return ConstraintSet(_darboux(n_pairs), tuple(rows))
 
 
 def _ed_input(data: dict):
@@ -302,8 +313,8 @@ def cmd_bfv_cohomology(cfg) -> dict:
     data = _load_input(cfg)
     cs = _constraint_set(data)
     _, _, q = bfv_resolve(cs)
-    alg = TruncatedPolynomialAlgebra(q.space, int(data.get("truncation", 2)))
-    dims = {str(d): bfv_cohomology(q, alg, d) for d in (-1, 0, 1)}
+    alg = TruncatedPolynomialAlgebra(q.space, _count(data, "truncation", 2))
+    dims = {str(d): n for d, n in bfv_cohomology(q, alg, (-1, 0, 1)).items()}
     return {"payload": {"dims": dims}, "residuals": []}
 
 

@@ -184,17 +184,6 @@ def right_derivative(p: Polynomial, gen: int) -> Polynomial:
     return Polynomial.build(space, terms)
 
 
-def derivation_apply(space: GradedVectorSpace, images: list[Polynomial],
-                     p: Polynomial) -> Polynomial:
-    """Extend generator images x_i -> images[i] as a left derivation of
-    the parity carried by the images."""
-    out = Polynomial.zero(space)
-    for i in range(space.dim):
-        if not images[i].is_zero():
-            out = out + images[i] * left_derivative(p, i)
-    return out
-
-
 @dataclass(frozen=True)
 class GradedSymplecticSpace:
     """Graded coordinates with a constant-coefficient symplectic pairing.
@@ -277,7 +266,10 @@ class TruncatedPolynomialAlgebra:
             frontier = nxt
         return out
 
-    def monomials_of_ghost_degree(self, d: int) -> list[Monomial]:
+    def monomials_by_ghost_degree(self) -> dict[int, list[Monomial]]:
+        """The monomials grouped by ghost degree, in enumeration order."""
         gv = self.generators
-        return [m for m in self.monomials()
-                if sum(gv.degree(i) for i in m) == d]
+        out: dict[int, list[Monomial]] = {}
+        for m in self.monomials():
+            out.setdefault(sum(gv.degree(i) for i in m), []).append(m)
+        return out

@@ -143,7 +143,11 @@ class Matrix:
         return all(a == 0 for r in self.entries for a in r)
 
     def is_antisymmetric(self) -> bool:
-        return self.rows == self.cols and self.transpose() == -self
+        if self.rows != self.cols:
+            return False
+        e = self.entries
+        return all(e[i][j] == -e[j][i]
+                   for i in range(self.rows) for j in range(i + 1))
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -203,43 +207,66 @@ def _eliminate(rows: dict[int, dict[int, Fraction]],
     cols[q] = {p}
 
 
+def _pivot_columns(rows: dict[int, dict[int, Fraction]], n_cols: int,
+                   reduced: bool) -> list[tuple[int, int]]:
+    """Eliminate the columns of sparse `rows` in increasing order and
+    return the (column, row) pivots.
+
+    Each column pivots on the not-yet-pivot row that meets it with the
+    fewest nonzeros (ties to the lowest row) and `_eliminate` clears it
+    from every other row. With `reduced`, pivot rows are scaled to 1 and
+    kept, so `rows` ends in reduced row-echelon form; without it, each
+    pivot row is dropped once its column is cleared, which is all a rank
+    needs.
+    """
+    cols: dict[int, set[int]] = {j: set() for j in range(n_cols)}
+    for i, row in rows.items():
+        for j in row:
+            cols[j].add(i)
+    free = {i for i, row in rows.items() if row}
+    pivots: list[tuple[int, int]] = []
+    for q in range(n_cols):
+        live = cols[q] & free
+        if not live:
+            continue
+        p = min(live, key=lambda i: (len(rows[i]), i))
+        free.remove(p)
+        if reduced:
+            inv = 1 / rows[p][q]
+            rows[p] = {j: x * inv for j, x in rows[p].items()}
+        _eliminate(rows, cols, p, q)
+        if not reduced:
+            for j in rows.pop(p):
+                cols[j].discard(p)
+        pivots.append((q, p))
+    return pivots
+
+
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form with leftmost pivots scaled to 1.
 
     Returns the reduced matrix and the strictly increasing pivot column
     list. Canonical: two row-equivalent matrices reduce identically.
 
-    Sparse Gauss-Jordan over {col: Fraction} row dicts: the columns are
-    taken in order, each pivots on the not-yet-pivot row that meets it
-    with the fewest nonzeros (ties to the lowest row), and `_eliminate`
-    clears it from every other row. The RREF is unique, so the pivot
-    choice does not change the result.
+    Sparse Gauss-Jordan over {col: Fraction} row dicts (`_pivot_columns`).
+    The RREF is unique, so the pivot choice does not change the result.
     """
     if not m.rows:
         return m, []
-    rows: dict[int, dict[int, Fraction]] = {}
-    cols: dict[int, set[int]] = {j: set() for j in range(m.cols)}
-    for i, src in enumerate(m.entries):
-        rows[i] = row = {j: x for j, x in enumerate(src) if x}
-        for j in row:
-            cols[j].add(i)
-    free = {i for i, row in rows.items() if row}
-    pivots: list[int] = []
-    order: list[int] = []
-    for q in range(m.cols):
-        live = cols[q] & free
-        if not live:
-            continue
-        p = min(live, key=lambda i: (len(rows[i]), i))
-        free.remove(p)
-        inv = 1 / rows[p][q]
-        rows[p] = {j: x * inv for j, x in rows[p].items()}
-        _eliminate(rows, cols, p, q)
-        pivots.append(q)
-        order.append(p)
-    out = [[rows[p].get(j, _ZERO) for j in range(m.cols)] for p in order]
-    out += [[_ZERO] * m.cols] * (m.rows - len(order))
-    return Matrix.from_rows(out), pivots
+    rows = {i: {j: x for j, x in enumerate(src) if x}
+            for i, src in enumerate(m.entries)}
+    pivots = _pivot_columns(rows, m.cols, reduced=True)
+    out = [[rows[p].get(j, _ZERO) for j in range(m.cols)] for _, p in pivots]
+    out += [[_ZERO] * m.cols] * (m.rows - len(pivots))
+    return Matrix.from_rows(out), [q for q, _ in pivots]
+
+
+def sparse_rank(rows: Iterable[dict[int, Fraction]], n_cols: int) -> int:
+    """Exact rank of the matrix whose rows are given as {col: value}
+    dicts with columns in range(n_cols); the dicts are not modified."""
+    work = {i: {j: x for j, x in row.items() if x}
+            for i, row in enumerate(rows)}
+    return len(_pivot_columns(work, n_cols, reduced=False))
 
 
 def rank(m: Matrix) -> int:

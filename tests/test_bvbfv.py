@@ -32,8 +32,9 @@ from bvkit.complexes import (
     path_complex,
     torus_complex,
 )
-from bvkit.graded import GradedSymplecticSpace, GradedVectorSpace
-from bvkit.numkit import Matrix, block_diag, vec
+from bvkit.graded import GradedSymplecticSpace, GradedVectorSpace, Polynomial
+from bvkit.numkit import Matrix, block_diag, image, kernel, rank, vec
+from test_graded import derivation_apply
 
 
 def darboux_space(n_pairs):
@@ -93,9 +94,10 @@ def test_cohomology_of_momentum_constraint():
     _, _, q = bfv_resolve(cs)
     alg = TruncatedPolynomialAlgebra(q.space, 2)
     # observables at truncation 2: polynomials in the surviving pair
-    assert bfv_cohomology(q, alg, 0) == monomial_count(2, 2) == 6
-    assert bfv_cohomology(q, alg, 1) == 0
-    assert bfv_cohomology(q, alg, -1) == 0
+    dims = bfv_cohomology(q, alg, (-1, 0, 1))
+    assert dims[0] == monomial_count(2, 2) == 6
+    assert dims[1] == 0
+    assert dims[-1] == 0
 
 
 def test_cohomology_random_abelian_sets():
@@ -107,8 +109,6 @@ def test_cohomology_random_abelian_sets():
             rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
             if Matrix.from_rows(rows).transpose().cols == k and \
                     len({tuple(r) for r in rows}) == k:
-                from bvkit.numkit import rank
-
                 if rank(Matrix.from_rows(rows)) == k:
                     break
         cs = momentum_constraints(n, rows)
@@ -116,8 +116,123 @@ def test_cohomology_random_abelian_sets():
         d_max = rng.randint(1, 2)
         alg = TruncatedPolynomialAlgebra(q.space, d_max)
         want = monomial_count(2 * (n - k), d_max)
-        assert bfv_cohomology(q, alg, 0) == want
-        assert bfv_cohomology(q, alg, 1) == 0
+        dims = bfv_cohomology(q, alg, (0, 1))
+        assert dims[0] == want
+        assert dims[1] == 0
+
+
+def abelian_constraints(rng, n_pairs, k, shear=True):
+    """k independent abelian constraints (S r, r) for random momentum rows
+    r and, with shear, a random symmetric S (else S = 0), so that Q moves
+    positions as well as ghosts."""
+    while True:
+        rows = [[rng.randint(-2, 2) for _ in range(n_pairs)] for _ in range(k)]
+        if rank(Matrix.from_rows(rows)) == k:
+            break
+    sym = [[0] * n_pairs for _ in range(n_pairs)]
+    for a in range(n_pairs):
+        for b in range(a + 1):
+            sym[a][b] = sym[b][a] = rng.randint(-2, 2) if shear else 0
+    out = [vec([sum(sym[a][c] * r[c] for c in range(n_pairs))
+                for a in range(n_pairs)] + r) for r in rows]
+    return ConstraintSet(darboux_space(n_pairs), tuple(out))
+
+
+def seeded_fields(seed, count):
+    """(q, truncation) over seeded constraint sets: k = 0 included,
+    truncations 0-3 (3 only for up to 8 generators)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        t = i % 4
+        n = rng.randint(1, 2 if t == 3 else 3)
+        k = 0 if i % 5 == 0 else rng.randint(1, n)
+        yield bfv_resolve(abelian_constraints(rng, n, k))[2], t
+
+
+def oracle_images(q):
+    gv = q.space
+    return [Polynomial.build(gv, [((b,), q.matrix[a, b])
+                                  for b in range(gv.dim)])
+            for a in range(gv.dim)]
+
+
+def oracle_cohomology(q, alg, degree):
+    """The dense formula dim ker Q_d - dim im Q_(d-1), with Q applied
+    through the derivation oracle."""
+    gv = alg.generators
+    images = oracle_images(q)
+
+    def of_degree(d):
+        return [m for m in alg.monomials()
+                if sum(gv.degree(i) for i in m) == d]
+
+    def q_matrix(src, tgt):
+        idx = {m: i for i, m in enumerate(tgt)}
+        cols = []
+        for m in src:
+            p = derivation_apply(gv, images, Polynomial.build(gv, [(m, 1)]))
+            col = [Fraction(0)] * len(tgt)
+            for mono, cf in p.terms:
+                col[idx[mono]] = cf
+            cols.append(col)
+        if not cols:
+            return Matrix.zeros(len(tgt), 0)
+        return Matrix.from_rows(cols).transpose()
+
+    below, here, above = (of_degree(degree + j) for j in (-1, 0, 1))
+    cocycles = kernel(q_matrix(here, above)).dim if here else 0
+    return cocycles - image(q_matrix(below, here)).dim
+
+
+def test_q_rule_matches_derivation_oracle():
+    rng = random.Random(43)
+    seen = {"k0": 0, "signed": 0, "t0": 0, "t3": 0}
+    for q, t in seeded_fields(41, 40):
+        gv = q.space
+        images = oracle_images(q)
+        alg = TruncatedPolynomialAlgebra(gv, t)
+        for m in alg.monomials():
+            want = derivation_apply(gv, images, Polynomial.build(gv, [(m, 1)]))
+            assert q.on_monomial(m) == dict(want.terms)
+        for _ in range(5):
+            f = Polynomial.build(gv, [
+                (tuple(rng.randrange(gv.dim) for _ in range(rng.randint(0, 4))),
+                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                for _ in range(rng.randint(0, 6))])
+            assert q.apply(f) == derivation_apply(gv, images, f)
+        k = len(gv.indices_of_degree(1))
+        seen["k0"] += k == 0
+        seen["signed"] += k >= 2 and t >= 2
+        seen["t0"] += t == 0
+        seen["t3"] += t == 3
+    assert min(seen.values()) >= 3, seen
+
+
+def test_bfv_cohomology_matches_kernel_image_formula():
+    seen = {"k0": 0, "t0": 0, "t3": 0}
+    for q, t in seeded_fields(47, 32):
+        alg = TruncatedPolynomialAlgebra(q.space, t)
+        degrees = range(-t - 1, t + 2)
+        assert bfv_cohomology(q, alg, degrees) == {
+            d: oracle_cohomology(q, alg, d) for d in degrees}
+        seen["k0"] += not q.space.indices_of_degree(1)
+        seen["t0"] += t == 0
+        seen["t3"] += t == 3
+    assert min(seen.values()) >= 3, seen
+
+
+@pytest.mark.parametrize("n, k, t, want", [
+    (5, 3, 3, 35), (5, 5, 3, 1), (4, 4, 4, 1), (6, 6, 3, 1)])
+def test_bfv_cohomology_ladder(n, k, t, want):
+    start = time.monotonic()
+    rng = random.Random(53)
+    q = bfv_resolve(abelian_constraints(rng, n, k, shear=False))[2]
+    dims = bfv_cohomology(q, TruncatedPolynomialAlgebra(q.space, t),
+                          (-1, 0, 1))
+    # degree 0: the invariant monomials in the 2(n - k) free coordinates
+    assert dims == {-1: 0, 0: monomial_count(2 * (n - k), t), 1: 0}
+    assert dims[0] == want
+    assert time.monotonic() - start < 10
 
 
 def test_hamiltonian_round_trip():

@@ -163,6 +163,11 @@ def _path3_weight(w):
     return fix
 
 
+def _bfv_input(**changes):
+    data = {"n_pairs": 1, "truncation": 2, "constraints": [[0, 1]]}
+    return dict(data, **changes)
+
+
 @pytest.mark.parametrize("args, payload", [
     (["dtn"], _path3_weight("1/0")),
     (["hj-action"], {"complex": cli.FIXTURES["path3"](None),
@@ -173,10 +178,19 @@ def _path3_weight(w):
     (["bv-check"], {"fixture": "disk", "size": 0}),
     (["bv-check"], {"fixture": "disk", "size": -1}),
     (["moduli"], {"fixture": "torus", "size": 0}),
+    (["bfv-cohomology"], _bfv_input(truncation=2.7)),
+    (["bfv-cohomology"], _bfv_input(truncation=True)),
+    (["bfv-cohomology"], _bfv_input(truncation=-3)),
+    (["bfv-resolve"], _bfv_input(n_pairs=1.5)),
+    (["bfv-resolve"], _bfv_input(n_pairs="1")),
+    (["bfv-cohomology"], _bfv_input(constraints=["01"])),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
         "dtn-dims-beyond-cells", "bv-check-empty-disk",
-        "bv-check-negative-disk", "moduli-empty-torus"])
+        "bv-check-negative-disk", "moduli-empty-torus",
+        "bfv-fractional-truncation", "bfv-boolean-truncation",
+        "bfv-negative-truncation", "bfv-fractional-pairs",
+        "bfv-string-pairs", "bfv-string-constraint-row"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"

@@ -22,6 +22,7 @@ from bvkit.numkit import (
     section_of,
     solve,
     solve_matrix,
+    sparse_rank,
     sum_spaces,
     vec,
 )
@@ -168,6 +169,44 @@ def test_rref_rank_matches_bareiss_oracle():
     for _ in range(20):
         m = random_matrix(rng, 6, 9)
         assert rank(m) == bareiss_rank(m)
+
+
+def test_sparse_rank_matches_bareiss_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        m = random_rref_case(rng)
+        rows = [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+        # zero entries given explicitly are ignored
+        for r in rows[:1]:
+            r.update({j: Fraction(0) for j in range(m.cols) if j not in r})
+        before = [dict(r) for r in rows]
+        assert sparse_rank(rows, m.cols) == bareiss_rank(m) == rank(m)
+        assert rows == before
+    assert sparse_rank([], 3) == 0
+    assert sparse_rank([{}, {}], 0) == 0
+
+
+def test_is_antisymmetric_matches_transpose_rule():
+    rng = random.Random(37)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        cols = n if rng.random() < 0.8 else rng.randint(0, 6)
+        a = [[Fraction(0)] * cols for _ in range(n)]
+        for i in range(n):
+            for j in range(min(i, cols)):
+                x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                a[i][j] = x
+                if j < n and i < cols:
+                    a[j][i] = -x
+        if n and cols and rng.random() < 0.5:
+            i, j = rng.randrange(n), rng.randrange(cols)
+            a[i][j] += rng.choice([1, -1, Fraction(1, 2)])
+        m = Matrix.from_rows(a) if n else Matrix(0, cols, ())
+        want = m.rows == m.cols and m.transpose() == -m
+        assert m.is_antisymmetric() == want
+        seen[want] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_kernel_zero_matrix():
