@@ -8,8 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .collar import (
     BoundaryPackage,
@@ -27,19 +28,8 @@ from .graded import (
     Polynomial,
     TruncatedPolynomialAlgebra,
     normalize_monomial,
-    poisson_bracket,
 )
-from .numkit import (
-    Matrix,
-    Subspace,
-    block_diag,
-    image,
-    intersect,
-    kernel,
-    sparse_rank,
-    sum_spaces,
-    unit_vec,
-)
+from .numkit import Matrix, block_diag, sparse_rank
 from .symplect import OneForm
 
 __all__ = [
@@ -134,16 +124,12 @@ def bfv_resolve(c: ConstraintSet) -> tuple[GradedSymplecticSpace, Polynomial,
     k = len(c.constraints)
     n = c.ambient.base.dim
     if k:
-        if Subspace.from_span(n, list(c.constraints)).dim < k:
+        if sparse_rank(({j: x for j, x in enumerate(r) if x}
+                        for r in c.constraints), n) < k:
             raise DependentConstraints("constraints are linearly dependent")
-        lam = c.ambient.bracket_matrix()
-        for i in range(k):
-            for j in range(k):
-                br = sum(c.constraints[i][a] * lam[a, b] * c.constraints[j][b]
-                         for a in range(n) for b in range(n))
-                if br != 0:
-                    raise NonAbelianBrackets(
-                        "constraint brackets do not vanish")
+        cm = Matrix.from_rows(c.constraints)
+        if not (cm @ c.ambient.bracket_matrix() @ cm.transpose()).is_zero():
+            raise NonAbelianBrackets("constraint brackets do not vanish")
     labels = list(c.ambient.base.labels)
     labels += [(f"gh_b{i}", -1) for i in range(k)]
     labels += [(f"gh_c{i}", 1) for i in range(k)]
@@ -162,20 +148,32 @@ def bfv_resolve(c: ConstraintSet) -> tuple[GradedSymplecticSpace, Polynomial,
     return ext, s, q
 
 
+def _bracket_matrix_of(s: Polynomial, space: GradedSymplecticSpace) -> Matrix:
+    """Q with {s, x_c} = sum_b Q[c, b] x_b for a quadratic s.
+
+    Q = Lambda^T K, where K[a, b] is the coefficient of x_b in the right
+    derivative of s by x_a: a term t x_a x_b adds t to K[b, a] and, with
+    the Koszul sign of moving x_a past x_b, to K[a, b].
+    """
+    gv = space.base
+    lam = space.bracket_matrix()
+    q = [[Fraction(0)] * gv.dim for _ in range(gv.dim)]
+    for mono, t in s.terms:
+        if len(mono) != 2:
+            raise ValueError("generator is not quadratic")
+        a, b = mono
+        koszul = -t if gv.parity(a) and gv.parity(b) else t
+        for i, j, x in ((a, b, koszul), (b, a, t)):
+            for c, y in enumerate(lam.row(i)):
+                if y:
+                    q[c][j] += y * x
+    return Matrix(gv.dim, gv.dim, tuple(map(tuple, q)))
+
+
 def field_from_hamiltonian(s: Polynomial,
                            space: GradedSymplecticSpace) -> LinearCohomologicalField:
     """The linear field {s, .} of a quadratic generator s."""
-    n = space.base.dim
-    cols = []
-    for a in range(n):
-        img = poisson_bracket(s, Polynomial.generator(space.base, a), space)
-        col = [Fraction(0)] * n
-        for mono, coeff in img.terms:
-            if len(mono) != 1:
-                raise ValueError("generator is not quadratic")
-            col[mono[0]] = coeff
-        cols.append(col)
-    return LinearCohomologicalField(space.base, Matrix.from_rows(cols))
+    return LinearCohomologicalField(space.base, _bracket_matrix_of(s, space))
 
 
 def hamiltonian_of(q: LinearCohomologicalField,
@@ -198,12 +196,8 @@ def hamiltonian_of(q: LinearCohomologicalField,
             if sym != 0:
                 terms.append(((a, b), sym))
     s = Polynomial.build(gv, terms)
-    for a in range(n):
-        br = poisson_bracket(s, Polynomial.generator(gv, a), space)
-        want = Polynomial.build(gv, [((b,), q.matrix[a, b])
-                                     for b in range(n)])
-        if not (br - want).is_zero():
-            raise NotSymplecticField("field has no quadratic generator")
+    if _bracket_matrix_of(s, space) != q.matrix:
+        raise NotSymplecticField("field has no quadratic generator")
     return s
 
 
@@ -218,18 +212,31 @@ def bfv_cohomology(q: LinearCohomologicalField,
     once, exactly, from sparse rows Q(m) over the degree-d monomials m.
     """
     by_degree = algebra.monomials_by_ghost_degree()
-    ranks: dict[int, int] = {}
 
     def rank_of(d: int) -> int:
-        if d not in ranks:
-            index = {m: i for i, m in enumerate(by_degree.get(d + 1, []))}
-            ranks[d] = sparse_rank(
-                ({index[w]: x for w, x in q.on_monomial(m).items()}
-                 for m in by_degree.get(d, [])), len(index))
-        return ranks[d]
+        index = {m: i for i, m in enumerate(by_degree.get(d + 1, []))}
+        return sparse_rank(({index[w]: x for w, x in q.on_monomial(m).items()}
+                            for m in by_degree.get(d, [])), len(index))
 
-    return {d: len(by_degree.get(d, [])) - rank_of(d) - rank_of(d - 1)
-            for d in degrees}
+    return _cohomology_dims({d: len(ms) for d, ms in by_degree.items()},
+                            rank_of, degrees)
+
+
+def _cohomology_dims(counts: dict[int, int], rank_of: Callable[[int], int],
+                     degrees: Iterable[int]) -> dict[int, int]:
+    """dim H^d = n_d - rank D_d - rank D_(d-1) at each requested degree d,
+    where n_d = counts[d] and D_d is the differential leaving degree d;
+    each rank is computed once."""
+    rank_of = cache(rank_of)
+    return {d: counts.get(d, 0) - rank_of(d) - rank_of(d - 1) for d in degrees}
+
+
+def _rank_on(rows: Iterable[dict[int, Fraction]], cols: Sequence[int]) -> int:
+    """Exact rank of sparse {col: value} rows restricted to the columns
+    `cols`."""
+    index = {j: i for i, j in enumerate(cols)}
+    return sparse_rank(({index[j]: x for j, x in r.items() if j in index}
+                        for r in rows), len(index))
 
 
 @dataclass(frozen=True)
@@ -491,33 +498,40 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
     field traces on boundary cells; antifield traces are quotiented out
     instead (the antifield sector is relative to the boundary). Gauge
     directions have vanishing field traces and flow inside the fiber.
+
+    The locus is ker M with M = [q; pi_0; trace] and the gauge sources
+    are ker W with W = [pi_0 q; trace q; trace]. A kernel meets the
+    coordinates I of one degree in the kernel of the columns I, so with
+    rel_d the antifield traces of degree d and P dropping the rows of q
+    in rel_d, every dimension is a sum of exact ranks:
+    dim(locus_d + rel_d) = |I_d| - rk M[:, I_d] + rk M[:, rel_d] and
+    dim(q gauge_(d+1) + rel_d) = |rel_d| + rk [W; P q][:, I_(d+1)]
+    - rk W[:, I_(d+1)].
     """
     gv = p.bulk.base
-    n = gv.dim
-    q = p.q_bulk.matrix
+    q = [dict(r) for r in p.q_bulk._rows]
     bdeg = p.boundary.base
-    pi0 = Matrix.from_rows(
-        [list(p.pi.row(i)) for i in range(p.pi.rows)
-         if bdeg.degree(i) == 0]) if p.pi.rows else Matrix.zeros(0, n)
-    if pi0.rows == 0:
-        pi0 = Matrix.zeros(0, n)
-    trace = Matrix.from_rows([unit_vec(n, i) for i in p.boundary_fields]) \
-        if p.boundary_fields else Matrix.zeros(0, n)
-    locus = kernel(q.vstack(pi0).vstack(trace))
-    w = kernel((pi0 @ q).vstack(trace @ q).vstack(trace))
+    pi0 = [{j: x for j, x in enumerate(p.pi.row(i)) if x}
+           for i in range(p.pi.rows) if bdeg.degree(i) == 0]
+    trace = [{i: Fraction(1)} for i in p.boundary_fields]
+    pi0_q = []
+    for r in pi0:
+        row: dict[int, Fraction] = {}
+        for a, c in r.items():
+            for b, x in q[a].items():
+                row[b] = row.get(b, 0) + c * x
+        pi0_q.append(row)
+    m_rows = q + pi0 + trace
+    w_rows = pi0_q + [q[i] for i in p.boundary_fields] + trace
     out = {}
-    for d in sorted(set(deg for _, deg in gv.labels)):
-        coords = Subspace.from_span(n, [unit_vec(n, i)
-                                        for i in gv.indices_of_degree(d)])
-        rel = [unit_vec(n, i) for i in p.boundary_antifields
-               if gv.degree(i) == d]
-        locus_d = intersect(locus, coords)
-        gauge_src = intersect(w, Subspace.from_span(
-            n, [unit_vec(n, i) for i in gv.indices_of_degree(d + 1)]))
-        moved = Subspace.from_span(
-            n, [q.apply(b) for b in gauge_src.basis] + rel)
-        out[d] = sum_spaces(locus_d,
-                            Subspace.from_span(n, rel)).dim - moved.dim
+    for d in sorted(gv.components()):
+        here, above = gv.indices_of_degree(d), gv.indices_of_degree(d + 1)
+        rel = [i for i in p.boundary_antifields if gv.degree(i) == d]
+        dropped = set(rel)
+        pq = [r for a, r in enumerate(q) if a not in dropped]
+        out[d] = (len(here) - _rank_on(m_rows, here)
+                  + _rank_on(m_rows, rel) - len(rel)
+                  - _rank_on(w_rows + pq, above) + _rank_on(w_rows, above))
     return out
 
 
@@ -554,30 +568,31 @@ def corner_extend(sigma: CellComplex) -> CornerData:
 
 def boundary_bfv_reduction(sigma: CellComplex, d: int) -> dict[int, int]:
     """Cohomology of the boundary field on linear functionals, per ghost
-    degree, for the gauge theory on a closed Sigma of dimension d - 1."""
+    degree, for the gauge theory on a closed Sigma of dimension d - 1.
+
+    The differential on linear functionals is the transpose of Q, so its
+    rank out of degree g is the rank of the rows of Q in degree g on the
+    columns of degree g + 1.
+    """
     if not sigma.is_closed():
         raise ValueError("sigma must be closed")
+    if d != sigma.dim + 1:
+        raise ValueError(f"sigma must have dimension d - 1 = {d - 1}, "
+                         f"got {sigma.dim}")
     nv, ne = sigma.n_cells(0), sigma.n_cells(1)
-    n = nv + 2 * ne + nv  # c, A, B (dual), A+ (dual top)
+    # c, A, B (dual), A+ (dual top)
     off_c, off_a, off_b, off_ap = 0, nv, nv + ne, nv + 2 * ne
     degs = [1] * nv + [0] * ne + [0] * ne + [-1] * nv
-    d0 = coboundary(sigma, 0)
-    dd = sigma.boundary_op(1)
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for e in range(ne):
-        for v in range(nv):
-            q[off_a + e][off_c + v] = d0[e, v]
-    for v in range(nv):
-        for e in range(ne):
-            q[off_ap + v][off_b + e] = dd[v, e]
-    qm = Matrix.from_rows(q)
-    # differential on linear functionals is the transpose, raising degree
-    out = {}
-    for g in sorted(set(degs)):
-        here = [i for i in range(n) if degs[i] == g]
-        above = [i for i in range(n) if degs[i] == g + 1]
-        below = [i for i in range(n) if degs[i] == g - 1]
-        d_here = qm.transpose().submatrix(above, here)
-        d_below = qm.transpose().submatrix(here, below)
-        out[g] = kernel(d_here).dim - image(d_below).dim
-    return out
+    by_degree = {g: [i for i, x in enumerate(degs) if x == g]
+                 for g in set(degs)}
+    # Q(A_e) = sum_v d0[e, v] c_v and Q(A+_v) = sum_e dd[v, e] B_e
+    q: list[dict[int, Fraction]] = [{} for _ in degs]
+    for e, faces in enumerate(sigma.faces(1)):
+        for v, x in faces:
+            q[off_a + e][off_c + v] = x
+            q[off_ap + v][off_b + e] = x
+    return _cohomology_dims(
+        {g: len(ix) for g, ix in by_degree.items()},
+        lambda g: _rank_on([q[i] for i in by_degree.get(g, [])],
+                           by_degree.get(g + 1, [])),
+        sorted(by_degree))

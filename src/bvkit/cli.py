@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -182,7 +181,7 @@ def _ed_input(data: dict):
         m = _complex_of(data["complex"])
     else:
         name = data.get("fixture", "disk")
-        size = int(data.get("size", 2))
+        size = _count(data, "size", 2)
         if name in ("disk", "torus") and size < 1:
             raise CommandError(f"{name} size must be at least 1, got {size}")
         if name == "disk":
@@ -193,7 +192,10 @@ def _ed_input(data: dict):
             m = torus_complex(size, size)
         else:
             raise CommandError(f"unknown bulk fixture {name!r}")
-    return build_ed_package(m, bf=bool(data.get("bf", False)))
+    bf = data.get("bf", False)
+    if type(bf) is not bool:
+        raise CommandError(f"bf must be true or false, got {bf!r}")
+    return build_ed_package(m, bf=bf)
 
 
 def cmd_check_relation(cfg) -> dict:
@@ -346,7 +348,7 @@ def cmd_corner(cfg) -> dict:
 def cmd_boundary_bfv(cfg) -> dict:
     data = _load_input(cfg)
     dims = boundary_bfv_reduction(_complex_of(data["complex"]),
-                                  int(data["d"]))
+                                  _count(data, "d"))
     return {
         "payload": {"dims": {str(d): v for d, v in sorted(dims.items())}},
         "residuals": [],
@@ -434,8 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--input", default=None)
     ap.add_argument("--output", default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--fixture",
-                    default=os.environ.get("BVKIT_FIXTURE"))
+    ap.add_argument("--fixture", default=None)
     ap.add_argument("--order", type=int, default=None)
     return ap
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .numkit import Matrix, Subspace, Vector, block_diag, frac, kernel
+from .numkit import Matrix, Vector, block_diag, frac, kernel
 
 
 class NotCubical(ValueError):
@@ -172,22 +172,27 @@ def cohomology(k: CellComplex, degree: int,
                relative: bool = False) -> CohomologyReport:
     """ker d / im d on the (relative) cochain complex, with representative
     cocycles expressed in full cochain coordinates."""
-    d_here = coboundary(k, degree, relative)
+    pivots: list[tuple[int, list[Fraction]]] = []
+
+    def grows_span(v: Vector) -> bool:
+        """Reduce v by the pivot rows so far; a remainder, if any, joins
+        them with its pivot entry scaled to 1, and v was independent."""
+        w = list(v)
+        for p, row in pivots:
+            c = w[p]
+            if c:
+                w = [y - c * x if x else y for y, x in zip(w, row)]
+        p = next((j for j, x in enumerate(w) if x), None)
+        if p is not None:
+            pivots.append((p, [x / w[p] for x in w]))
+        return p is not None
+
     if degree > 0:
         d_below = coboundary(k, degree - 1, relative)
-    else:
-        n = d_here.cols
-        d_below = Matrix.zeros(n, 0)
-    cocycles = kernel(d_here)
-    coboundaries = Subspace.from_span(d_here.cols,
-                                      [d_below.col(j) for j in range(d_below.cols)])
-    reps: list[Vector] = []
-    span = coboundaries
-    for v in cocycles.basis:
-        grown = Subspace.from_span(span.ambient_dim, list(span.basis) + [v])
-        if grown.dim > span.dim:
-            reps.append(v)
-            span = grown
+        for j in range(d_below.cols):
+            grows_span(d_below.col(j))
+    reps = [v for v in kernel(coboundary(k, degree, relative)).basis
+            if grows_span(v)]
     if relative:
         idx = k.interior_indices(degree)
         n_full = k.n_cells(degree)

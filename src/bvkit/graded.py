@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .numkit import Matrix, frac, invert
+from .numkit import Matrix, frac, invert, sparse_rank
 
 Monomial = tuple[int, ...]
 
@@ -201,23 +201,22 @@ class GradedSymplecticSpace:
         n = self.base.dim
         if self.omega.shape != (n, n):
             raise ValueError("omega shape mismatch")
-        for a in range(n):
-            for b in range(n):
-                x = self.omega[a, b]
-                if x == 0:
-                    continue
+        rows = [{b: x for b, x in enumerate(r) if x}
+                for r in self.omega.entries]
+        for a, row in enumerate(rows):
+            for b, x in row.items():
                 if self.base.degree(a) + self.base.degree(b) != self.form_degree:
                     raise ValueError("omega pairs wrong degrees")
                 s = -1 if (self.base.parity(a) and self.base.parity(b)) else 1
-                if self.omega[b, a] != -s * x:
+                if rows[b].get(a, 0) != -s * x:
                     raise ValueError("omega is not graded antisymmetric")
-        inv = invert(self.omega)
-        if inv is None:
+        if sparse_rank(rows, n) < n:
             raise ValueError("omega is degenerate")
-        object.__setattr__(self, "_bracket_cache", inv)
 
     def bracket_matrix(self) -> Matrix:
-        """Lambda with {x_a, x_b} = Lambda[a, b]."""
+        """Lambda with {x_a, x_b} = Lambda[a, b], inverted on first use."""
+        if "_bracket_cache" not in vars(self):
+            object.__setattr__(self, "_bracket_cache", invert(self.omega))
         return self._bracket_cache
 
 

@@ -420,33 +420,11 @@ class Subspace:
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)
-        return sum_spaces(self, other).dim == self.dim
+        return all(self.contains(b) for b in other.basis)
 
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-
-
-def sum_spaces(u: Subspace, v: Subspace) -> Subspace:
-    u._check_ambient(v)
-    return Subspace.from_span(u.ambient_dim, list(u.basis) + list(v.basis))
-
-
-def intersect(u: Subspace, v: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus double-block reduction."""
-    u._check_ambient(v)
-    n = u.ambient_dim
-    rows = [list(b) + list(b) for b in u.basis]
-    rows += [list(b) + [0] * n for b in v.basis]
-    if not rows:
-        return Subspace.zero(n)
-    red, pivots = rref(Matrix.from_rows(rows))
-    inter = []
-    for i in range(len(pivots)):
-        left = red.entries[i][:n]
-        if all(x == 0 for x in left):
-            inter.append(red.entries[i][n:])
-    return Subspace.from_span(n, inter)
 
 
 def quotient(ambient_dim: int, w: Subspace) -> tuple[int, Matrix]:
@@ -471,8 +449,3 @@ def section_of(projection: Matrix) -> Matrix:
     if s is None:
         raise ValueError("projection is not surjective")
     return s
-
-
-def image(m: Matrix) -> Subspace:
-    """Column space of m, as a subspace of Q^rows."""
-    return Subspace.from_span(m.rows, m.transpose().entries)

@@ -21,7 +21,6 @@ from bvkit.bvbfv import (
     check_bvbfv,
     corner_extend,
     moduli_of_vacua,
-    poisson_bracket,
 )
 from bvkit.collar import (
     FieldSpec,
@@ -40,7 +39,11 @@ from bvkit.complexes import (
     path_complex,
     torus_complex,
 )
-from bvkit.graded import GradedSymplecticSpace, GradedVectorSpace
+from bvkit.graded import (
+    GradedSymplecticSpace,
+    GradedVectorSpace,
+    poisson_bracket,
+)
 from bvkit.numkit import Matrix, Subspace, invert, vec
 from bvkit.relations import LinearRelation, compose, graph, identity_relation
 from bvkit.symplect import NotBasic, PresymplecticSpace, reduce_one_form

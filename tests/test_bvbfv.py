@@ -12,6 +12,7 @@ from bvkit.bvbfv import (
     NonAbelianBrackets,
     NotSymplecticField,
     TruncatedPolynomialAlgebra,
+    _bracket_matrix_of,
     bfv_cohomology,
     bfv_resolve,
     boundary_bfv_reduction,
@@ -21,7 +22,6 @@ from bvkit.bvbfv import (
     field_from_hamiltonian,
     hamiltonian_of,
     moduli_of_vacua,
-    poisson_bracket,
 )
 from bvkit.collar import prism
 from bvkit.complexes import (
@@ -32,9 +32,23 @@ from bvkit.complexes import (
     path_complex,
     torus_complex,
 )
-from bvkit.graded import GradedSymplecticSpace, GradedVectorSpace, Polynomial
-from bvkit.numkit import Matrix, block_diag, image, kernel, rank, vec
+from bvkit.graded import (
+    GradedSymplecticSpace,
+    GradedVectorSpace,
+    Polynomial,
+    poisson_bracket,
+)
+from bvkit.numkit import (
+    Matrix,
+    Subspace,
+    block_diag,
+    kernel,
+    rank,
+    unit_vec,
+    vec,
+)
 from test_graded import derivation_apply
+from test_numkit import image, intersect, sum_spaces
 
 
 def darboux_space(n_pairs):
@@ -255,6 +269,185 @@ def test_non_hamiltonian_field_rejected():
         hamiltonian_of(q, sp)
 
 
+def oracle_field_matrix(s, space):
+    """Oracle: row a holds {s, x_a}, one polynomial Poisson bracket per
+    generator."""
+    gv = space.base
+    rows = []
+    for a in range(gv.dim):
+        img = poisson_bracket(s, Polynomial.generator(gv, a), space)
+        row = [Fraction(0)] * gv.dim
+        for mono, coeff in img.terms:
+            if len(mono) != 1:
+                raise ValueError("generator is not quadratic")
+            row[mono[0]] = coeff
+        rows.append(row)
+    return Matrix.from_rows(rows) if rows else Matrix.zeros(0, 0)
+
+
+def oracle_hamiltonian_of(q, space):
+    """Oracle: the graded-symmetric part of (1/2) Q^T omega, checked by
+    {S, x_a} = Q(x_a) through polynomial brackets."""
+    gv = space.base
+    n = gv.dim
+    m = (q.matrix.transpose() @ space.omega).scale(Fraction(1, 2))
+    terms = []
+    for a in range(n):
+        for b in range(n):
+            koszul = -1 if (gv.parity(a) and gv.parity(b)) else 1
+            sym = (m[a, b] + koszul * m[b, a]) / 2
+            if sym != 0:
+                terms.append(((a, b), sym))
+    s = Polynomial.build(gv, terms)
+    for a in range(n):
+        br = poisson_bracket(s, Polynomial.generator(gv, a), space)
+        want = Polynomial.build(gv, [((b,), q.matrix[a, b]) for b in range(n)])
+        if not (br - want).is_zero():
+            raise NotSymplecticField("field has no quadratic generator")
+    return s
+
+
+def random_graded_space(rng, form_degree):
+    """A graded symplectic space of the given form degree made of blocks
+    pairing k coordinates of degree d with k of degree form_degree - d
+    through a random invertible k x k matrix (plus, in degree 0, an even
+    Darboux pair), in shuffled coordinate order. Also returns one side of
+    each block, chosen at random: a set on which all brackets vanish."""
+    blocks = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice([x for x in range(-3, 3) if 2 * x < form_degree])
+        k = rng.randint(1, 2)
+        while True:
+            b = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(k)]
+            if rank(Matrix.from_rows(b)) == k:
+                break
+        blocks.append((d, form_degree - d, b))
+    if form_degree == 0 and rng.random() < 0.5:
+        blocks.append((0, 0, [[rng.choice([-2, -1, 1, 3])]]))
+    labels, pairs, isotropic = [], [], []
+    for d, e, b in blocks:
+        k = len(b)
+        xs = list(range(len(labels), len(labels) + k))
+        ys = list(range(len(labels) + k, len(labels) + 2 * k))
+        labels += [(f"x{i}", d) for i in xs] + [(f"y{i}", e) for i in ys]
+        pairs += [(xs[i], ys[j], b[i][j]) for i in range(k) for j in range(k)]
+        isotropic += rng.choice([xs, ys])
+    n = len(labels)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    gv = GradedVectorSpace.make([labels[perm.index(i)] for i in range(n)])
+    omega = [[Fraction(0)] * n for _ in range(n)]
+    for x, y, v in pairs:
+        a, b = perm[x], perm[y]
+        odd = gv.parity(a) and gv.parity(b)
+        omega[a][b] = Fraction(v)
+        omega[b][a] = Fraction(v if odd else -v)
+    return (GradedSymplecticSpace(gv, Matrix.from_rows(omega), form_degree),
+            [perm[i] for i in isotropic])
+
+
+def random_quadratic(rng, gv, coords, degree=None):
+    """Random quadratic words over `coords`, in random factor order, of
+    total degree `degree` when given."""
+    words = [(a, b) for a in coords for b in coords
+             if degree is None or gv.degree(a) + gv.degree(b) == degree]
+    return Polynomial.build(gv, [
+        (rng.choice(words), Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+        for _ in range(rng.randint(1, 5))] if words else [])
+
+
+def test_field_rule_matches_bracket_oracle():
+    rng = random.Random(61)
+    seen = {"odd_odd": 0, "form0": 0, "form-1": 0, "refused": 0}
+    for i in range(80):
+        f = -(i % 2)
+        sp, _ = random_graded_space(rng, f)
+        gv = sp.base
+        s = random_quadratic(rng, gv, range(gv.dim))
+        assert _bracket_matrix_of(s, sp) == oracle_field_matrix(s, sp)
+        seen[f"form{f}"] += 1
+        seen["odd_odd"] += any(gv.parity(a) and gv.parity(b)
+                               for (a, b), _ in s.terms)
+        extra = tuple(rng.randrange(gv.dim)
+                      for _ in range(rng.choice([1, 3])))
+        bad = s + Polynomial.build(gv, [(extra, 1)])
+        if any(len(m) in (1, 3) for m, _ in bad.terms):
+            for rule in (_bracket_matrix_of, oracle_field_matrix):
+                with pytest.raises(ValueError, match="not quadratic"):
+                    rule(bad, sp)
+            seen["refused"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_hamiltonian_of_matches_bracket_oracle():
+    rng = random.Random(67)
+    seen = {"form0": 0, "form-1": 0, "mutated": 0, "rejected": 0}
+    for i in range(60):
+        f = -(i % 2)
+        sp, iso = random_graded_space(rng, f)
+        gv = sp.base
+        s = random_quadratic(rng, gv, iso, degree=f + 1)
+        q = field_from_hamiltonian(s, sp)
+        assert q.matrix == oracle_field_matrix(s, sp)
+        assert hamiltonian_of(q, sp) == oracle_hamiltonian_of(q, sp) == s
+        seen[f"form{f}"] += 1
+        # mutate one entry where the field may have one; a field that is
+        # no longer Hamiltonian must be refused by both
+        slots = [(a, b) for a in range(gv.dim) for b in range(gv.dim)
+                 if gv.degree(b) == gv.degree(a) + 1]
+        if not slots:
+            continue
+        a, b = rng.choice(slots)
+        rows = [list(r) for r in q.matrix.entries]
+        rows[a][b] = rows[a][b] * rng.choice([-1, 2, Fraction(1, 2)]) or 1
+        try:
+            mut = LinearCohomologicalField(gv, Matrix.from_rows(rows))
+        except ValueError:
+            continue
+        seen["mutated"] += 1
+        try:
+            want = oracle_hamiltonian_of(mut, sp)
+        except NotSymplecticField:
+            seen["rejected"] += 1
+            with pytest.raises(NotSymplecticField):
+                hamiltonian_of(mut, sp)
+        else:
+            assert hamiltonian_of(mut, sp) == want
+    assert min(seen.values()) >= 15, seen
+
+
+def test_bfv_resolve_refusals_match_bracket_loop():
+    rng = random.Random(71)
+    seen = {"dependent": 0, "nonabelian": 0, "resolved": 0}
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        rows = [vec([rng.randint(-1, 1) for _ in range(2 * n)])
+                for _ in range(rng.randint(1, n))]
+        if rng.random() < 0.25:
+            rows.append(vec([2 * x - y for x, y in zip(rows[0], rows[-1])]))
+        k = len(rows)
+        cs = ConstraintSet(darboux_space(n), tuple(rows))
+        lam = cs.ambient.bracket_matrix()
+        if rank(Matrix.from_rows(rows)) < k:
+            want = DependentConstraints
+        elif any(sum(r[a] * lam[a, b] * t[b] for a in range(2 * n)
+                     for b in range(2 * n)) for r in rows for t in rows):
+            want = NonAbelianBrackets
+        else:
+            want = None
+        if want is None:
+            ext, s, q = bfv_resolve(cs)
+            assert poisson_bracket(s, s, ext).is_zero()
+            assert q.matrix == oracle_field_matrix(s, ext)
+            seen["resolved"] += 1
+        else:
+            with pytest.raises(want):
+                bfv_resolve(cs)
+            seen["dependent" if want is DependentConstraints
+                 else "nonabelian"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
 def check_all(p):
     rep = check_bvbfv(p)
     assert rep.passed, [k for k, r in rep.residuals.items()
@@ -335,6 +528,73 @@ def test_mutation_sensitivity():
     assert caught == 10
 
 
+def oracle_moduli(p):
+    """Oracle: the moduli by subspace algebra, intersecting the kernels
+    with coordinate subspaces and adding the antifield traces."""
+    gv = p.bulk.base
+    n = gv.dim
+    q = p.q_bulk.matrix
+    bdeg = p.boundary.base
+    pi0 = [list(p.pi.row(i)) for i in range(p.pi.rows) if bdeg.degree(i) == 0]
+    pi0 = Matrix.from_rows(pi0) if pi0 else Matrix.zeros(0, n)
+    trace = Matrix.from_rows([unit_vec(n, i) for i in p.boundary_fields]) \
+        if p.boundary_fields else Matrix.zeros(0, n)
+    locus = kernel(q.vstack(pi0).vstack(trace))
+    w = kernel((pi0 @ q).vstack(trace @ q).vstack(trace))
+    out = {}
+    for d in sorted(set(deg for _, deg in gv.labels)):
+        coords = Subspace.from_span(n, [unit_vec(n, i)
+                                        for i in gv.indices_of_degree(d)])
+        rel = [unit_vec(n, i) for i in p.boundary_antifields
+               if gv.degree(i) == d]
+        locus_d = intersect(locus, coords)
+        gauge_src = intersect(w, Subspace.from_span(
+            n, [unit_vec(n, i) for i in gv.indices_of_degree(d + 1)]))
+        moved = Subspace.from_span(
+            n, [q.apply(b) for b in gauge_src.basis] + rel)
+        out[d] = sum_spaces(locus_d,
+                            Subspace.from_span(n, rel)).dim - moved.dim
+    return out
+
+
+def seeded_packages(seed, count):
+    """ED and BF packages on grids, tori and annuli with random face
+    weights (the weights enter only the ED metric term)."""
+    rng = random.Random(seed)
+    for i in range(count):
+        kind = ("grid", "torus", "annulus")[i % 3]
+        periodic = kind == "torus"
+        holes = [(1, 1)] if kind == "annulus" else []
+        nx, ny = (3, 3) if holes else (rng.randint(1 + periodic, 3),
+                                       rng.randint(1 + periodic, 3))
+        faces = [(x, y) for y in range(ny) for x in range(nx)
+                 if (x, y) not in holes]
+        weights = {("f", x, y): Fraction(rng.randint(1, 5), rng.randint(1, 3))
+                   for x, y in faces}
+        m = grid_complex(nx, ny, holes=holes, periodic=periodic,
+                         weights=weights)
+        yield kind, build_ed_package(m, bf=bool(i % 2))
+
+
+def test_moduli_ranks_match_subspace_oracle():
+    seen = {"grid": 0, "torus": 0, "annulus": 0, "bf": 0, "nonzero": 0,
+            "antifield_rows": 0}
+    for i, (kind, p) in enumerate(seeded_packages(73, 9)):
+        got = moduli_of_vacua(p)
+        assert got == oracle_moduli(p), kind
+        seen[kind] += 1
+        seen["bf"] += i % 2
+        seen["nonzero"] += any(got.values())
+        # the package's field drops the rows of the boundary antifields;
+        # the full {S, .} keeps them, which the quotient by them must see
+        full = dataclasses.replace(
+            p, q_bulk=field_from_hamiltonian(p.action, p.bulk))
+        assert moduli_of_vacua(full) == oracle_moduli(full), kind
+        seen["antifield_rows"] += any(any(full.q_bulk.matrix.row(a))
+                                      for a in p.boundary_antifields)
+    assert min(seen.values()) >= 3, seen
+
+
 def test_moduli_disk_trivial():
     for m in (grid_complex(1, 1), grid_complex(2, 2)):
         mod = moduli_of_vacua(build_ed_package(m))
@@ -358,8 +618,9 @@ def test_moduli_closed_torus_bf():
 
 def test_moduli_annulus_ladder():
     start = time.monotonic()
-    mod = moduli_of_vacua(build_ed_package(annulus_complex(5)))
-    assert {d: v for d, v in mod.items() if v} == {0: 1, -1: 1}
+    for n in (5, 7):
+        mod = moduli_of_vacua(build_ed_package(annulus_complex(n)))
+        assert {d: v for d, v in mod.items() if v} == {0: 1, -1: 1}
     assert time.monotonic() - start < 10
 
 
@@ -415,6 +676,50 @@ def test_boundary_bfv_two_circles():
 def test_boundary_bfv_torus():
     out = boundary_bfv_reduction(torus_complex(3, 3), 3)
     assert out[1] == 1 and out[-1] == 1
+
+
+def oracle_boundary_bfv(sigma):
+    """Oracle: dim ker D_g - dim im D_(g-1) from dense submatrices of the
+    transposed field."""
+    nv, ne = sigma.n_cells(0), sigma.n_cells(1)
+    n = nv + 2 * ne + nv
+    off_c, off_a, off_b, off_ap = 0, nv, nv + ne, nv + 2 * ne
+    degs = [1] * nv + [0] * ne + [0] * ne + [-1] * nv
+    d0 = sigma.boundary_op(1).transpose()
+    dd = sigma.boundary_op(1)
+    q = [[Fraction(0)] * n for _ in range(n)]
+    for e in range(ne):
+        for v in range(nv):
+            q[off_a + e][off_c + v] = d0[e, v]
+            q[off_ap + v][off_b + e] = dd[v, e]
+    qt = Matrix.from_rows(q).transpose()
+    out = {}
+    for g in sorted(set(degs)):
+        here, above, below = ([i for i in range(n) if degs[i] == g + j]
+                              for j in (0, 1, -1))
+        out[g] = kernel(qt.submatrix(above, here)).dim \
+            - image(qt.submatrix(here, below)).dim
+    return out
+
+
+def test_boundary_bfv_ranks_match_kernel_image_oracle():
+    rng = random.Random(79)
+    for i in range(12):
+        sigma = circle_complex(rng.randint(1, 6))
+        for c in range(i % 3):
+            sigma = disjoint_union(
+                sigma, circle_complex(rng.randint(1, 6), tag=f"s{c}"))
+        assert boundary_bfv_reduction(sigma, 2) == oracle_boundary_bfv(sigma)
+    for nx, ny in ((2, 2), (3, 2), (3, 3)):
+        sigma = torus_complex(nx, ny)
+        assert boundary_bfv_reduction(sigma, 3) == oracle_boundary_bfv(sigma)
+
+
+@pytest.mark.parametrize("sigma, d", [
+    (circle_complex(4), 3), (circle_complex(4), 1), (torus_complex(2, 2), 2)])
+def test_boundary_bfv_needs_sigma_of_dimension_d_minus_one(sigma, d):
+    with pytest.raises(ValueError, match="dimension"):
+        boundary_bfv_reduction(sigma, d)
 
 
 def test_boundary_bfv_rejects_open_sigma():

@@ -163,6 +163,10 @@ def _path3_weight(w):
     return fix
 
 
+def _circle_d(d):
+    return {"complex": cli.FIXTURES["circle"](None), "d": d}
+
+
 def _bfv_input(**changes):
     data = {"n_pairs": 1, "truncation": 2, "constraints": [[0, 1]]}
     return dict(data, **changes)
@@ -184,13 +188,23 @@ def _bfv_input(**changes):
     (["bfv-resolve"], _bfv_input(n_pairs=1.5)),
     (["bfv-resolve"], _bfv_input(n_pairs="1")),
     (["bfv-cohomology"], _bfv_input(constraints=["01"])),
+    (["moduli"], {"fixture": "disk", "size": 1, "bf": "false"}),
+    (["bv-check"], {"fixture": "disk", "size": 1, "bf": 0}),
+    (["bv-check"], {"fixture": "disk", "size": 2.7}),
+    (["moduli"], {"fixture": "disk", "size": True}),
+    (["boundary-bfv"], _circle_d(7)),
+    (["boundary-bfv"], _circle_d(2.9)),
+    (["boundary-bfv"], _circle_d(True)),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
         "dtn-dims-beyond-cells", "bv-check-empty-disk",
         "bv-check-negative-disk", "moduli-empty-torus",
         "bfv-fractional-truncation", "bfv-boolean-truncation",
         "bfv-negative-truncation", "bfv-fractional-pairs",
-        "bfv-string-pairs", "bfv-string-constraint-row"])
+        "bfv-string-pairs", "bfv-string-constraint-row",
+        "moduli-string-bf", "bv-check-integer-bf", "bv-check-fractional-size",
+        "moduli-boolean-size", "boundary-bfv-wrong-d",
+        "boundary-bfv-fractional-d", "boundary-bfv-boolean-d"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"

@@ -148,6 +148,21 @@ def test_omega_validation_rejects_wrong_degrees():
         GradedSymplecticSpace(gv, Matrix.from_rows([[0, 1], [-1, 0]]), 0)
 
 
+def test_omega_validation_rejects_degenerate_forms():
+    gv = GradedVectorSpace.make([("a", 0), ("b", 0), ("c", 0), ("d", 0)])
+    # graded antisymmetric, right degrees, nonzero rows, but rank 2
+    om = Matrix.from_rows([[0, 1, 0, 1], [-1, 0, -1, 0],
+                           [0, 1, 0, 1], [-1, 0, -1, 0]])
+    with pytest.raises(ValueError, match="degenerate"):
+        GradedSymplecticSpace(gv, om, 0)
+    with pytest.raises(ValueError, match="degenerate"):
+        GradedSymplecticSpace(gv, Matrix.zeros(4, 4), 0)
+    odd = GradedVectorSpace.make([("b", -1), ("c", 1)])
+    sp = GradedSymplecticSpace(odd, Matrix.from_rows([[0, 2], [2, 0]]), 0)
+    assert sp.bracket_matrix() == Matrix.from_rows([["0", "1/2"],
+                                                    ["1/2", "0"]])
+
+
 def test_monomial_enumeration_counts():
     gv = GradedVectorSpace.make([("q", 0), ("p", 0)])
     alg = TruncatedPolynomialAlgebra(gv, 2)

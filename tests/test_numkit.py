@@ -12,7 +12,6 @@ from bvkit.numkit import (
     Matrix,
     Subspace,
     dot,
-    intersect,
     invert,
     kernel,
     quotient,
@@ -23,7 +22,6 @@ from bvkit.numkit import (
     solve,
     solve_matrix,
     sparse_rank,
-    sum_spaces,
     vec,
 )
 from bvkit.theories import ScalarFieldTheory, dtn
@@ -308,6 +306,31 @@ def test_schur_complement_with_zero_diagonal_interior():
     assert dtn(t).matrix == Matrix.from_rows([[1, -1], [-1, 1]])
 
 
+def sum_spaces(u, v):
+    """Oracle: the span of both bases."""
+    u._check_ambient(v)
+    return Subspace.from_span(u.ambient_dim, list(u.basis) + list(v.basis))
+
+
+def intersect(u, v):
+    """Oracle: intersection by the Zassenhaus double-block reduction."""
+    u._check_ambient(v)
+    n = u.ambient_dim
+    rows = [list(b) + list(b) for b in u.basis]
+    rows += [list(b) + [0] * n for b in v.basis]
+    if not rows:
+        return Subspace.zero(n)
+    red, pivots = rref(Matrix.from_rows(rows))
+    inter = [red.entries[i][n:] for i in range(len(pivots))
+             if all(x == 0 for x in red.entries[i][:n])]
+    return Subspace.from_span(n, inter)
+
+
+def image(m):
+    """Oracle: the column space of m, as a subspace of Q^rows."""
+    return Subspace.from_span(m.rows, m.transpose().entries)
+
+
 def test_subspace_sum_intersect_axes():
     u = Subspace.from_span(2, [[1, 0]])
     v = Subspace.from_span(2, [[0, 1]])
@@ -381,6 +404,30 @@ def test_contains_matches_stacked_span():
         assert u.contains(vec(inside))
 
 
+def test_contains_subspace_matches_stacked_span():
+    rng = random.Random(37)
+    seen = {True: 0, False: 0}
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        gens = [[rng.choice([0, 0, 1, -2, Fraction(3, 2)]) for _ in range(n)]
+                for _ in range(rng.randint(0, 4))]
+        u = Subspace.from_span(n, gens)
+        # a subspace of u half the time, an unrelated one otherwise
+        if rng.random() < 0.5:
+            others = [[sum((rng.randint(-2, 2) * g[j] for g in gens),
+                           Fraction(0)) for j in range(n)]
+                      for _ in range(rng.randint(0, 3))]
+        else:
+            others = [[rng.randint(-2, 2) for _ in range(n)]
+                      for _ in range(rng.randint(0, 3))]
+        v = Subspace.from_span(n, others)
+        stacked = Subspace.from_span(n, list(u.basis) + list(v.basis))
+        want = stacked.dim == u.dim
+        assert u.contains_subspace(v) == want
+        seen[want] += 1
+    assert min(seen.values()) > 40, seen
+
+
 def test_no_runtime_asserts_in_src():
     src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
@@ -393,4 +440,6 @@ def test_subspace_ambient_mismatch_raises():
     u = Subspace.from_span(2, [[1, 0]])
     v = Subspace.from_span(3, [[1, 0, 0]])
     with pytest.raises(ValueError):
-        sum_spaces(u, v)
+        u.contains_subspace(v)
+    with pytest.raises(ValueError):
+        u.contains_subspace(Subspace.zero(3))

@@ -6,10 +6,8 @@ from bvkit.numkit import (
     Matrix,
     Subspace,
     dot,
-    intersect,
     kernel,
     rank,
-    sum_spaces,
     unit_vec,
     vec,
 )
@@ -27,6 +25,7 @@ from bvkit.symplect import (
     reduce_one_form,
     twisted_product,
 )
+from test_numkit import intersect, sum_spaces
 
 
 def random_antisymmetric(rng, n):
