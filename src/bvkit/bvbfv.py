@@ -73,8 +73,13 @@ class LinearCohomologicalField:
             for b, _ in rows[a]:
                 if self.space.degree(b) != self.space.degree(a) + 1:
                     raise ValueError("field must raise degree by one")
-        if not (self.matrix @ self.matrix).is_zero():
-            raise ValueError("field must square to zero")
+        for row in rows:
+            square: dict[int, Fraction] = {}
+            for b, x in row:
+                for c, y in rows[b]:
+                    square[c] = square.get(c, 0) + x * y
+            if any(square.values()):
+                raise ValueError("field must square to zero")
         object.__setattr__(self, "_rows", tuple(rows))
 
     def _words(self, m: Monomial) -> Iterator[tuple[Monomial, Fraction]]:

@@ -200,7 +200,7 @@ def _ed_input(data: dict):
 
 def cmd_check_relation(cfg) -> dict:
     if cfg.fixture == "dirac":
-        _, rel, _ = dirac_counterexample(cfg.order or 1)
+        _, rel, _ = dirac_counterexample(_order_of(cfg, 1))
     else:
         rel = relation_from_json(_load_input(cfg))
     c = rel.classify()
@@ -277,7 +277,11 @@ def cmd_glue(cfg) -> dict:
 def cmd_hj_action(cfg) -> dict:
     data = _load_input(cfg)
     t = _scalar_theory(data["complex"])
-    values = {k: frac(v) for k, v in data["boundary_values"].items()}
+    given = data["boundary_values"]
+    if not isinstance(given, dict):
+        raise CommandError(
+            f"boundary_values must be a JSON object, got {given!r}")
+    values = {k: frac(v) for k, v in given.items()}
     return {
         "payload": {"action": str(on_shell_action(t, values))},
         "residuals": [],
@@ -358,6 +362,8 @@ def cmd_boundary_bfv(cfg) -> dict:
 def _order_of(cfg, default: int) -> int:
     if cfg is None or getattr(cfg, "order", None) is None:
         return default
+    if cfg.order < 1:
+        raise CommandError(f"order must be at least 1, got {cfg.order}")
     return cfg.order
 
 

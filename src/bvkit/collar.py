@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import CellComplex
-from .numkit import Matrix, Subspace, dot, kernel, section_of
+from .numkit import Matrix, Subspace, kernel
 from .symplect import (
     NotBasic,
     OneForm,
@@ -73,9 +73,6 @@ class QuadraticLocalTheory:
                 out.append(off + i)
             off += self.complex.n_cells(f.cell_dim)
         return sorted(out)
-
-    def action_value(self, x) -> Fraction:
-        return dot(x, self.action.apply(x)) / 2
 
     def variation(self, x) -> tuple[Fraction, ...]:
         """Covector of dS at x: dS(x)[dx] = variation(x) . dx."""
@@ -210,7 +207,11 @@ class BoundaryPackage:
     boundary_space: PresymplecticSpace
     alpha: Optional[OneForm]
     projection: Matrix
-    basic: bool
+    pivots: tuple[int, ...]
+
+    @property
+    def basic(self) -> bool:
+        return self.alpha is not None
 
     @property
     def preboundary_dim(self) -> int:
@@ -228,20 +229,22 @@ def preboundary_reduce(a: OneForm) -> BoundaryPackage:
         alpha = red.descend(a)
     except NotBasic:
         alpha = None
-    return BoundaryPackage(red.space, alpha, red.projection, alpha is not None)
+    return BoundaryPackage(red.space, alpha, red.projection, red.pivots)
 
 
 def project_vector_field(q: Matrix, pkg: BoundaryPackage) -> Matrix:
     """Descend a linear vector field through the reduction: the unique
     Q with Q @ projection = projection @ q, when q preserves the kernel.
 
-    With E = section @ projection, I - E maps onto the kernel, so q
-    preserves it exactly when projection @ q @ E = projection @ q."""
+    The projection is in RREF, so the pivot selector S is a right inverse
+    and Q = projection @ q @ S is projection @ q read at the pivot
+    columns. With E = S @ projection, I - E maps onto the kernel, so q
+    preserves it exactly when Q @ projection = projection @ q."""
     p = pkg.projection
     if q.shape != (p.cols, p.cols):
         raise ValueError("vector field size mismatch")
     pq = p @ q
-    out = pq @ section_of(p)
+    out = pq.submatrix(range(pq.rows), pkg.pivots)
     if out @ p != pq:
         raise NotProjectable("field does not preserve the kernel")
     return out

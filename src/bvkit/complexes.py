@@ -77,9 +77,6 @@ class CellComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_cells(k) for k in range(self.dim + 1))
 
-    def cell_index(self, k: int, name: str) -> int:
-        return self.cells[k].index(name)
-
     def to_dict(self) -> dict:
         out = {
             "dims": self.dim,

@@ -45,12 +45,6 @@ class GradedVectorSpace:
     def name(self, i: int) -> str:
         return self.labels[i][0]
 
-    def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.labels):
-            if n == name:
-                return i
-        raise KeyError(name)
-
     def components(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for _, d in self.labels:
@@ -137,9 +131,6 @@ class Polynomial:
 
     def degrees(self) -> set[int]:
         return {self.monomial_degree(m) for m, _ in self.terms}
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def degree(self) -> Optional[int]:
         ds = self.degrees()

@@ -1,5 +1,5 @@
-"""Exact rational linear algebra: dense matrices, subspaces, quotients,
-and a Schur complement, all reduced by one sparse elimination step.
+"""Exact rational linear algebra: dense matrices, subspaces, kernels and
+a Schur complement, all reduced by one sparse elimination step.
 
 All arithmetic is over the rationals (`fractions.Fraction`), so every
 identity checked elsewhere in the package holds exactly, not up to
@@ -425,27 +425,3 @@ class Subspace:
     def _check_ambient(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-
-
-def quotient(ambient_dim: int, w: Subspace) -> tuple[int, Matrix]:
-    """Quotient Q^n / W: returns (dim, projection) with ker(projection) = W.
-
-    The projection rows are a basis of the dot-orthogonal complement of W,
-    so it is surjective onto Q^(n - dim W).
-    """
-    if w.ambient_dim != ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if w.dim == 0:
-        return ambient_dim, Matrix.identity(ambient_dim)
-    comp = kernel(w.matrix())
-    return comp.dim, comp.matrix()
-
-
-def section_of(projection: Matrix) -> Matrix:
-    """A right inverse S of a surjective projection: projection @ S = I."""
-    if projection.rows == 0:
-        return Matrix.zeros(projection.cols, 0)
-    s = solve_matrix(projection, Matrix.identity(projection.rows))
-    if s is None:
-        raise ValueError("projection is not surjective")
-    return s

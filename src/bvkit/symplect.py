@@ -20,9 +20,7 @@ from .numkit import (
     block_diag,
     dot,
     kernel,
-    quotient,
     rref,
-    section_of,
     zero_vec,
 )
 
@@ -134,24 +132,28 @@ def classify(v: PresymplecticSpace, l: Subspace) -> ClassificationResult:
 
 @dataclass(frozen=True)
 class Reduction:
-    """A presymplectic space together with the projection that produced it."""
+    """A presymplectic space together with the projection that produced it.
+
+    The projection is in RREF with its pivot columns `pivots`, so the
+    selector S with S[pivots[i], i] = 1 is a right inverse of it.
+    """
 
     space: PresymplecticSpace
     projection: Matrix
-    section: Matrix = field(compare=False)
+    pivots: tuple[int, ...] = field(compare=False)
 
     def descend(self, a: OneForm) -> OneForm:
         """The one-form on the reduced space whose pullback is a.
 
-        With E = section @ projection, I - E maps onto the kernel, so a is
+        With E = S @ projection, I - E maps onto the kernel, so a is
         basic (coeff and coeff^T vanish on the kernel, const is orthogonal
-        to it) exactly when pulling back S^T coeff S and S^T const gives
-        a again. Raises NotBasic otherwise.
+        to it) exactly when pulling back S^T coeff S = coeff[piv, piv] and
+        S^T const = const[piv] gives a again. Raises NotBasic otherwise.
         """
-        p, s = self.projection, self.section
-        pt, st = p.transpose(), s.transpose()
-        coeff_red = st @ a.coeff @ s
-        const_red = st.apply(a.const)
+        p, piv = self.projection, self.pivots
+        pt = p.transpose()
+        coeff_red = a.coeff.submatrix(piv, piv)
+        const_red = tuple(a.const[i] for i in piv)
         if pt @ coeff_red @ p != a.coeff:
             raise NotBasic("one-form is not invariant along the kernel")
         if pt.apply(const_red) != tuple(a.const):
@@ -165,15 +167,18 @@ class PullbackMismatch(ValueError):
 
 def presymplectic_reduce(v: PresymplecticSpace) -> Reduction:
     """Quotient by ker(omega); the induced form is nondegenerate and
-    satisfies projection^T @ omega_red @ projection = omega."""
-    ker = v.kernel_subspace()
-    dim_red, proj = quotient(v.dim, ker)
-    sec = section_of(proj)
-    omega_red = sec.transpose() @ v.omega @ sec
-    reduced = PresymplecticSpace(dim_red, omega_red)
+    satisfies projection^T @ omega_red @ projection = omega.
+
+    ker(omega) is the dot-orthogonal complement of omega's row space, so
+    the nonzero rows of rref(omega) project onto the quotient, and
+    omega_red = S^T omega S is omega read at the pivots."""
+    red, pivots = rref(v.omega)
+    proj = Matrix(len(pivots), v.dim, red.entries[:len(pivots)])
+    omega_red = v.omega.submatrix(pivots, pivots)
+    reduced = PresymplecticSpace(len(pivots), omega_red)
     if proj.transpose() @ omega_red @ proj != v.omega:
         raise PullbackMismatch("projection^T omega_red projection != omega")
-    return Reduction(reduced, proj, sec)
+    return Reduction(reduced, proj, tuple(pivots))
 
 
 class NotCoisotropic(ValueError):
@@ -213,7 +218,8 @@ def gotay_embed(c: PresymplecticSpace) -> GotayEmbedding:
     n = c.dim
     if k == 0:
         return GotayEmbedding(c, Matrix.identity(n), Subspace.full(n))
-    _, pivots = rref(ker.matrix())
+    # the basis is in RREF already: each row's first nonzero is its pivot
+    pivots = [next(j for j, x in enumerate(b) if x) for b in ker.basis]
     # selector P with P[i, pivots[i]] = 1; K in RREF makes P k_j = e_j
     sel = Matrix.from_rows([
         [Fraction(1 if j == pivots[i] else 0) for j in range(n)]

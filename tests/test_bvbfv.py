@@ -269,6 +269,48 @@ def test_non_hamiltonian_field_rejected():
         hamiltonian_of(q, sp)
 
 
+def dense_field_refusal(gv, m):
+    """Reference: the dense rules for a linear cohomological field, the
+    degree of every nonzero entry first, then Q @ Q == 0."""
+    n = gv.dim
+    if any(m[a, b] and gv.degree(b) != gv.degree(a) + 1
+           for a in range(n) for b in range(n)):
+        return "field must raise degree by one"
+    if not (m @ m).is_zero():
+        return "field must square to zero"
+    return None
+
+
+def test_field_refusals_match_dense_rule():
+    rng = random.Random(59)
+    seen = {}
+    for trial in range(200):
+        degs = [rng.randint(0, 2) for _ in range(rng.randint(1, 8))]
+        gv = GradedVectorSpace.make([(f"x{i}", d) for i, d in enumerate(degs)])
+        n = len(degs)
+        # on even trials Q maps only into coordinates it kills: Q^2 = 0
+        dead = set() if trial % 2 else {b for b in range(n)
+                                         if rng.random() < 0.5}
+        rows = [[0] * n for _ in range(n)]
+        for a in set(range(n)) - dead:
+            for b in range(n):
+                if (degs[b] == degs[a] + 1 and (trial % 2 or b in dead)
+                        and rng.random() < 0.7):
+                    rows[a][b] = rng.choice([-2, -1, 1, 2])
+        if trial % 5 == 0:
+            rows[rng.randrange(n)][rng.randrange(n)] = rng.randint(1, 2)
+        m = Matrix.from_rows(rows)
+        want = dense_field_refusal(gv, m)
+        seen[want] = seen.get(want, 0) + 1
+        try:
+            LinearCohomologicalField(gv, m)
+        except ValueError as e:
+            assert str(e) == want
+        else:
+            assert want is None
+    assert min(seen.values()) >= 20 and len(seen) == 3
+
+
 def oracle_field_matrix(s, space):
     """Oracle: row a holds {s, x_a}, one polynomial Poisson bracket per
     generator."""

@@ -167,6 +167,10 @@ def _circle_d(d):
     return {"complex": cli.FIXTURES["circle"](None), "d": d}
 
 
+def _path3_values(values):
+    return {"complex": cli.FIXTURES["path3"](None), "boundary_values": values}
+
+
 def _bfv_input(**changes):
     data = {"n_pairs": 1, "truncation": 2, "constraints": [[0, 1]]}
     return dict(data, **changes)
@@ -174,8 +178,7 @@ def _bfv_input(**changes):
 
 @pytest.mark.parametrize("args, payload", [
     (["dtn"], _path3_weight("1/0")),
-    (["hj-action"], {"complex": cli.FIXTURES["path3"](None),
-                     "boundary_values": {"v0": "1/0", "v2": "0"}}),
+    (["hj-action"], _path3_values({"v0": "1/0", "v2": "0"})),
     (["bfv-resolve"], {"n_pairs": 1, "constraints": [["1/0", "0"]]}),
     (["bv-check"], [1, 2]),
     (["dtn"], {"dims": 2, "cells": [["a", "b"], ["e"]], "boundary": []}),
@@ -195,6 +198,13 @@ def _bfv_input(**changes):
     (["boundary-bfv"], _circle_d(7)),
     (["boundary-bfv"], _circle_d(2.9)),
     (["boundary-bfv"], _circle_d(True)),
+    (["hj-action"], _path3_values([])),
+    (["hj-action"], _path3_values("ab")),
+    (["hj-action"], _path3_values(None)),
+    (["fixtures", "--fixture", "grid", "--order", "0"], None),
+    (["fixtures", "--fixture", "circle", "--order", "0"], None),
+    (["fixtures", "--fixture", "torus", "--order", "-1"], None),
+    (["check-relation", "--fixture", "dirac", "--order", "0"], None),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
         "dtn-dims-beyond-cells", "bv-check-empty-disk",
@@ -204,7 +214,11 @@ def _bfv_input(**changes):
         "bfv-string-pairs", "bfv-string-constraint-row",
         "moduli-string-bf", "bv-check-integer-bf", "bv-check-fractional-size",
         "moduli-boolean-size", "boundary-bfv-wrong-d",
-        "boundary-bfv-fractional-d", "boundary-bfv-boolean-d"])
+        "boundary-bfv-fractional-d", "boundary-bfv-boolean-d",
+        "hj-action-array-values", "hj-action-string-values",
+        "hj-action-null-values", "fixtures-grid-order-zero",
+        "fixtures-circle-order-zero", "fixtures-torus-negative-order",
+        "check-relation-dirac-order-zero"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"

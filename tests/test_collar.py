@@ -21,7 +21,8 @@ from bvkit.complexes import (
     path_complex,
     validate,
 )
-from bvkit.numkit import Matrix, kernel, section_of, vec
+from bvkit.numkit import Matrix, kernel, vec
+from test_numkit import section_of
 
 
 def point_complex():

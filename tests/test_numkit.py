@@ -14,11 +14,9 @@ from bvkit.numkit import (
     dot,
     invert,
     kernel,
-    quotient,
     rank,
     rref,
     schur_complement,
-    section_of,
     solve,
     solve_matrix,
     sparse_rank,
@@ -324,6 +322,28 @@ def intersect(u, v):
     inter = [red.entries[i][n:] for i in range(len(pivots))
              if all(x == 0 for x in red.entries[i][:n])]
     return Subspace.from_span(n, inter)
+
+
+def quotient(ambient_dim, w):
+    """Oracle: Q^n / W as (dim, projection) with ker(projection) = W; the
+    projection rows are a basis of the dot-orthogonal complement of W."""
+    if w.ambient_dim != ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if w.dim == 0:
+        return ambient_dim, Matrix.identity(ambient_dim)
+    comp = kernel(w.matrix())
+    return comp.dim, comp.matrix()
+
+
+def section_of(projection):
+    """Oracle: a right inverse S of a surjective projection, by solving
+    projection @ S = I."""
+    if projection.rows == 0:
+        return Matrix.zeros(projection.cols, 0)
+    s = solve_matrix(projection, Matrix.identity(projection.rows))
+    if s is None:
+        raise ValueError("projection is not surjective")
+    return s
 
 
 def image(m):

@@ -25,13 +25,20 @@ from bvkit.symplect import (
     reduce_one_form,
     twisted_product,
 )
-from test_numkit import intersect, sum_spaces
+from bvkit.collar import NotProjectable, preboundary_reduce, project_vector_field
+from test_numkit import intersect, quotient, section_of, sum_spaces
 
 
 def random_antisymmetric(rng, n):
     a = Matrix.from_rows([[rng.randint(-3, 3) for _ in range(n)]
                           for _ in range(n)])
     return a - a.transpose()
+
+
+def selector(n, pivots):
+    """The n x len(pivots) matrix S with S[pivots[i], i] = 1."""
+    return Matrix.from_rows([[1 if p == j else 0 for p in pivots]
+                             for j in range(n)])
 
 
 def random_subspace(rng, n, count):
@@ -122,7 +129,7 @@ def test_reduce_nondegenerate_is_isomorphism():
     v = PresymplecticSpace.standard(2)
     red = presymplectic_reduce(v)
     assert red.space.dim == 4
-    assert red.projection @ red.section == Matrix.identity(4)
+    assert red.projection @ selector(4, red.pivots) == Matrix.identity(4)
     assert red.space.is_nondegenerate()
 
 
@@ -137,6 +144,91 @@ def test_reduce_kills_kernel_exactly():
         assert kernel(red.projection) == v.kernel_subspace()
         lhs = red.projection.transpose() @ red.space.omega @ red.projection
         assert lhs == v.omega
+
+
+def oracle_reduce(v):
+    """Reference reduction: kernel, quotient by it, a section by solving
+    projection @ S = I, then omega_red = S^T omega S."""
+    _, proj = quotient(v.dim, v.kernel_subspace())
+    sec = section_of(proj)
+    return proj, sec.transpose() @ v.omega @ sec, sec
+
+
+def oracle_descend(proj, sec, a):
+    pt, st = proj.transpose(), sec.transpose()
+    coeff_red = st @ a.coeff @ sec
+    const_red = st.apply(a.const)
+    if pt @ coeff_red @ proj != a.coeff:
+        raise NotBasic("one-form is not invariant along the kernel")
+    if pt.apply(const_red) != tuple(a.const):
+        raise NotBasic("one-form is not horizontal on the kernel")
+    return OneForm(proj.rows, coeff_red, const_red)
+
+
+def oracle_project(proj, sec, q):
+    pq = proj @ q
+    out = pq @ sec
+    if out @ proj != pq:
+        raise NotProjectable("field does not preserve the kernel")
+    return out
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (NotBasic, NotProjectable) as e:
+        return type(e).__name__, str(e)
+
+
+def random_block(rng, rows, cols):
+    return Matrix(rows, cols, tuple(vec(rng.randint(-2, 2) for _ in range(cols))
+                                    for _ in range(rows)))
+
+
+def test_reduce_at_pivots_matches_quotient_section_oracle():
+    rng = random.Random(53)
+    ranks = set()
+    kinds = {"descend": set(), "project": set()}
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        r = rng.randint(0, n)
+        # omega = A^T (M - M^T) A has rank at most r: every even rank <= n
+        a, m = random_block(rng, r, n), random_block(rng, r, r)
+        omega = a.transpose() @ (m - m.transpose()) @ a
+        v = PresymplecticSpace(n, omega)
+        proj, omega_red, sec = oracle_reduce(v)
+        red = presymplectic_reduce(v)
+        ranks.add((n, red.space.dim))
+        assert red.projection == proj
+        assert red.space.omega == omega_red
+        assert selector(n, red.pivots) == sec
+
+        k = proj.rows
+        coeff = random_block(rng, n, n)
+        const = random_block(rng, 1, n).row(0) if n else ()
+        pulled = OneForm(n, proj.transpose() @ random_block(rng, k, k) @ proj,
+                         proj.transpose().apply(
+                             random_block(rng, 1, k).row(0) if k else ()))
+        for form in (OneForm(n, coeff), OneForm(n, coeff, const), pulled):
+            got = outcome(red.descend, form)
+            assert got == outcome(oracle_descend, proj, sec, form)
+            kinds["descend"].add(type(got).__name__)
+
+        # omega = U - U^T for its strict upper triangle U, so d(-U) = omega
+        upper = Matrix.from_rows([[omega[i, j] if j > i else 0
+                                   for j in range(n)] for i in range(n)])
+        pkg = preboundary_reduce(OneForm(n, -upper))
+        assert pkg.projection == proj and pkg.pivots == red.pivots
+        e = sec @ proj
+        keeps = (random_block(rng, n, n) @ e
+                 + (Matrix.identity(n) - e) @ random_block(rng, n, n))
+        for q in (random_block(rng, n, n), keeps):
+            got = outcome(project_vector_field, q, pkg)
+            assert got == outcome(oracle_project, proj, sec, q)
+            kinds["project"].add(type(got).__name__)
+    assert {(n, k) for n in range(9) for k in range(0, n + 1, 2)} <= ranks
+    assert kinds == {"descend": {"OneForm", "tuple"},
+                     "project": {"Matrix", "tuple"}}
 
 
 def test_coisotropic_reduce_momentum_level_set():
@@ -206,7 +298,8 @@ def test_gotay_then_coisotropic_reduce_matches_kernel_reduce():
         emb_coords = Matrix.from_rows([
             # coordinates of embedding(x) with respect to b: since b is the
             # RREF of [I | 0], embedded vectors have those coordinates
-            list(row) for row in direct.section.transpose().entries
+            list(row) for row in
+            selector(n, direct.pivots).transpose().entries
         ]).transpose()
         t = via.projection @ emb_coords
         assert t.transpose() @ via.space.omega @ t == direct.space.omega
