@@ -57,7 +57,8 @@ class QuadraticLocalTheory:
         n = self.n_vars
         if self.action.shape != (n, n):
             raise ValueError("action matrix size mismatch")
-        if self.action.transpose() != self.action:
+        e = self.action.entries
+        if any(e[i][j] != e[j][i] for i in range(n) for j in range(i)):
             raise ValueError("action matrix must be symmetric")
 
     @property

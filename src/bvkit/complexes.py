@@ -111,8 +111,8 @@ class CellComplex:
             for j, name in enumerate(cells[k]):
                 for face, sign in face_map.get(name, []):
                     m[index[k - 1][face]][j] = Fraction(sign)
-            ops.append(Matrix.from_rows(m) if cells[k - 1] or cells[k]
-                       else Matrix.zeros(0, 0))
+            ops.append(Matrix(len(m), len(cells[k]) if m else 0,
+                              tuple(map(tuple, m))))
         flagged = set(data.get("boundary_flags", []))
         flags = tuple(tuple(name in flagged for name in cs) for cs in cells)
         weights = None

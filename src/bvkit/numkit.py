@@ -4,12 +4,19 @@ a Schur complement, all reduced by one sparse elimination step.
 All arithmetic is over the rationals (`fractions.Fraction`), so every
 identity checked elsewhere in the package holds exactly, not up to
 rounding. Values are immutable after construction.
+
+The elimination itself (`_eliminate`, under `rref`, `sparse_rank` and
+`schur_complement`) is fraction-free: each row is a dict of its nonzero
+integer entries with one positive denominator, and a step combines two
+rows by integer multiples and divides the result by its content (Bareiss,
+Math. Comp. 1968). Fractions are made only when a result is read out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -184,10 +191,34 @@ def block_diag(*blocks: Matrix) -> Matrix:
     return Matrix.from_rows(out)
 
 
-def _eliminate(rows: dict[int, dict[int, Fraction]],
+def _int_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+    """(R, d) with R / d == `row`, a dict of nonzero values: d is the lcm
+    of their denominators, so gcd(d, content(R)) == 1. Ints and Fractions
+    both have `.numerator` and `.denominator`."""
+    d = lcm(*(x.denominator for x in row.values()))
+    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
+
+
+def _int_rows(rows: Iterable[dict[int, Fraction]]
+              ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
+    """`_int_row` of each row, keyed by position: (rows, denominators)."""
+    work: dict[int, dict[int, int]] = {}
+    dens: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        work[i], dens[i] = _int_row(row)
+    return work, dens
+
+
+def _eliminate(rows: dict[int, dict[int, int]], dens: dict[int, int],
                cols: dict[int, set[int]], p: int, q: int) -> None:
-    """Subtract multiples of row p from every other row that meets column
-    q, so that q is left only in row p; the column row sets follow."""
+    """Clear column q from every row but p, fraction-free; the column row
+    sets follow.
+
+    Row i stands for rows[i] / dens[i], with integer entries and
+    dens[i] > 0. With a = R_p[q] and b = R_i[q] divided by their gcd,
+    R_i <- a R_i - b R_p and d_i <- a d_i (signs flipped so that a > 0),
+    then R_i and d_i are divided by gcd(d_i, content(R_i)).
+    """
     prow = rows[p]
     pivot = prow[q]
     rest = [(j, x) for j, x in prow.items() if j != q]
@@ -195,29 +226,48 @@ def _eliminate(rows: dict[int, dict[int, Fraction]],
         if i == p:
             continue
         row = rows[i]
-        f = row.pop(q) / pivot
+        b = row.pop(q)
+        g = gcd(pivot, b)
+        a, b = pivot // g, b // g
+        if a < 0:
+            a, b = -a, -b
+        d = dens[i]
+        if a != 1:
+            for j in row:
+                row[j] *= a
+            d *= a
         for j, x in rest:
-            y = row.get(j, _ZERO) - f * x
-            if y:
-                row[j] = y
+            y = row.get(j)
+            if y is None:
+                row[j] = -b * x
                 cols[j].add(i)
             else:
-                del row[j]
-                cols[j].discard(i)
+                y -= b * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+                    cols[j].discard(i)
+        g = gcd(d, *row.values())
+        if g != 1:
+            for j in row:
+                row[j] //= g
+            d //= g
+        dens[i] = d
     cols[q] = {p}
 
 
-def _pivot_columns(rows: dict[int, dict[int, Fraction]], n_cols: int,
-                   reduced: bool) -> list[tuple[int, int]]:
-    """Eliminate the columns of sparse `rows` in increasing order and
-    return the (column, row) pivots.
+def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
+                   n_cols: int, reduced: bool) -> list[tuple[int, int]]:
+    """Eliminate the columns of sparse integer `rows` in increasing order
+    and return the (column, row) pivots.
 
     Each column pivots on the not-yet-pivot row that meets it with the
     fewest nonzeros (ties to the lowest row) and `_eliminate` clears it
-    from every other row. With `reduced`, pivot rows are scaled to 1 and
-    kept, so `rows` ends in reduced row-echelon form; without it, each
-    pivot row is dropped once its column is cleared, which is all a rank
-    needs.
+    from every other row. With `reduced`, pivot rows are kept, so each
+    ends as a multiple of its row in the reduced row-echelon form; without
+    it, each pivot row is dropped once its column is cleared, which is all
+    a rank needs.
     """
     cols: dict[int, set[int]] = {j: set() for j in range(n_cols)}
     for i, row in rows.items():
@@ -231,10 +281,7 @@ def _pivot_columns(rows: dict[int, dict[int, Fraction]], n_cols: int,
             continue
         p = min(live, key=lambda i: (len(rows[i]), i))
         free.remove(p)
-        if reduced:
-            inv = 1 / rows[p][q]
-            rows[p] = {j: x * inv for j, x in rows[p].items()}
-        _eliminate(rows, cols, p, q)
+        _eliminate(rows, dens, cols, p, q)
         if not reduced:
             for j in rows.pop(p):
                 cols[j].discard(p)
@@ -248,25 +295,32 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     Returns the reduced matrix and the strictly increasing pivot column
     list. Canonical: two row-equivalent matrices reduce identically.
 
-    Sparse Gauss-Jordan over {col: Fraction} row dicts (`_pivot_columns`).
-    The RREF is unique, so the pivot choice does not change the result.
+    Sparse fraction-free Gauss-Jordan over integer rows
+    (`_pivot_columns`); each pivot row is divided by its pivot entry only
+    when the result is built. The RREF is unique, so the pivot choice
+    does not change the result.
     """
     if not m.rows:
         return m, []
-    rows = {i: {j: x for j, x in enumerate(src) if x}
-            for i, src in enumerate(m.entries)}
-    pivots = _pivot_columns(rows, m.cols, reduced=True)
-    out = [[rows[p].get(j, _ZERO) for j in range(m.cols)] for _, p in pivots]
+    rows, dens = _int_rows({j: x for j, x in enumerate(src) if x}
+                           for src in m.entries)
+    pivots = _pivot_columns(rows, dens, m.cols, reduced=True)
+    out = []
+    for q, p in pivots:
+        row, a = rows[p], rows[p][q]
+        out.append([Fraction(row[j], a) if j in row else _ZERO
+                    for j in range(m.cols)])
     out += [[_ZERO] * m.cols] * (m.rows - len(pivots))
     return Matrix.from_rows(out), [q for q, _ in pivots]
 
 
 def sparse_rank(rows: Iterable[dict[int, Fraction]], n_cols: int) -> int:
     """Exact rank of the matrix whose rows are given as {col: value}
-    dicts with columns in range(n_cols); the dicts are not modified."""
-    work = {i: {j: x for j, x in row.items() if x}
-            for i, row in enumerate(rows)}
-    return len(_pivot_columns(work, n_cols, reduced=False))
+    dicts (ints or Fractions) with columns in range(n_cols); the dicts
+    are not modified."""
+    work, dens = _int_rows({j: x for j, x in row.items() if x}
+                           for row in rows)
+    return len(_pivot_columns(work, dens, n_cols, reduced=False))
 
 
 def rank(m: Matrix) -> int:
@@ -331,9 +385,10 @@ def schur_complement(a: Matrix, keep: Sequence[int],
     order, or None when a[drop,drop] is singular.
 
     Sparse exact elimination of the dropped indices one pivot at a time
-    (Kron reduction when `a` is a graph Laplacian). Rows are dicts of
-    their nonzero entries and each column keeps the set of rows it meets,
-    so only nonzeros are touched and fill-in follows the sparsity pattern.
+    (Kron reduction when `a` is a graph Laplacian). Rows are integer
+    dicts of their nonzero entries with one denominator each, and each
+    column keeps the set of rows it meets, so only nonzeros are touched
+    and fill-in follows the sparsity pattern.
     The pivot is the nonzero dropped diagonal entry whose row has the
     fewest nonzeros (ties to the lowest index); when every remaining one
     is zero, the same rule picks an entry anywhere in the dropped block
@@ -341,11 +396,12 @@ def schur_complement(a: Matrix, keep: Sequence[int],
     the pivot order does not change the result.
     """
     idx = list(keep) + list(drop)
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int]] = {}
+    dens: dict[int, int] = {}
     cols: dict[int, set[int]] = {j: set() for j in idx}
     for i in idx:
-        src = a.entries[i]
-        rows[i] = {j: src[j] for j in idx if src[j]}
+        rows[i], dens[i] = _int_row({j: x for j, x in enumerate(a.entries[i])
+                                     if x and j in cols})
         for j in rows[i]:
             cols[j].add(i)
     drop_rows, drop_cols = set(drop), set(drop)
@@ -363,11 +419,12 @@ def schur_complement(a: Matrix, keep: Sequence[int],
             q = min(drop_cols.intersection(rows[p]))
         drop_rows.remove(p)
         drop_cols.remove(q)
-        _eliminate(rows, cols, p, q)
+        _eliminate(rows, dens, cols, p, q)
         for j in rows.pop(p):
             cols[j].discard(p)
     return Matrix(len(keep), len(keep), tuple(
-        tuple(rows[i].get(j, _ZERO) for j in keep) for i in keep))
+        tuple(Fraction(rows[i][j], dens[i]) if j in rows[i] else _ZERO
+              for j in keep) for i in keep))
 
 
 @dataclass(frozen=True)

@@ -235,12 +235,17 @@ def test_bfv_cohomology_matches_kernel_image_formula():
     assert min(seen.values()) >= 3, seen
 
 
-@pytest.mark.parametrize("n, k, t, want", [
-    (5, 3, 3, 35), (5, 5, 3, 1), (4, 4, 4, 1), (6, 6, 3, 1)])
-def test_bfv_cohomology_ladder(n, k, t, want):
+@pytest.mark.parametrize("n, k, t, want, shear", [
+    pytest.param(5, 3, 3, 35, False, id="5-3-3-35"),
+    pytest.param(5, 5, 3, 1, False, id="5-5-3-1"),
+    pytest.param(4, 4, 4, 1, False, id="4-4-4-1"),
+    pytest.param(6, 6, 3, 1, False, id="6-6-3-1"),
+    # constraints that mix positions and momenta fill in the elimination
+    pytest.param(5, 5, 3, 1, True, id="5-5-3-1-shear")])
+def test_bfv_cohomology_ladder(n, k, t, want, shear):
     start = time.monotonic()
     rng = random.Random(53)
-    q = bfv_resolve(abelian_constraints(rng, n, k, shear=False))[2]
+    q = bfv_resolve(abelian_constraints(rng, n, k, shear=shear))[2]
     dims = bfv_cohomology(q, TruncatedPolynomialAlgebra(q.space, t),
                           (-1, 0, 1))
     # degree 0: the invariant monomials in the 2(n - k) free coordinates

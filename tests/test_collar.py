@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -134,6 +135,33 @@ def test_nonlocal_action_detected():
                              stencil=stencil)
     with pytest.raises(NonlocalAction):
         boundary_one_form(t)
+
+
+def test_symmetry_check_matches_transpose_rule():
+    rng = random.Random(41)
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        n = rng.randint(0, 6)
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                a[i][j] = a[j][i] = x
+        if n and rng.random() < 0.5:
+            i, j = rng.randrange(n), rng.randrange(n)
+            a[i][j] += rng.choice([1, -1, Fraction(1, 2)])
+        m = Matrix(n, n, tuple(tuple(r) for r in a))
+        want = m.transpose() == m
+        cx = path_complex(n)
+        if want:
+            assert QuadraticLocalTheory(cx, (FieldSpec("phi", 0),),
+                                        m).action is m
+        else:
+            with pytest.raises(ValueError,
+                               match="^action matrix must be symmetric$"):
+                QuadraticLocalTheory(cx, (FieldSpec("phi", 0),), m)
+        seen[want] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_project_zero_field():

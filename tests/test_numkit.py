@@ -263,11 +263,13 @@ def test_invert_roundtrip():
 
 
 def dense_schur(a, keep, drop):
-    """The textbook formula through one dense joint elimination."""
-    x = solve_matrix(a.submatrix(drop, drop), a.submatrix(drop, keep),
-                     require_unique=True)
-    if x is None:
+    """The textbook formula through one dense joint elimination
+    (`dense_rref` of [a[drop,drop] | a[drop,keep]])."""
+    joint = a.submatrix(drop, drop).hstack(a.submatrix(drop, keep))
+    red, pivots = dense_rref(joint)
+    if pivots != list(range(len(drop))):
         return None
+    x = red.submatrix(range(len(drop)), range(len(drop), joint.cols))
     return a.submatrix(keep, keep) - a.submatrix(keep, drop) @ x
 
 
@@ -294,6 +296,202 @@ def test_schur_complement_matches_dense_formula():
         assert got == dense_schur(a, keep, drop)
         outcomes[got is None] += 1
     assert min(outcomes.values()) > 30
+
+
+def wide_matrix(rng, rows, cols, bits=40, density=0.6):
+    """Entries with numerators and denominators up to 2**bits."""
+    top = 2 ** bits
+    return Matrix(rows, cols, tuple(
+        tuple(Fraction(rng.randint(-top, top), rng.randint(1, top))
+              if rng.random() < density else Fraction(0)
+              for _ in range(cols)) for _ in range(rows)))
+
+
+def hilbert(n, extra=0):
+    return Matrix(n, n + extra, tuple(
+        tuple(Fraction(1, i + j + 1) for j in range(n + extra))
+        for i in range(n)))
+
+
+def low_rank(rng, rows, cols, r):
+    """A rows x cols product of random rows x r and r x cols factors, with
+    negative entries, so pivots of either sign and zero rows occur."""
+    u = [[rng.choice([0, 1, -1, -3, Fraction(-2, 7)]) for _ in range(r)]
+         for _ in range(rows)]
+    v = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
+         for _ in range(r)]
+    return Matrix(rows, cols, tuple(
+        tuple(sum((u[i][k] * v[k][j] for k in range(r)), Fraction(0))
+              for j in range(cols)) for i in range(rows)))
+
+
+def sparse_rows(m):
+    return [{j: x for j, x in enumerate(r) if x} for r in m.entries]
+
+
+def check_kernel(m, keep=None, drop=None):
+    """rref, sparse_rank and (when keep/drop are given) schur_complement of
+    m against the dense Fraction oracles; the row dicts given to
+    sparse_rank come back unmodified. Returns the Schur complement."""
+    rows = sparse_rows(m)
+    before = [dict(r) for r in rows]
+    assert rref(m) == dense_rref(m)
+    assert sparse_rank(rows, m.cols) == bareiss_rank(m) == len(rref(m)[1])
+    assert rows == before
+    if keep is None:
+        return None
+    got = schur_complement(m, keep, drop)
+    assert got == dense_schur(m, keep, drop)
+    return got
+
+
+def test_integer_kernel_wide_coefficients():
+    rng = random.Random(43)
+    big = 0
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        m = wide_matrix(rng, n, n, density=rng.choice([0.3, 0.7, 1.0]))
+        order = list(range(n))
+        rng.shuffle(order)
+        cut = rng.randint(0, n)
+        check_kernel(m, order[:cut], order[cut:])
+        r = wide_matrix(rng, rng.randint(1, 5), rng.randint(1, 7))
+        check_kernel(r)
+        big += any(x.denominator > 2 ** 30 for row in m.entries for x in row)
+    assert big >= 30
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_integer_kernel_hilbert(n):
+    h = hilbert(n)
+    # nonsingular: the RREF is the identity, and every Schur complement
+    # of a Hilbert matrix exists
+    assert rref(h) == (Matrix.identity(n), list(range(n)))
+    s = check_kernel(h, list(range(n // 2)), list(range(n // 2, n)))
+    assert s is not None
+    red, pivots = rref(hilbert(n, extra=2))
+    assert (red, pivots) == dense_rref(hilbert(n, extra=2))
+    assert pivots == list(range(n))
+    tall = hilbert(n + 2).submatrix(range(n + 2), range(n))
+    assert sparse_rank(sparse_rows(tall), n) == n
+
+
+def test_integer_kernel_negative_pivots_zero_rows_and_rank_deficiency():
+    rng = random.Random(47)
+    seen = {"negative": 0, "zero_row": 0, "deficient": 0, "none": 0}
+    for _ in range(150):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        m = low_rank(rng, rows, cols, rng.randint(0, min(rows, cols)))
+        if rng.random() < 0.5:  # negate so that leading entries are < 0
+            m = -m
+        check_kernel(m)
+        if rows == cols:
+            order = list(range(rows))
+            rng.shuffle(order)
+            cut = rng.randint(0, rows - 1)
+            seen["none"] += check_kernel(m, order[:cut], order[cut:]) is None
+        red, pivots = rref(m)
+        seen["negative"] += any(m[i, q] < 0 for i in range(rows)
+                                for q in pivots[:1])
+        seen["zero_row"] += any(not any(r) for r in m.entries)
+        seen["deficient"] += len(pivots) < min(rows, cols)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_sparse_rank_on_int_fraction_and_mixed_values():
+    rng = random.Random(53)
+    kinds = {"int": 0, "fraction": 0, "mixed": 0}
+    for _ in range(200):
+        rows, cols = rng.randint(0, 7), rng.randint(0, 7)
+        kind = rng.choice(list(kinds))
+        dense = []
+        for _ in range(rows):
+            row = []
+            for _ in range(cols):
+                x = rng.choice([0, 0, 1, -1, 2, -4, 6])
+                as_int = kind == "int" or (kind == "mixed"
+                                           and rng.random() < 0.5)
+                row.append(x if as_int else Fraction(x, rng.randint(1, 3)))
+            dense.append(row)
+        given = [{j: x for j, x in enumerate(r) if x or rng.random() < 0.3}
+                 for r in dense]
+        before = [dict(r) for r in given]
+        m = Matrix(rows, cols, tuple(vec(r) for r in dense))
+        assert sparse_rank(given, cols) == bareiss_rank(m)
+        assert given == before
+        assert all(type(x) is type(y) for r, b in zip(given, before)
+                   for x, y in zip(r.values(), b.values()))
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 50, kinds
+
+
+def test_schur_complement_denominators_and_singular_drop():
+    rng = random.Random(59)
+    outcomes = {True: 0, False: 0}
+    for _ in range(120):
+        k, d = rng.randint(0, 4), rng.randint(1, 5)
+        n = k + d
+        a = [[Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7, 12]))
+              for _ in range(n)] for _ in range(n)]
+        singular = rng.random() < 0.5
+        if singular:  # a dropped row that combines the other dropped rows
+            drop_rows = list(range(k, n))
+            c = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+                 for _ in drop_rows]
+            target = rng.choice(drop_rows)
+            for j in range(k, n):
+                a[target][j] = sum((ci * a[i][j] for ci, i in zip(c, drop_rows)
+                                    if i != target), Fraction(0))
+        m = Matrix(n, n, tuple(tuple(r) for r in a))
+        got = check_kernel(m, list(range(k)), list(range(k, n)))
+        if singular:
+            assert got is None
+        outcomes[got is None] += 1
+        if got is not None:
+            assert got.shape == (k, k)
+    assert min(outcomes.values()) >= 30, outcomes
+
+
+def test_kernel_rows_keep_positive_coprime_denominators():
+    """Every row the kernel leaves is R / d with d > 0 and
+    gcd(d, content(R)) == 1, in reduced and in rank mode."""
+    from math import gcd
+
+    from bvkit.numkit import _int_rows, _pivot_columns
+
+    rng = random.Random(67)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = low_rank(rng, rows, cols, rng.randint(1, min(rows, cols)))
+        if rng.random() < 0.5:
+            m = -m
+        for reduced in (True, False):
+            work, dens = _int_rows(sparse_rows(m))
+            pivots = _pivot_columns(work, dens, cols, reduced)
+            assert [q for q, _ in pivots] == rref(m)[1]
+            for i, row in work.items():
+                assert dens[i] > 0
+                assert gcd(dens[i], *row.values()) == 1
+                assert 0 not in row.values()
+
+
+def test_elimination_does_no_fraction_arithmetic(monkeypatch):
+    rng = random.Random(61)
+    cases = [wide_matrix(rng, 5, 5, bits=20) for _ in range(5)]
+    cases += [hilbert(6), -low_rank(rng, 6, 6, 3)]
+    want = [(rref(m), sparse_rank(sparse_rows(m), m.cols),
+             schur_complement(m, [0, 1], [2, 3, 4])) for m in cases]
+
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic in the elimination")
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, refuse)
+    got = [(rref(m), sparse_rank(sparse_rows(m), m.cols),
+            schur_complement(m, [0, 1], [2, 3, 4])) for m in cases]
+    monkeypatch.undo()
+    assert got == want
 
 
 def test_schur_complement_with_zero_diagonal_interior():
