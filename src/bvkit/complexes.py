@@ -9,7 +9,7 @@ from its lexicographically smaller endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -18,6 +18,10 @@ from .numkit import Matrix, Vector, block_diag, frac, kernel
 
 class NotCubical(ValueError):
     pass
+
+
+# (face index, incidence coefficient) pairs of one cell, by face index
+Faces = tuple[tuple[int, Fraction], ...]
 
 
 @dataclass(frozen=True)
@@ -33,6 +37,18 @@ class CellComplex:
     boundary_flags: tuple[tuple[bool, ...], ...]
     weights: Optional[tuple[tuple[Fraction, ...], ...]] = None
     cubical: bool = False
+    # faces(k) by k, filled on first use or by the constructors that
+    # already hold the face lists; never copied by dataclasses.replace
+    _faces: dict[int, tuple[Faces, ...]] = field(
+        init=False, compare=False, repr=False, default_factory=dict)
+
+    def __post_init__(self):
+        if self.weights is not None and (
+                len(self.weights) != len(self.cells)
+                or any(len(ws) != len(cs)
+                       for ws, cs in zip(self.weights, self.cells))):
+            raise ValueError("weights must give one weight per cell "
+                             "in every dimension")
 
     @property
     def dim(self) -> int:
@@ -53,15 +69,20 @@ class CellComplex:
             return Matrix.zeros(0, self.n_cells(0))
         raise ValueError(f"no boundary operator in degree {k}")
 
-    def faces(self, k: int) -> list[list[tuple[int, Fraction]]]:
-        """For each k-cell, its (face index, incidence coefficient) pairs
-        in face order, read in one pass over boundary_op(k)."""
-        op = self.boundary_op(k)
-        out: list[list[tuple[int, Fraction]]] = [[] for _ in range(op.cols)]
-        for i, row in enumerate(op.entries):
-            for j, x in enumerate(row):
-                if x:
-                    out[j].append((i, x))
+    def faces(self, k: int) -> tuple[Faces, ...]:
+        """For each column of boundary_op(k), its nonzero (face index,
+        incidence coefficient) pairs in face order; computed once per
+        complex."""
+        out = self._faces.get(k)
+        if out is None:
+            op = self.boundary_op(k)
+            scan: list[list[tuple[int, Fraction]]] = [
+                [] for _ in range(op.cols)]
+            for i, row in enumerate(op.entries):
+                for j, x in enumerate(row):
+                    if x:
+                        scan[j].append((i, x))
+            out = self._faces[k] = tuple(map(tuple, scan))
         return out
 
     def interior_indices(self, k: int) -> list[int]:
@@ -100,26 +121,63 @@ class CellComplex:
         return out
 
     @staticmethod
+    def from_faces(cells: tuple[tuple[str, ...], ...],
+                   faces: Sequence[tuple[Faces, ...]],
+                   boundary_flags: tuple[tuple[bool, ...], ...],
+                   weights: Optional[tuple[tuple[Fraction, ...], ...]] = None,
+                   cubical: bool = False) -> "CellComplex":
+        """The complex whose k-cells have the face lists faces[k - 1]
+        (nonzero coefficients, by face index); the lists become faces(k)
+        and the incidence matrices are filled in from them."""
+        zero = Fraction(0)
+        ops = []
+        for k, fs in enumerate(faces, 1):
+            m = [[zero] * len(fs) for _ in cells[k - 1]]
+            for j, f in enumerate(fs):
+                for i, x in f:
+                    m[i][j] = x
+            ops.append(Matrix(len(m), len(fs), tuple(map(tuple, m))))
+        cx = CellComplex(cells, tuple(ops), boundary_flags, weights, cubical)
+        cx._faces.update(enumerate(faces, 1))
+        return cx
+
+    @staticmethod
     def from_dict(data: dict) -> "CellComplex":
         cells = tuple(tuple(c) for c in data["cells"])
         dim = data["dims"]
         index = [{name: i for i, name in enumerate(cs)} for cs in cells]
-        ops = []
         face_map = {entry["cell"]: entry["faces"] for entry in data["boundary"]}
+        parsed: dict[str, Fraction] = {}
+
+        def coefficient(x) -> Fraction:
+            # only strings are cached, so other values fail as Fraction(x)
+            if type(x) is not str:
+                return Fraction(x)
+            y = parsed.get(x)
+            if y is None:
+                y = parsed[x] = Fraction(x)
+            return y
+
+        faces = []
         for k in range(1, dim + 1):
-            m = [[Fraction(0)] * len(cells[k]) for _ in range(len(cells[k - 1]))]
-            for j, name in enumerate(cells[k]):
+            fs = []
+            for name in cells[k]:
+                by_face = {}
                 for face, sign in face_map.get(name, []):
-                    m[index[k - 1][face]][j] = Fraction(sign)
-            ops.append(Matrix(len(m), len(cells[k]) if m else 0,
-                              tuple(map(tuple, m))))
+                    x = coefficient(sign)
+                    by_face[index[k - 1][face]] = x
+                fs.append(tuple((i, x) for i, x in sorted(by_face.items())
+                                if x))
+            # with no (k-1)-cells, boundary_op(k) has no columns either
+            faces.append(tuple(fs) if cells[k - 1] else ())
         flagged = set(data.get("boundary_flags", []))
         flags = tuple(tuple(name in flagged for name in cs) for cs in cells)
         weights = None
         if "weights" in data:
-            weights = tuple(tuple(frac(w) for w in ws) for ws in data["weights"])
-        return CellComplex(cells, tuple(ops), flags, weights,
-                           cubical=data.get("cubical", False))
+            weights = tuple(tuple(coefficient(w) for w in ws)
+                            for ws in data["weights"])
+        return CellComplex.from_faces(cells, faces, flags, weights,
+                                      cubical=data.get("cubical", False))
 
 
 def validate(k: CellComplex) -> list[str]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
@@ -379,10 +380,14 @@ def invert(a: Matrix) -> Optional[Matrix]:
     return solve_matrix(a, Matrix.identity(a.rows))
 
 
-def schur_complement(a: Matrix, keep: Sequence[int],
+def schur_complement(rows: Sequence[dict[int, Fraction]],
+                     keep: Sequence[int],
                      drop: Sequence[int]) -> Optional[Matrix]:
     """a[keep,keep] - a[keep,drop] a[drop,drop]^-1 a[drop,keep] in `keep`
-    order, or None when a[drop,drop] is singular.
+    order, or None when a[drop,drop] is singular, for the square matrix a
+    whose rows are given as {col: value} dicts (ints or Fractions); only
+    rows and columns in keep and drop are read, and the dicts are not
+    modified.
 
     Sparse exact elimination of the dropped indices one pivot at a time
     (Kron reduction when `a` is a graph Laplacian). Rows are integer
@@ -390,40 +395,54 @@ def schur_complement(a: Matrix, keep: Sequence[int],
     column keeps the set of rows it meets, so only nonzeros are touched
     and fill-in follows the sparsity pattern.
     The pivot is the nonzero dropped diagonal entry whose row has the
-    fewest nonzeros (ties to the lowest index); when every remaining one
-    is zero, the same rule picks an entry anywhere in the dropped block
-    and its row and column go together. The Schur complement is unique, so
-    the pivot order does not change the result.
+    fewest nonzeros (ties to the lowest index), popped from a heap of
+    (row length, index) entries: every row an elimination step touches
+    is pushed again, and an entry whose row has since been pivoted,
+    lost its diagonal or changed length is skipped. When every remaining
+    diagonal entry is zero, the same rule picks an entry anywhere in the
+    dropped block and its row and column go together. The Schur
+    complement is unique, so the pivot order does not change the result.
     """
     idx = list(keep) + list(drop)
-    rows: dict[int, dict[int, int]] = {}
+    work: dict[int, dict[int, int]] = {}
     dens: dict[int, int] = {}
     cols: dict[int, set[int]] = {j: set() for j in idx}
     for i in idx:
-        rows[i], dens[i] = _int_row({j: x for j, x in enumerate(a.entries[i])
+        work[i], dens[i] = _int_row({j: x for j, x in rows[i].items()
                                      if x and j in cols})
-        for j in rows[i]:
+        for j in work[i]:
             cols[j].add(i)
     drop_rows, drop_cols = set(drop), set(drop)
+
+    def is_diagonal_pivot(p: int) -> bool:
+        return p in drop_rows and p in drop_cols and p in work[p]
+
+    heap = [(len(work[p]), p) for p in drop_rows if is_diagonal_pivot(p)]
+    heapify(heap)
     while drop_rows:
-        diag = [(len(rows[p]), p) for p in drop_rows
-                if p in drop_cols and p in rows[p]]
-        if diag:
-            p = q = min(diag)[1]
+        while heap:
+            n, p = heappop(heap)
+            if is_diagonal_pivot(p) and len(work[p]) == n:
+                q = p
+                break
         else:
-            live = [(len(rows[p]), p) for p in drop_rows
-                    if not drop_cols.isdisjoint(rows[p])]
+            live = [(len(work[p]), p) for p in drop_rows
+                    if not drop_cols.isdisjoint(work[p])]
             if not live:
                 return None
             p = min(live)[1]
-            q = min(drop_cols.intersection(rows[p]))
+            q = min(drop_cols.intersection(work[p]))
         drop_rows.remove(p)
         drop_cols.remove(q)
-        _eliminate(rows, dens, cols, p, q)
-        for j in rows.pop(p):
+        touched = cols[q] & drop_rows
+        _eliminate(work, dens, cols, p, q)
+        for j in work.pop(p):
             cols[j].discard(p)
+        for i in touched:
+            if is_diagonal_pivot(i):
+                heappush(heap, (len(work[i]), i))
     return Matrix(len(keep), len(keep), tuple(
-        tuple(Fraction(rows[i][j], dens[i]) if j in rows[i] else _ZERO
+        tuple(Fraction(work[i][j], dens[i]) if j in work[i] else _ZERO
               for j in keep) for i in keep))
 
 

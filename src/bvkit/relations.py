@@ -67,7 +67,8 @@ def graph(source: PresymplecticSpace, target: PresymplecticSpace,
     """Relation {(x, f x)} of a linear map given by the matrix f."""
     if f.shape != (target.dim, source.dim):
         raise ValueError("map shape does not match source and target")
-    span = [tuple(row) + f.transpose().row(i)
+    ft = f.transpose()
+    span = [tuple(row) + ft.row(i)
             for i, row in enumerate(Matrix.identity(source.dim).entries)]
     return LinearRelation(source, target,
                           Subspace.from_span(source.dim + target.dim, span))
@@ -93,12 +94,10 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     mid2 = b2.submatrix(range(k2), range(0, nm))
     match = mid1.transpose().hstack(-mid2.transpose())
     params = kernel(match)
-    span = []
-    for p in params.basis:
-        c1, c2 = p[:k1], p[k1:]
-        x = b1.submatrix(range(k1), range(ns)).transpose().apply(c1)
-        z = b2.submatrix(range(k2), range(nm, nm + nt)).transpose().apply(c2)
-        span.append(tuple(x) + tuple(z))
+    outer1 = b1.submatrix(range(k1), range(ns)).transpose()
+    outer2 = b2.submatrix(range(k2), range(nm, nm + nt)).transpose()
+    span = [outer1.apply(p[:k1]) + outer2.apply(p[k1:])
+            for p in params.basis]
     return LinearRelation(first.source, second.target,
                           Subspace.from_span(ns + nt, span))
 

@@ -65,19 +65,37 @@ class ScalarFieldTheory:
     def interior_names(self) -> list[str]:
         return [self.graph.cells[0][i] for i in self.graph.interior_indices(0)]
 
-    def laplacian(self) -> Matrix:
-        """d0^T W d0, assembled edge by edge: an edge of weight w with
-        faces (a, x_a) adds w x_a x_b at (a, b)."""
-        n = self.graph.n_cells(0)
-        lap = [[Fraction(0)] * n for _ in range(n)]
+    def laplacian(self) -> list[dict[int, Fraction]]:
+        """d0^T W d0 as one {vertex: value} row per vertex, without zero
+        entries, assembled edge by edge from the face lists: an edge of
+        weight w with faces (a, x_a) adds w x_a x_b at (a, b). Entries
+        add up as integer (numerator, denominator) pairs over the lcm of
+        their denominators; each becomes one Fraction at the end."""
+        acc: list[dict[int, tuple[int, int]]] = [
+            {} for _ in range(self.graph.n_cells(0))]
         for w, faces in zip(hodge_weights(self.graph, 1), self.graph.faces(1)):
-            for a, xa in faces:
-                for b, xb in faces:
-                    lap[a][b] += w * xa * xb
-        return Matrix(n, n, tuple(tuple(r) for r in lap))
+            terms = [(a, x.numerator, x.denominator) for a, x in faces]
+            for a, na, da in terms:
+                row = acc[a]
+                na *= w.numerator
+                da *= w.denominator
+                for b, nb, db in terms:
+                    n, d = na * nb, da * db
+                    old = row.get(b)
+                    if old is None:
+                        row[b] = (n, d)
+                    elif old[1] == d:
+                        row[b] = (old[0] + n, d)
+                    else:
+                        g = math.gcd(old[1], d)
+                        row[b] = (old[0] * (d // g) + n * (old[1] // g),
+                                  old[1] // g * d)
+        return [{b: Fraction(n, d) for b, (n, d) in row.items() if n}
+                for row in acc]
 
     def energy(self, phi: Sequence[Fraction]) -> Fraction:
-        return dot(phi, self.laplacian().apply(phi)) / 2
+        return dot(phi, [sum((x * phi[b] for b, x in row.items()), Fraction(0))
+                         for row in self.laplacian()]) / 2
 
 
 @dataclass(frozen=True)
@@ -107,18 +125,17 @@ def harmonic_extension(t: ScalarFieldTheory,
                        boundary_values: dict) -> tuple[Fraction, ...]:
     """Solve the interior field equations for given boundary data."""
     names = list(t.vertex_names)
-    interior = t.interior_names()
+    i_idx = t.graph.interior_indices(0)
     lap = t.laplacian()
-    i_idx = [names.index(v) for v in interior]
     phi = [Fraction(0)] * len(names)
     for v, x in boundary_values.items():
         phi[names.index(v)] = Fraction(x)
-    if interior:
-        b_idx = [names.index(v) for v in t.boundary_names()]
-        a_ii = lap.submatrix(i_idx, i_idx)
-        a_ib = lap.submatrix(i_idx, b_idx)
-        rhs = tuple(-x for x in a_ib.apply(
-            [phi[j] for j in b_idx]))
+    if i_idx:
+        interior = set(i_idx)
+        a_ii = Matrix(len(i_idx), len(i_idx), tuple(
+            tuple(lap[i].get(j, Fraction(0)) for j in i_idx) for i in i_idx))
+        rhs = tuple(-sum((x * phi[j] for j, x in lap[i].items()
+                          if j not in interior), Fraction(0)) for i in i_idx)
         sol = solve(a_ii, rhs)
         if sol is None:
             raise SingularInterior("interior Laplacian block is singular")
@@ -180,33 +197,37 @@ def with_boundary_vertices(cx: CellComplex,
     w = cx.weights
     weights = ((Fraction(1),) * len(cells[0]),
                w[1] if w is not None else (Fraction(1),) * len(cells[1]))
-    return ScalarFieldTheory(CellComplex(cells, (cx.boundary_op(1),), flags,
-                                         weights, cubical=True))
+    return ScalarFieldTheory(CellComplex.from_faces(
+        cells, (cx.faces(1),), flags, weights, cubical=True))
 
 
 def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
                     boundary: Sequence[str],
                     edges: Optional[Sequence[str]] = None) -> ScalarFieldTheory:
     """The induced theory on a vertex subset; by default every edge with
-    both endpoints inside is kept, or pass the edge names explicitly."""
+    both endpoints inside is kept, or pass the edge names explicitly.
+    Face lists are the parent's, re-indexed to the kept vertices."""
     g = t.graph
     vset = set(vertices)
     v_idx = [i for i, n in enumerate(g.cells[0]) if n in vset]
-    d1 = g.boundary_op(1)
+    parent_faces = g.faces(1)
     if edges is not None:
         eset = set(edges)
         e_idx = [j for j in range(g.n_cells(1)) if g.cells[1][j] in eset]
     else:
-        e_idx = [j for j, faces in enumerate(g.faces(1))
+        e_idx = [j for j, faces in enumerate(parent_faces)
                  if all(g.cells[0][i] in vset for i, _ in faces)]
+    pos = {i: k for k, i in enumerate(v_idx)}
+    faces = tuple(tuple((pos[i], x) for i, x in parent_faces[j] if i in pos)
+                  for j in e_idx)
     cells = (tuple(g.cells[0][i] for i in v_idx),
              tuple(g.cells[1][j] for j in e_idx))
     bset = set(boundary)
     flags = (tuple(n in bset for n in cells[0]), (False,) * len(e_idx))
     w = ((Fraction(1),) * len(v_idx),
          tuple(g.weights[1][j] for j in e_idx))
-    return ScalarFieldTheory(CellComplex(
-        cells, (d1.submatrix(v_idx, e_idx),), flags, w, cubical=True))
+    return ScalarFieldTheory(CellComplex.from_faces(
+        cells, (faces,), flags, w, cubical=True))
 
 
 @dataclass(frozen=True)

@@ -163,6 +163,12 @@ def _path3_weight(w):
     return fix
 
 
+def _path_edge_weights(n, count):
+    fix = cli.FIXTURES[f"path{n}"](None)
+    fix["weights"][1] = ["1"] * count
+    return fix
+
+
 def _circle_d(d):
     return {"complex": cli.FIXTURES["circle"](None), "d": d}
 
@@ -205,6 +211,10 @@ def _bfv_input(**changes):
     (["fixtures", "--fixture", "circle", "--order", "0"], None),
     (["fixtures", "--fixture", "torus", "--order", "-1"], None),
     (["check-relation", "--fixture", "dirac", "--order", "0"], None),
+    (["dtn"], _path_edge_weights(3, 1)),
+    (["dtn"], _path_edge_weights(3, 3)),
+    (["glue"], {"complex": _path_edge_weights(5, 3), "cut": ["v2"],
+                "left": ["v0", "v1", "v2"], "right": ["v2", "v3", "v4"]}),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
         "dtn-dims-beyond-cells", "bv-check-empty-disk",
@@ -218,7 +228,8 @@ def _bfv_input(**changes):
         "hj-action-array-values", "hj-action-string-values",
         "hj-action-null-values", "fixtures-grid-order-zero",
         "fixtures-circle-order-zero", "fixtures-torus-negative-order",
-        "check-relation-dirac-order-zero"])
+        "check-relation-dirac-order-zero", "dtn-short-edge-weights",
+        "dtn-long-edge-weights", "glue-short-edge-weights"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"

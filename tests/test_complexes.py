@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -194,3 +195,172 @@ def test_grid_boundary_flags_disk():
     assert len(g.boundary_indices(0)) == 8  # all but the center vertex
     assert len(g.boundary_indices(1)) == 8  # outer ring of edges
     assert torus_complex(3, 3).boundary_indices(0) == []
+
+
+def dense_faces(cx, k):
+    """Oracle: the face lists by a scan over the dense boundary_op(k)."""
+    op = cx.boundary_op(k)
+    return tuple(tuple((i, op[i, j]) for i in range(op.rows) if op[i, j])
+                 for j in range(op.cols))
+
+
+def dense_from_dict(data):
+    """Oracle: the incidence matrices and weights by the dense rule, one
+    matrix entry per listed face with later entries overwriting earlier
+    ones; raises what a malformed complex makes that rule raise."""
+    cells = tuple(tuple(c) for c in data["cells"])
+    index = [{name: i for i, name in enumerate(cs)} for cs in cells]
+    face_map = {entry["cell"]: entry["faces"] for entry in data["boundary"]}
+    ops = []
+    for k in range(1, data["dims"] + 1):
+        m = [[Fraction(0)] * len(cells[k]) for _ in range(len(cells[k - 1]))]
+        for j, name in enumerate(cells[k]):
+            for face, sign in face_map.get(name, []):
+                m[index[k - 1][face]][j] = Fraction(sign)
+        ops.append(Matrix(len(m), len(cells[k]) if m else 0,
+                          tuple(map(tuple, m))))
+    weights = None
+    if "weights" in data:
+        weights = tuple(tuple(Fraction(w) for w in ws)
+                        for ws in data["weights"])
+    return tuple(ops), weights
+
+
+def random_complex_dict(rng, dims=2):
+    """A JSON complex whose face lists repeat faces (the last entry
+    counts), carry "0" signs, come out of face order, and sometimes list
+    a cell twice (the last listing counts)."""
+    cells = [[f"c{k}_{i}" for i in range(rng.randint(1, 6))]
+             for k in range(dims + 1)]
+    signs = ["1", "-1", "0", "2", "-1/3", "5/2", 1, -2]
+    boundary = []
+    for k in range(1, dims + 1):
+        for name in cells[k]:
+            if rng.random() < 0.1:
+                continue
+            for _ in range(1 + (rng.random() < 0.2)):
+                faces = [[rng.choice(cells[k - 1]), rng.choice(signs)]
+                         for _ in range(rng.randint(0, 5))]
+                rng.shuffle(faces)
+                boundary.append({"cell": name, "faces": faces})
+    rng.shuffle(boundary)
+    return {"dims": dims, "cells": cells, "boundary": boundary,
+            "weights": [[rng.choice(signs[3:]) for _ in cs] for cs in cells]}
+
+
+def test_face_lists_from_json_match_dense_scan():
+    import random
+
+    rng = random.Random(71)
+    seen = {"repeat": 0, "zero": 0, "unordered": 0}
+    for _ in range(60):
+        data = random_complex_dict(rng, rng.randint(1, 3))
+        cx = CellComplex.from_dict(data)
+        ops, weights = dense_from_dict(data)
+        assert cx.boundary_ops == ops and cx.weights == weights
+        fresh = CellComplex(cx.cells, cx.boundary_ops, cx.boundary_flags,
+                            cx.weights)
+        for k in range(1, cx.dim + 1):
+            assert cx.faces(k) == dense_faces(cx, k) == fresh.faces(k)
+            assert type(cx.faces(k)) is tuple
+            assert all(type(f) is tuple for f in cx.faces(k))
+        for entry in data["boundary"]:
+            names = [f for f, _ in entry["faces"]]
+            seen["repeat"] += len(set(names)) < len(names)
+            seen["zero"] += any(s == "0" for _, s in entry["faces"])
+            seen["unordered"] += names != sorted(names)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_face_lists_of_subgraphs_and_boundary_choices_match_dense_scan():
+    import random
+
+    from bvkit.theories import (
+        ScalarFieldTheory,
+        subgraph_theory,
+        with_boundary_vertices,
+    )
+
+    rng = random.Random(73)
+    for _ in range(40):
+        n = rng.randint(2, 12)
+        names = [f"v{i}" for i in range(n)]
+        edges = [(rng.choice(names), rng.choice(names))
+                 for _ in range(rng.randint(1, 2 * n))]
+        enames = [f"e{j}" for j in range(len(edges))]
+        data = {"dims": 1, "cells": [names, enames],
+                "boundary": [{"cell": f"e{j}", "faces": [[a, "-1"], [b, "1"]]}
+                             for j, (a, b) in enumerate(edges)],
+                "weights": [["1"] * n,
+                            [f"{rng.randint(1, 5)}/{rng.randint(1, 3)}"
+                             for _ in edges]],
+                "cubical": True}
+        cx = CellComplex.from_dict(data)
+        chosen = rng.sample(names, rng.randint(0, n))
+        t = with_boundary_vertices(cx, chosen)
+        assert t.graph.faces(1) == dense_faces(t.graph, 1) == cx.faces(1)
+        vs = rng.sample(names, rng.randint(0, n))
+        bd = rng.sample(vs, rng.randint(0, len(vs)))
+        picked = rng.sample(data["cells"][1], rng.randint(0, len(edges)))
+        for es in (None, picked):
+            sub = subgraph_theory(ScalarFieldTheory(cx), vs, bd, edges=es)
+            g = sub.graph
+            v_idx = [i for i, nm in enumerate(names) if nm in g.cells[0]]
+            e_idx = [j for j, nm in enumerate(cx.cells[1]) if nm in g.cells[1]]
+            assert g.boundary_op(1) == cx.boundary_op(1).submatrix(v_idx,
+                                                                   e_idx)
+            assert g.faces(1) == dense_faces(g, 1)
+
+
+def test_replaced_complex_does_not_reuse_face_lists():
+    from dataclasses import replace
+
+    cx = CellComplex.from_dict(annulus_complex(3).to_dict())
+    before = cx.faces(1)
+    flipped = replace(cx, boundary_ops=(-cx.boundary_op(1),)
+                      + cx.boundary_ops[1:])
+    assert flipped.faces(1) == dense_faces(flipped, 1) != before
+    assert flipped.faces(2) == cx.faces(2)
+    assert cx.faces(1) is before
+
+
+def _mutated(data, where, value):
+    data = json.loads(json.dumps(data))
+    if where == "sign":
+        data["boundary"][0]["faces"][0][1] = value
+    elif where == "face":
+        data["boundary"][0]["faces"][0][0] = value
+    else:
+        data["weights"][1][0] = value
+    return data
+
+
+@pytest.mark.parametrize("where, value", [
+    ("sign", ["1"]), ("sign", {"1": 1}), ("sign", "1/0"), ("sign", "one"),
+    ("sign", None), ("face", "nope"), ("face", ["v0"]),
+    ("weight", "1/0"), ("weight", [1]), ("weight", "x"),
+], ids=["unhashable-list-sign", "unhashable-dict-sign", "zero-denominator",
+        "non-number-sign", "null-sign", "unknown-face", "unhashable-face",
+        "zero-denominator-weight", "unhashable-weight", "non-number-weight"])
+def test_malformed_complex_raises_what_the_dense_rule_raises(where, value):
+    data = _mutated(path_complex(3).to_dict(), where, value)
+    with pytest.raises(Exception) as want:
+        dense_from_dict(data)
+    with pytest.raises(type(want.value)) as got:
+        CellComplex.from_dict(data)
+    assert repr(got.value) == repr(want.value)
+
+
+@pytest.mark.parametrize("weights", [
+    ((Fraction(1),) * 3, (Fraction(1),)),
+    ((Fraction(1),) * 3, (Fraction(1),) * 3),
+    ((Fraction(1),) * 2, (Fraction(1),) * 2),
+    ((Fraction(1),) * 3,),
+    ((Fraction(1),) * 3, (Fraction(1),) * 2, ()),
+], ids=["short-edges", "long-edges", "short-vertices", "missing-degree",
+        "extra-degree"])
+def test_weights_must_match_the_cells(weights):
+    g = path_complex(3)
+    with pytest.raises(ValueError, match="one weight per cell"):
+        CellComplex(g.cells, g.boundary_ops, g.boundary_flags, weights,
+                    cubical=True)

@@ -292,8 +292,11 @@ def test_schur_complement_matches_dense_formula():
         drop = [i for i in range(n) if role[i] == "drop"]
         rng.shuffle(keep)
         rng.shuffle(drop)
-        got = schur_complement(a, keep, drop)
+        rows = sparse_rows(a)
+        before = [dict(r) for r in rows]
+        got = schur_complement(rows, keep, drop)
         assert got == dense_schur(a, keep, drop)
+        assert rows == before
         outcomes[got is None] += 1
     assert min(outcomes.values()) > 30
 
@@ -340,8 +343,9 @@ def check_kernel(m, keep=None, drop=None):
     assert rows == before
     if keep is None:
         return None
-    got = schur_complement(m, keep, drop)
+    got = schur_complement(rows, keep, drop)
     assert got == dense_schur(m, keep, drop)
+    assert rows == before
     return got
 
 
@@ -479,8 +483,10 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
     rng = random.Random(61)
     cases = [wide_matrix(rng, 5, 5, bits=20) for _ in range(5)]
     cases += [hilbert(6), -low_rank(rng, 6, 6, 3)]
-    want = [(rref(m), sparse_rank(sparse_rows(m), m.cols),
-             schur_complement(m, [0, 1], [2, 3, 4])) for m in cases]
+    rows = [sparse_rows(m) for m in cases]
+    want = [(rref(m), sparse_rank(r, m.cols),
+             schur_complement(r, [0, 1], [2, 3, 4]))
+            for m, r in zip(cases, rows)]
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in the elimination")
@@ -488,17 +494,130 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
     for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
                  "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
         monkeypatch.setattr(Fraction, name, refuse)
-    got = [(rref(m), sparse_rank(sparse_rows(m), m.cols),
-            schur_complement(m, [0, 1], [2, 3, 4])) for m in cases]
+    got = [(rref(m), sparse_rank(r, m.cols),
+            schur_complement(r, [0, 1], [2, 3, 4]))
+           for m, r in zip(cases, rows)]
     monkeypatch.undo()
     assert got == want
+
+
+def rescan_pivots(rows, keep, drop):
+    """Oracle: the (row, column) pivots of the Kron reduction when each
+    step rescans every remaining dropped row for the nonzero diagonal
+    entry with the shortest row (ties to the lowest index), falling back
+    to the same rule over the whole dropped block; None if singular."""
+    from bvkit.numkit import _eliminate, _int_row
+
+    idx = list(keep) + list(drop)
+    work, dens, cols = {}, {}, {j: set() for j in idx}
+    for i in idx:
+        work[i], dens[i] = _int_row({j: x for j, x in rows[i].items()
+                                     if x and j in cols})
+        for j in work[i]:
+            cols[j].add(i)
+    drop_rows, drop_cols = set(drop), set(drop)
+    pivots = []
+    while drop_rows:
+        diag = [(len(work[p]), p) for p in drop_rows
+                if p in drop_cols and p in work[p]]
+        if diag:
+            p = q = min(diag)[1]
+        else:
+            live = [(len(work[p]), p) for p in drop_rows
+                    if not drop_cols.isdisjoint(work[p])]
+            if not live:
+                return None
+            p = min(live)[1]
+            q = min(drop_cols.intersection(work[p]))
+        pivots.append((p, q))
+        drop_rows.remove(p)
+        drop_cols.remove(q)
+        _eliminate(work, dens, cols, p, q)
+        for j in work.pop(p):
+            cols[j].discard(p)
+    return pivots
+
+
+def schur_pivots(monkeypatch, rows, keep, drop):
+    """schur_complement's result and the (row, column) pivots it took."""
+    from bvkit import numkit
+
+    taken = []
+    eliminate = numkit._eliminate
+
+    def record(work, dens, cols, p, q):
+        taken.append((p, q))
+        eliminate(work, dens, cols, p, q)
+
+    monkeypatch.setattr(numkit, "_eliminate", record)
+    got = schur_complement(rows, keep, drop)
+    monkeypatch.undo()
+    return got, taken
+
+
+def test_schur_pivot_heap_follows_the_rescan_rule(monkeypatch):
+    rng = random.Random(79)
+    kinds = {"diagonal": 0, "off_diagonal": 0, "singular": 0}
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        mode = rng.choice(["no_diagonal", "some_diagonal", "dominant"])
+        density = rng.choice([0.2, 0.4, 0.7])
+        rows = [{j: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
+                 for j in range(n) if rng.random() < density}
+                for _ in range(n)]
+        for i, r in enumerate(rows):
+            if mode == "no_diagonal" or (mode == "some_diagonal"
+                                         and rng.random() < 0.5):
+                r.pop(i, None)  # a zero diagonal that fill-in may fill
+            elif mode == "dominant":
+                r[i] = sum(map(abs, r.values())) + 1
+        order = list(range(n))
+        rng.shuffle(order)
+        cut = rng.randint(0, n - 1)
+        keep, drop = order[:cut], order[cut:]
+        before = [dict(r) for r in rows]
+        got, taken = schur_pivots(monkeypatch, rows, keep, drop)
+        want = rescan_pivots(rows, keep, drop)
+        assert rows == before
+        a = Matrix.from_rows([[r.get(j, 0) for j in range(n)] for r in rows])
+        assert got == dense_schur(a, keep, drop)
+        if want is None:
+            assert got is None
+            kinds["singular"] += 1
+        else:
+            assert taken == want
+            kinds["off_diagonal"] += any(p != q for p, q in taken)
+            kinds["diagonal"] += all(p == q for p, q in taken)
+    assert min(kinds.values()) >= 30, kinds
+
+
+def test_schur_fill_in_makes_a_zero_dropped_diagonal_a_pivot(monkeypatch):
+    # row 1 has a zero diagonal until pivot 0 fills it with 0 - 1 * 1
+    rows = [{0: 1, 1: 1}, {0: 1, 2: 1, 3: 1}, {1: 1, 2: 2, 3: 1},
+            {1: 1, 2: 1, 3: 1}]
+    before = [dict(r) for r in rows]
+    got, taken = schur_pivots(monkeypatch, rows, [3], [0, 1, 2])
+    assert taken == [(0, 0), (1, 1), (2, 2)]
+    a = Matrix.from_rows([[r.get(j, 0) for j in range(4)] for r in rows])
+    assert got == dense_schur(a, [3], [0, 1, 2]) is not None
+    assert rows == before
+
+
+def test_schur_singular_dropped_block_is_none():
+    # the dropped block [[1, 1], [1, 1]] and one with an empty dropped row
+    for rows in ([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 2: 5}],
+                 [{0: 2, 2: 1}, {2: 3}, {0: 1, 1: 1, 2: 1}]):
+        before = [dict(r) for r in rows]
+        assert schur_complement(rows, [2], [0, 1]) is None
+        assert rows == before
 
 
 def test_schur_complement_with_zero_diagonal_interior():
     # interior block [[0, 1], [1, 0]]: invertible, but no diagonal pivot
     t = ScalarFieldTheory(path_complex(4, weights=[1, -1, 1]))
     lap = t.laplacian()
-    assert lap.submatrix([1, 2], [1, 2]) == Matrix.from_rows([[0, 1], [1, 0]])
+    assert [{j: x for j, x in lap[i].items() if j in (1, 2)}
+            for i in (1, 2)] == [{2: 1}, {1: 1}]
     assert dtn(t).matrix == Matrix.from_rows([[1, -1], [-1, 1]])
 
 

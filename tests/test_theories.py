@@ -119,12 +119,48 @@ def test_dtn_symmetric_psd_constant_kernel():
             assert q >= 0
 
 
+def random_incidence_theory(rng, n, n_edges):
+    """A weighted graph-like complex whose edges have one to three faces
+    (repeats allowed across edges, so parallel edges occur) with
+    non-unit, fractional incidence coefficients and fractional weights."""
+    names = tuple(f"v{i}" for i in range(n))
+    d1 = [[Fraction(0)] * n_edges for _ in names]
+    for j in range(n_edges):
+        for a in rng.sample(range(n), rng.randint(1, min(3, n))):
+            d1[a][j] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]),
+                                rng.choice([1, 1, 2, 3]))
+    if n_edges > 1 and rng.random() < 0.5:  # an exact parallel copy
+        for row in d1:
+            row[-1] = row[0]
+    cells = (names, tuple(f"e{j}" for j in range(n_edges)))
+    flags = ((False,) * n, (False,) * n_edges)
+    w = ((Fraction(1),) * n,
+         tuple(Fraction(rng.choice([-2, 1, 3, 7]), rng.randint(1, 4))
+               for _ in range(n_edges)))
+    return ScalarFieldTheory(CellComplex(cells, (Matrix.from_rows(d1),),
+                                         flags, w, cubical=True))
+
+
 def test_laplacian_matches_dense_formula():
     rng = random.Random(23)
-    for _ in range(10):
-        t = random_connected_theory(rng, rng.randint(2, 12), 1)
+    theories = [random_connected_theory(rng, rng.randint(2, 12), 1)
+                for _ in range(10)]
+    theories += [random_incidence_theory(rng, rng.randint(1, 7),
+                                         rng.randint(1, 9)) for _ in range(40)]
+    seen = {"parallel": 0, "non_unit": 0, "fractional_weight": 0}
+    for t in theories:
         d0 = coboundary(t.graph, 0)
-        assert t.laplacian() == d0.transpose() @ hodge_star(t.graph, 1) @ d0
+        dense = d0.transpose() @ hodge_star(t.graph, 1) @ d0
+        lap = t.laplacian()
+        assert lap == [{j: x for j, x in enumerate(r) if x}
+                       for r in dense.entries]
+        assert all(type(x) is Fraction for row in lap for x in row.values())
+        faces = t.graph.faces(1)
+        seen["parallel"] += len(set(faces)) < len(faces)
+        seen["non_unit"] += any(abs(x) != 1 for f in faces for _, x in f)
+        seen["fractional_weight"] += any(w.denominator > 1
+                                         for w in t.graph.weights[1])
+    assert min(seen.values()) >= 10, seen
 
 
 def test_laplacian_needs_weighted_cubical_graph():
@@ -230,7 +266,8 @@ def test_glue_matches_crabtree_haynsworth():
             for i, u in enumerate(op.vertices):
                 for j, v in enumerate(op.vertices):
                     total[pos[u]][pos[v]] += op.matrix[i, j]
-        glued = schur_complement(Matrix.from_rows(total),
+        glued = schur_complement([{j: x for j, x in enumerate(r) if x}
+                                  for r in total],
                                  [pos[v] for v in in_v + out_v],
                                  [pos[v] for v in cut])
         assert glued == dtn(t, order=in_v + out_v).matrix
