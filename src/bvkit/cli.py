@@ -46,7 +46,7 @@ from .graded import (
     TruncatedPolynomialAlgebra,
     poisson_bracket,
 )
-from .numkit import Matrix, Subspace, frac, vec
+from .numkit import Matrix, Subspace, frac
 from .relations import LinearRelation, compose
 from .symplect import OneForm, PresymplecticSpace
 from .theories import (
@@ -67,8 +67,20 @@ def mat_to_json(m: Matrix) -> list[list[str]]:
     return [[str(x) for x in row] for row in m.entries]
 
 
+class CommandError(ValueError):
+    pass
+
+
+def _json_row(row, what: str) -> list:
+    """One JSON list of numbers; a string or any other value is refused
+    rather than read one character or key at a time."""
+    if not isinstance(row, list):
+        raise CommandError(f"{what} must be a list, got {row!r}")
+    return [frac(x) for x in row]
+
+
 def mat_from_json(rows) -> Matrix:
-    return Matrix.from_rows([[frac(x) for x in row] for row in rows])
+    return Matrix.from_rows([_json_row(row, "matrix row") for row in rows])
 
 
 def space_from_json(d: dict) -> PresymplecticSpace:
@@ -79,7 +91,7 @@ def space_from_json(d: dict) -> PresymplecticSpace:
 def relation_from_json(d: dict) -> LinearRelation:
     src = space_from_json(d["source"])
     tgt = space_from_json(d["target"])
-    body = [tuple(frac(x) for x in row) for row in d["body"]]
+    body = [_json_row(row, "body row") for row in d["body"]]
     return LinearRelation(src, tgt,
                           Subspace.from_span(src.dim + tgt.dim, body))
 
@@ -117,10 +129,6 @@ def residual(name: str, value) -> dict:
         zero = frac(value) == 0
         body = str(value)
     return {"name": name, "zero": zero, "value": None if zero else body}
-
-
-class CommandError(ValueError):
-    pass
 
 
 def _load_input(cfg) -> dict:
@@ -168,11 +176,10 @@ def _constraint_set(data: dict) -> ConstraintSet:
     n_pairs = _count(data, "n_pairs")
     rows = []
     for row in data["constraints"]:
-        if not isinstance(row, list):
-            raise CommandError(f"constraint must be a list, got {row!r}")
+        row = _json_row(row, "constraint")
         if len(row) != 2 * n_pairs:
             raise CommandError("constraint length must be 2 * n_pairs")
-        rows.append(vec([frac(x) for x in row]))
+        rows.append(tuple(row))
     return ConstraintSet(_darboux(n_pairs), tuple(rows))
 
 
@@ -209,7 +216,7 @@ def cmd_check_relation(cfg) -> dict:
             "isotropic": c.is_isotropic,
             "coisotropic": c.is_coisotropic,
             "lagrangian": c.is_lagrangian,
-            "canonical": rel.is_canonical(),
+            "canonical": c.is_lagrangian,
             "body_dim": rel.body.dim,
         },
         "residuals": [],
@@ -233,7 +240,8 @@ def cmd_compose(cfg) -> dict:
 def cmd_reduce(cfg) -> dict:
     data = _load_input(cfg)
     coeff = mat_from_json(data["alpha"])
-    const = vec([frac(x) for x in data["const"]]) if "const" in data else None
+    const = (tuple(_json_row(data["const"], "const")) if "const" in data
+             else None)
     pkg = preboundary_reduce(OneForm(coeff.rows, coeff, const))
     return {"payload": package_to_json(pkg), "residuals": []}
 

@@ -342,20 +342,6 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace.from_span(m.cols, basis)
 
 
-def solve(a: Matrix, b: Sequence[Fraction]) -> Optional[Vector]:
-    """One exact solution of a @ x = b, or None when b is not in the image."""
-    if len(b) != a.rows:
-        raise ValueError("rhs length mismatch")
-    aug = a.hstack(Matrix(a.rows, 1, tuple((frac(x),) for x in b)))
-    red, pivots = rref(aug)
-    if a.cols in pivots:
-        return None
-    x = [Fraction(0)] * a.cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r, a.cols]
-    return tuple(x)
-
-
 def solve_matrix(a: Matrix, b: Matrix,
                  require_unique: bool = False) -> Optional[Matrix]:
     """Solve a @ X = b columnwise; None if any column is inconsistent

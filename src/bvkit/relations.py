@@ -10,11 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numkit import (
-    Matrix,
-    Subspace,
-    kernel,
-)
+from .numkit import Matrix, Subspace, unit_vec
 from .symplect import (
     ClassificationResult,
     PresymplecticSpace,
@@ -67,9 +63,7 @@ def graph(source: PresymplecticSpace, target: PresymplecticSpace,
     """Relation {(x, f x)} of a linear map given by the matrix f."""
     if f.shape != (target.dim, source.dim):
         raise ValueError("map shape does not match source and target")
-    ft = f.transpose()
-    span = [tuple(row) + ft.row(i)
-            for i, row in enumerate(Matrix.identity(source.dim).entries)]
+    span = [unit_vec(source.dim, i) + f.col(i) for i in range(source.dim)]
     return LinearRelation(source, target,
                           Subspace.from_span(source.dim + target.dim, span))
 
@@ -78,39 +72,33 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     """Set-theoretic composite second after first.
 
     Pairs (x, z) such that (x, y) in first and (y, z) in second for some y
-    in the shared middle space.
+    in the shared middle space. With the middle coordinates first, the
+    rows (y, x, 0) of first and (-y, 0, z) of second span the sums whose
+    middle parts are y - y'; their RREF rows with no middle part span
+    exactly the pairs (x, z), and read without it they are that
+    composite's RREF basis already.
     """
     if first.target != second.source:
         raise MiddleMismatch("target of first must equal source of second")
     ns = first.source.dim
     nm = first.target.dim
     nt = second.target.dim
-    b1 = first.body.matrix()
-    b2 = second.body.matrix()
-    k1, k2 = first.body.dim, second.body.dim
-    # parametrize pairs (u in first.body, v in second.body) whose middle
-    # components agree, then read off the outer components
-    mid1 = b1.submatrix(range(k1), range(ns, ns + nm))
-    mid2 = b2.submatrix(range(k2), range(0, nm))
-    match = mid1.transpose().hstack(-mid2.transpose())
-    params = kernel(match)
-    outer1 = b1.submatrix(range(k1), range(ns)).transpose()
-    outer2 = b2.submatrix(range(k2), range(nm, nm + nt)).transpose()
-    span = [outer1.apply(p[:k1]) + outer2.apply(p[k1:])
-            for p in params.basis]
+    zs, zt = (0,) * ns, (0,) * nt
+    span = [b[ns:] + b[:ns] + zt for b in first.body.basis]
+    span += [tuple(-y for y in b[:nm]) + zs + b[nm:]
+             for b in second.body.basis]
+    joint = Subspace.from_span(nm + ns + nt, span)
+    body = tuple(b[nm:] for b in joint.basis if not any(b[:nm]))
     return LinearRelation(first.source, second.target,
-                          Subspace.from_span(ns + nt, span))
+                          Subspace(ns + nt, body))
 
 
 def project_relation(rel: LinearRelation, side: str) -> Subspace:
     """Image of the relation body in the source ("domain") or target
     ("range") factor."""
     ns, nt = rel.source.dim, rel.target.dim
-    b = rel.body.matrix()
     if side == "domain":
-        cols = b.submatrix(range(rel.body.dim), range(ns))
-        return Subspace.from_span(ns, list(cols.entries))
+        return Subspace.from_span(ns, [b[:ns] for b in rel.body.basis])
     if side == "range":
-        cols = b.submatrix(range(rel.body.dim), range(ns, ns + nt))
-        return Subspace.from_span(nt, list(cols.entries))
+        return Subspace.from_span(nt, [b[ns:] for b in rel.body.basis])
     raise ValueError("side must be 'domain' or 'range'")

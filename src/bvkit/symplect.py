@@ -1,5 +1,5 @@
-"""Linear presymplectic geometry: complements, the isotropic/coisotropic/
-Lagrangian trichotomy, kernel reduction, coisotropic reduction, and the
+"""Linear presymplectic geometry: the isotropic/coisotropic/Lagrangian
+trichotomy, kernel reduction, coisotropic reduction, and the
 Gotay coisotropic embedding.
 
 Sign convention, fixed here for the whole package: a one-form with
@@ -12,15 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .numkit import (
     Matrix,
     Subspace,
     Vector,
+    _int_row,
     block_diag,
     dot,
     kernel,
     rref,
+    sparse_rank,
     zero_vec,
 )
 
@@ -112,21 +115,36 @@ class ClassificationResult:
         return self.is_isotropic and self.is_coisotropic
 
 
-def omega_complement(v: PresymplecticSpace, l: Subspace) -> Subspace:
-    """The omega-orthogonal {w : omega(w, u) = 0 for all u in l}."""
+def classify(v: PresymplecticSpace, l: Subspace) -> ClassificationResult:
+    """Isotropic and coisotropic from two exact ranks.
+
+    With B the k x n RREF basis of l and G = B omega B^T,
+    dim(l cap l^omega) = k - rank G and dim l^omega = n - rank(B omega).
+    So l is isotropic iff rank G = 0, and coisotropic iff
+    rank G - rank(B omega) = k - n. Each row of B, and omega as a whole,
+    is scaled to integers first, which changes neither rank.
+    """
     if l.ambient_dim != v.dim:
         raise ValueError("subspace does not live in the given space")
-    if l.dim == 0:
-        return Subspace.full(v.dim)
-    constraints = l.matrix() @ v.omega.transpose()
-    return kernel(constraints)
-
-
-def classify(v: PresymplecticSpace, l: Subspace) -> ClassificationResult:
-    perp = omega_complement(v, l)
+    scale = lcm(*(x.denominator for r in v.omega.entries for x in r))
+    omega = [{j: x.numerator * (scale // x.denominator)
+              for j, x in enumerate(r) if x} for r in v.omega.entries]
+    basis = [_int_row({j: x for j, x in enumerate(b) if x})[0]
+             for b in l.basis]
+    b_omega = []
+    for b in basis:
+        row: dict[int, int] = {}
+        for i, x in b.items():
+            for j, y in omega[i].items():
+                row[j] = row.get(j, 0) + x * y
+        b_omega.append(row)
+    gram = [{s: sum(x * b[j] for j, x in row.items() if j in b)
+             for s, b in enumerate(basis)} for row in b_omega]
+    rank_g = sparse_rank(gram, len(basis))
+    rank_bo = sparse_rank(b_omega, v.dim)
     return ClassificationResult(
-        is_isotropic=perp.contains_subspace(l),
-        is_coisotropic=l.contains_subspace(perp),
+        is_isotropic=rank_g == 0,
+        is_coisotropic=rank_g - rank_bo == len(basis) - v.dim,
     )
 
 

@@ -21,7 +21,6 @@ from .numkit import (
     dot,
     kernel,
     schur_complement,
-    solve,
     unit_vec,
     vec,
     zero_vec,
@@ -31,7 +30,6 @@ from .symplect import (
     ClassificationResult,
     OneForm,
     PresymplecticSpace,
-    classify,
     d_of_coeff,
 )
 
@@ -119,29 +117,6 @@ def dtn(t: ScalarFieldTheory,
     if s is None:
         raise SingularInterior("interior Laplacian block is singular")
     return DtNOperator(tuple(boundary), s)
-
-
-def harmonic_extension(t: ScalarFieldTheory,
-                       boundary_values: dict) -> tuple[Fraction, ...]:
-    """Solve the interior field equations for given boundary data."""
-    names = list(t.vertex_names)
-    i_idx = t.graph.interior_indices(0)
-    lap = t.laplacian()
-    phi = [Fraction(0)] * len(names)
-    for v, x in boundary_values.items():
-        phi[names.index(v)] = Fraction(x)
-    if i_idx:
-        interior = set(i_idx)
-        a_ii = Matrix(len(i_idx), len(i_idx), tuple(
-            tuple(lap[i].get(j, Fraction(0)) for j in i_idx) for i in i_idx))
-        rhs = tuple(-sum((x * phi[j] for j, x in lap[i].items()
-                          if j not in interior), Fraction(0)) for i in i_idx)
-        sol = solve(a_ii, rhs)
-        if sol is None:
-            raise SingularInterior("interior Laplacian block is singular")
-        for pos, j in enumerate(i_idx):
-            phi[j] = sol[pos]
-    return tuple(phi)
 
 
 def on_shell_action(t: ScalarFieldTheory, boundary_values: dict) -> Fraction:

@@ -177,6 +177,12 @@ def _path3_values(values):
     return {"complex": cli.FIXTURES["path3"](None), "boundary_values": values}
 
 
+def _plane_relation(omega=None, body=None):
+    space = {"omega": omega or [["0", "1"], ["-1", "0"]]}
+    return {"source": space, "target": space,
+            "body": body or [["1", "0", "1", "0"]]}
+
+
 def _bfv_input(**changes):
     data = {"n_pairs": 1, "truncation": 2, "constraints": [[0, 1]]}
     return dict(data, **changes)
@@ -215,6 +221,12 @@ def _bfv_input(**changes):
     (["dtn"], _path_edge_weights(3, 3)),
     (["glue"], {"complex": _path_edge_weights(5, 3), "cut": ["v2"],
                 "left": ["v0", "v1", "v2"], "right": ["v2", "v3", "v4"]}),
+    (["check-relation"], _plane_relation(body=["1000"])),
+    (["check-relation"], _plane_relation(omega=["00", "00"])),
+    (["compose"], {"first": _plane_relation(body=["1010"]),
+                   "second": _plane_relation()}),
+    (["reduce"], {"alpha": ["01", "00"]}),
+    (["reduce"], {"alpha": [["0", "1"], ["0", "0"]], "const": "00"}),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
         "dtn-dims-beyond-cells", "bv-check-empty-disk",
@@ -229,7 +241,10 @@ def _bfv_input(**changes):
         "hj-action-null-values", "fixtures-grid-order-zero",
         "fixtures-circle-order-zero", "fixtures-torus-negative-order",
         "check-relation-dirac-order-zero", "dtn-short-edge-weights",
-        "dtn-long-edge-weights", "glue-short-edge-weights"])
+        "dtn-long-edge-weights", "glue-short-edge-weights",
+        "check-relation-string-body-row", "check-relation-string-omega-row",
+        "compose-string-body-row", "reduce-string-alpha-row",
+        "reduce-string-const"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"

@@ -17,7 +17,6 @@ from bvkit.numkit import (
     rank,
     rref,
     schur_complement,
-    solve,
     solve_matrix,
     sparse_rank,
     vec,
@@ -228,16 +227,20 @@ def test_kernel_vectors_annihilated():
             assert all(x == 0 for x in m.apply(v))
 
 
+def column(v):
+    return Matrix.from_rows([[x] for x in v])
+
+
 def test_solve_identity():
     b = vec([3, Fraction(1, 2), -5])
-    assert solve(Matrix.identity(3), b) == b
+    assert solve_matrix(Matrix.identity(3), column(b)) == column(b)
 
 
 def test_solve_underdetermined_residual_zero():
     a = Matrix.from_rows([[1, 1]])
-    x = solve(a, vec([2]))
+    x = solve_matrix(a, column([2]))
     assert x is not None
-    assert a.apply(x) == vec([2])
+    assert a @ x == column([2])
 
 
 def test_solve_recovers_constructed_solution():
@@ -247,13 +250,13 @@ def test_solve_recovers_constructed_solution():
         if rank(a) == 8:
             break
     x0 = vec([rng.randint(-5, 5) for _ in range(8)])
-    x = solve(a, a.apply(x0))
-    assert x == x0
+    x = solve_matrix(a, column(a.apply(x0)))
+    assert x == column(x0)
 
 
 def test_solve_inconsistent_returns_none():
     a = Matrix.from_rows([[1, 0], [1, 0]])
-    assert solve(a, vec([1, 2])) is None
+    assert solve_matrix(a, column([1, 2])) is None
 
 
 def test_invert_roundtrip():
@@ -770,6 +773,23 @@ def test_no_runtime_asserts_in_src():
     found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_no_unused_imports_in_src():
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno}:{name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  for name in [(alias.asname or alias.name).split(".")[0]]
+                  if name not in used]
     assert found == []
 
 

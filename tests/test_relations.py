@@ -1,8 +1,10 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from bvkit.numkit import Matrix, Subspace, invert
+from bvkit.numkit import Matrix, Subspace, invert, kernel
 from bvkit.relations import (
     LinearRelation,
     MiddleMismatch,
@@ -53,6 +55,45 @@ def random_relation(rng, src, tgt, count):
     n = src.dim + tgt.dim
     return LinearRelation(src, tgt, Subspace.from_span(
         n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(count)]))
+
+
+def oracle_compose(first, second):
+    """Reference composite: parametrize pairs of body vectors whose middle
+    components agree by a kernel, then read off the outer components."""
+    ns, nm, nt = first.source.dim, first.target.dim, second.target.dim
+    b1, b2 = first.body.matrix(), second.body.matrix()
+    k1, k2 = first.body.dim, second.body.dim
+    mid1 = b1.submatrix(range(k1), range(ns, ns + nm))
+    mid2 = b2.submatrix(range(k2), range(0, nm))
+    params = kernel(mid1.transpose().hstack(-mid2.transpose()))
+    outer1 = b1.submatrix(range(k1), range(ns)).transpose()
+    outer2 = b2.submatrix(range(k2), range(nm, nm + nt)).transpose()
+    span = [outer1.apply(p[:k1]) + outer2.apply(p[k1:])
+            for p in params.basis]
+    return Subspace.from_span(ns + nt, span)
+
+
+def test_compose_matches_kernel_oracle():
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(1000):
+        ns, nm, nt = (rng.randint(0, 4) for _ in range(3))
+        src, mid, tgt = (PresymplecticSpace.trivial(n) for n in (ns, nm, nt))
+        # few, sparse spanning rows so that middles often match or vanish
+        first, second = (
+            LinearRelation(a, b, Subspace.from_span(a.dim + b.dim, [
+                [rng.choice([-2, -1, 0, 0, 1, Fraction(1, 3)])
+                 for _ in range(a.dim + b.dim)]
+                for _ in range(rng.randint(0, a.dim + b.dim))]))
+            for a, b in ((src, mid), (mid, tgt)))
+        got = compose(first, second)
+        assert got.body == oracle_compose(first, second)
+        assert (got.source, got.target) == (src, tgt)
+        seen["empty body"] += first.body.dim == 0 or second.body.dim == 0
+        seen["zero middle"] += nm == 0
+        seen["zero composite"] += got.body.dim == 0
+        seen["composite"] += got.body.dim > 0
+    assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
 def test_identity_relation_is_canonical_and_neutral():

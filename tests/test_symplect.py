@@ -1,11 +1,15 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from bvkit.numkit import (
     Matrix,
     Subspace,
+    block_diag,
     dot,
+    invert,
     kernel,
     rank,
     unit_vec,
@@ -20,13 +24,27 @@ from bvkit.symplect import (
     coisotropic_reduce,
     d_of_coeff,
     gotay_embed,
-    omega_complement,
     presymplectic_reduce,
     reduce_one_form,
     twisted_product,
 )
 from bvkit.collar import NotProjectable, preboundary_reduce, project_vector_field
 from test_numkit import intersect, quotient, section_of, sum_spaces
+
+
+def omega_complement(v, l):
+    """Reference omega-orthogonal {w : omega(w, u) = 0 for all u in l}."""
+    if l.ambient_dim != v.dim:
+        raise ValueError("subspace does not live in the given space")
+    if l.dim == 0:
+        return Subspace.full(v.dim)
+    return kernel(l.matrix() @ v.omega.transpose())
+
+
+def oracle_classify(v, l):
+    """(isotropic, coisotropic) by the two inclusions with l^omega."""
+    perp = omega_complement(v, l)
+    return perp.contains_subspace(l), l.contains_subspace(perp)
 
 
 def random_antisymmetric(rng, n):
@@ -114,6 +132,62 @@ def test_complement_dimension_law():
         perp = omega_complement(v, l)
         expected = n - l.dim + intersect(l, v.kernel_subspace()).dim
         assert perp.dim == expected
+
+
+def random_rational(rng):
+    return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3, 5]))
+
+
+def darboux_case(rng):
+    """A degenerate rational space and a subspace of known type: omega
+    pulls back c_1 dp_1 dq_1 + ... + 0 (kernel) by a random invertible
+    q, so q^-1 maps the chosen Darboux coordinate axes to l."""
+    m, c = rng.randint(0, 3), rng.randint(0, 2)
+    n = 2 * m + c
+    weights = [random_rational(rng) for _ in range(m)]
+    darboux = Matrix.from_rows(
+        [[0] * m + [-w if i == j else 0 for j, w in enumerate(weights)]
+         for i in range(m)]
+        + [[w if i == j else 0 for j, w in enumerate(weights)] + [0] * m
+           for i in range(m)])
+    omega0 = block_diag(darboux, Matrix.zeros(c, c))
+    while True:
+        q = Matrix.from_rows([[rng.randint(-2, 2) for _ in range(n)]
+                              for _ in range(n)])
+        q_inv = invert(q)
+        if q_inv is not None:
+            break
+    axes = [j for j in range(n) if rng.random() < 0.5]
+    if rng.random() < 0.1:
+        axes = rng.choice([[], list(range(n))])
+    return (PresymplecticSpace(n, q.transpose() @ omega0 @ q),
+            Subspace.from_span(n, [q_inv.col(j) for j in axes]))
+
+
+def random_case(rng):
+    """A random subspace of Q^n under the form A^T J A, with A random of
+    at most n rows and J random antisymmetric, so usually degenerate."""
+    n = rng.randint(0, 7)
+    a = Matrix.from_rows([[random_rational(rng) if rng.random() < 0.5 else 0
+                           for _ in range(n)] for _ in range(rng.randint(0, n))])
+    j = random_antisymmetric(rng, a.rows)
+    omega = a.transpose() @ j @ a if a.rows else Matrix.zeros(n, n)
+    span = [[random_rational(rng) for _ in range(n)]
+            for _ in range(rng.randint(0, n + 1))]
+    return PresymplecticSpace(n, omega), Subspace.from_span(n, span)
+
+
+def test_classify_ranks_match_complement_oracle():
+    rng = random.Random(61)
+    seen = Counter()
+    for trial in range(2000):
+        v, l = darboux_case(rng) if trial % 3 else random_case(rng)
+        got = classify(v, l)
+        assert (got.is_isotropic, got.is_coisotropic) == oracle_classify(v, l)
+        seen[got.is_isotropic, got.is_coisotropic] += 1
+        seen["zero" if l.dim == 0 else "full" if l.dim == v.dim else
+             "proper"] += 1
+    assert len(seen) == 7 and min(seen.values()) >= 100, seen
 
 
 def test_lagrangian_dimension_in_nondegenerate_space():

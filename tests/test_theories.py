@@ -17,12 +17,11 @@ from bvkit.complexes import (
     torus_complex,
     triangulated_grid_complex,
 )
-from bvkit.numkit import Matrix, kernel, schur_complement, vec
+from bvkit.numkit import Matrix, kernel, schur_complement, solve_matrix, vec
 from bvkit.relations import compose, identity_relation
 from bvkit.symplect import (
     NotBasic,
     classify,
-    omega_complement,
     presymplectic_reduce,
     reduce_one_form,
 )
@@ -38,7 +37,6 @@ from bvkit.theories import (
     evolution_relation_scalar,
     geodesic_fixture,
     glue_scalar,
-    harmonic_extension,
     mechanics_relation,
     on_shell_action,
     oscillator_flow,
@@ -47,6 +45,7 @@ from bvkit.theories import (
     with_boundary_vertices,
 )
 from test_acceptance import partitioned_theory
+from test_symplect import omega_complement
 
 
 def random_connected_theory(rng, n, boundary_count):
@@ -297,6 +296,30 @@ def test_on_shell_action_constant_data_is_zero():
 def test_on_shell_action_path3():
     t = ScalarFieldTheory(path_complex(3))
     assert on_shell_action(t, {"v0": 0, "v2": 1}) == Fraction(1, 4)
+
+
+def harmonic_extension(t, boundary_values):
+    """Reference solution of the interior field equations for given
+    boundary data, by a dense solve of the interior Laplacian block."""
+    names = list(t.vertex_names)
+    i_idx = t.graph.interior_indices(0)
+    lap = t.laplacian()
+    phi = [Fraction(0)] * len(names)
+    for v, x in boundary_values.items():
+        phi[names.index(v)] = Fraction(x)
+    if i_idx:
+        interior = set(i_idx)
+        a_ii = Matrix.from_rows([[lap[i].get(j, 0) for j in i_idx]
+                                 for i in i_idx])
+        rhs = Matrix.from_rows([[-sum((x * phi[j] for j, x in lap[i].items()
+                                       if j not in interior), Fraction(0))]
+                                for i in i_idx])
+        sol = solve_matrix(a_ii, rhs)
+        if sol is None:
+            raise SingularInterior("interior Laplacian block is singular")
+        for pos, j in enumerate(i_idx):
+            phi[j] = sol[pos, 0]
+    return tuple(phi)
 
 
 def test_on_shell_action_matches_direct_evaluation():
