@@ -20,7 +20,7 @@ from .collar import (
     preboundary_reduce,
     project_vector_field,
 )
-from .complexes import CellComplex, coboundary, hodge_star
+from .complexes import CellComplex, coboundary, hodge_weights
 from .graded import (
     GradedSymplecticSpace,
     GradedVectorSpace,
@@ -29,7 +29,7 @@ from .graded import (
     TruncatedPolynomialAlgebra,
     normalize_monomial,
 )
-from .numkit import Matrix, block_diag, sparse_rank
+from .numkit import Matrix, block_diag, sparse_rank, vec
 from .symplect import OneForm
 
 __all__ = [
@@ -66,21 +66,12 @@ class LinearCohomologicalField:
         n = self.space.dim
         if self.matrix.shape != (n, n):
             raise ValueError("field matrix size mismatch")
-        rows = []
-        for a in range(n):
-            rows.append(tuple((b, x) for b, x in enumerate(self.matrix.row(a))
-                              if x))
-            for b, _ in rows[a]:
-                if self.space.degree(b) != self.space.degree(a) + 1:
-                    raise ValueError("field must raise degree by one")
-        for row in rows:
-            square: dict[int, Fraction] = {}
-            for b, x in row:
-                for c, y in rows[b]:
-                    square[c] = square.get(c, 0) + x * y
-            if any(square.values()):
-                raise ValueError("field must square to zero")
-        object.__setattr__(self, "_rows", tuple(rows))
+        degree = self.space.degree
+        for a, row in enumerate(self.matrix.data):
+            if any(degree(b) != degree(a) + 1 for b in row):
+                raise ValueError("field must raise degree by one")
+        if not (self.matrix @ self.matrix).is_zero():
+            raise ValueError("field must square to zero")
 
     def _words(self, m: Monomial) -> Iterator[tuple[Monomial, Fraction]]:
         """Q(m) as unnormalized words: Q is linear and odd, so the
@@ -88,7 +79,7 @@ class LinearCohomologicalField:
         sign (-1)^(odd generators before it)."""
         odd = 0
         for pos, a in enumerate(m):
-            for b, x in self._rows[a]:
+            for b, x in self.matrix.data[a].items():
                 yield m[:pos] + (b,) + m[pos + 1:], -x if odd else x
             odd ^= self.space.parity(a)
 
@@ -139,13 +130,9 @@ def bfv_resolve(c: ConstraintSet) -> tuple[GradedSymplecticSpace, Polynomial,
     labels += [(f"gh_b{i}", -1) for i in range(k)]
     labels += [(f"gh_c{i}", 1) for i in range(k)]
     gv = GradedVectorSpace.make(labels)
-    pair = Matrix.zeros(2 * k, 2 * k)
-    rows = [list(r) for r in pair.entries]
-    for i in range(k):
-        rows[i][k + i] = Fraction(1)
-        rows[k + i][i] = Fraction(1)
-    ext = GradedSymplecticSpace(gv, block_diag(c.ambient.omega,
-                                               Matrix.from_rows(rows)), 0)
+    pair = Matrix(2 * k, 2 * k, [{k + i: Fraction(1)} for i in range(k)]
+                  + [{i: Fraction(1)} for i in range(k)])
+    ext = GradedSymplecticSpace(gv, block_diag(c.ambient.omega, pair), 0)
     s = Polynomial.build(gv, [
         ((n + k + i, a), c.constraints[i][a])
         for i in range(k) for a in range(n)])
@@ -162,17 +149,17 @@ def _bracket_matrix_of(s: Polynomial, space: GradedSymplecticSpace) -> Matrix:
     """
     gv = space.base
     lam = space.bracket_matrix()
-    q = [[Fraction(0)] * gv.dim for _ in range(gv.dim)]
+    q: list[dict[int, Fraction]] = [{} for _ in range(gv.dim)]
     for mono, t in s.terms:
         if len(mono) != 2:
             raise ValueError("generator is not quadratic")
         a, b = mono
         koszul = -t if gv.parity(a) and gv.parity(b) else t
         for i, j, x in ((a, b, koszul), (b, a, t)):
-            for c, y in enumerate(lam.row(i)):
-                if y:
-                    q[c][j] += y * x
-    return Matrix(gv.dim, gv.dim, tuple(map(tuple, q)))
+            for c, y in lam.data[i].items():
+                q[c][j] = q[c].get(j, 0) + y * x
+    return Matrix(gv.dim, gv.dim, [{j: x for j, x in r.items() if x}
+                                   for r in q])
 
 
 def field_from_hamiltonian(s: Polynomial,
@@ -191,15 +178,13 @@ def hamiltonian_of(q: LinearCohomologicalField,
     Hamiltonian is rejected.
     """
     gv = space.base
-    n = gv.dim
-    m = (q.matrix.transpose() @ space.omega).scale(Fraction(1, 2))
+    m = (q.matrix.transpose() @ space.omega).scale(Fraction(1, 4))
+    # the word x_a x_b gets m[a, b] + (-1)^(|a||b|) m[b, a]
     terms = []
-    for a in range(n):
-        for b in range(n):
-            koszul = -1 if (gv.parity(a) and gv.parity(b)) else 1
-            sym = (m[a, b] + koszul * m[b, a]) / 2
-            if sym != 0:
-                terms.append(((a, b), sym))
+    for a, row in enumerate(m.data):
+        for b, x in row.items():
+            koszul = -x if gv.parity(a) and gv.parity(b) else x
+            terms += [((a, b), x), ((b, a), koszul)]
     s = Polynomial.build(gv, terms)
     if _bracket_matrix_of(s, space) != q.matrix:
         raise NotSymplecticField("field has no quadratic generator")
@@ -271,14 +256,13 @@ def _graded_from_antisymmetric(plain: Matrix,
     """Reinterpret a plainly antisymmetric coefficient matrix in the
     graded convention: entries above the diagonal are kept, the mirror
     entry follows graded antisymmetry (symmetric on odd-odd pairs)."""
-    n = plain.rows
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            out[a][b] = plain[a, b]
-            s = -1 if (gv.parity(a) and gv.parity(b)) else 1
-            out[b][a] = -s * plain[a, b]
-    return Matrix.from_rows(out)
+    out: list[dict[int, Fraction]] = [{} for _ in range(plain.rows)]
+    for a, row in enumerate(plain.data):
+        for b, x in row.items():
+            if b > a:
+                out[a][b] = x
+                out[b][a] = x if gv.parity(a) and gv.parity(b) else -x
+    return Matrix(plain.rows, plain.cols, out)
 
 
 def _graded_fields(m: CellComplex,
@@ -292,9 +276,8 @@ def _graded_fields(m: CellComplex,
 def _infer_boundary_degrees(projection: Matrix,
                             bulk: GradedVectorSpace) -> list[int]:
     degs = []
-    for i in range(projection.rows):
-        support = {bulk.degree(j) for j in range(projection.cols)
-                   if projection[i, j] != 0}
+    for row in projection.data:
+        support = {bulk.degree(j) for j in row}
         if len(support) != 1:
             raise ValueError("reduced coordinate mixes degrees")
         degs.append(next(iter(support)))
@@ -322,73 +305,47 @@ def build_ed_package(m: CellComplex, d: int = 2,
 
     d0 = coboundary(m, 0)
     d1 = coboundary(m, 1)
-    star = hodge_star(m, 2) if not bf else None
+    star = vec(hodge_weights(m, 2)) if not bf else ()
     bd_e = set(m.boundary_indices(1))
     bd_v = set(m.boundary_indices(0))
 
-    # bulk pairing: each field against its antifield
-    omega = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(ne):
-        omega[off_a + i][off_ap + i] = Fraction(1)
-        omega[off_ap + i][off_a + i] = Fraction(-1)
-    for i in range(nf):
-        omega[off_b + i][off_bp + i] = Fraction(-1)
-        omega[off_bp + i][off_b + i] = Fraction(1)
-    for i in range(nv):
-        omega[off_c + i][off_cp + i] = Fraction(-1)
-        omega[off_cp + i][off_c + i] = Fraction(1)
-    bulk = GradedSymplecticSpace(gv, Matrix.from_rows(omega), -1)
-
-    # action Hessian: S = B.dA + (half) B*B + A+.(dc), commuting picture
-    g = [[Fraction(0)] * n for _ in range(n)]
-    for f in range(nf):
-        for e in range(ne):
-            g[off_b + f][off_a + e] += d1[f, e]
-            g[off_a + e][off_b + f] += d1[f, e]
-        if star is not None:
-            g[off_b + f][off_b + f] += star[f, f]
-    for e in range(ne):
-        for v in range(nv):
-            g[off_ap + e][off_c + v] += d0[e, v]
-            g[off_c + v][off_ap + e] += d0[e, v]
-    hessian = Matrix.from_rows(g)
-
-    # graded action polynomial, factors ordered as written
+    # one pass over the nonzeros of d0, d1 and the star fills the bulk
+    # pairing (each field against its antifield), the Hessian and terms of
+    # S = B.dA + (half) B*B + A+.(dc) (factors ordered as written), and Q;
+    # antifield rows of Q conjugate to boundary cells are dropped so that
+    # the boundary term survives in the variational split
+    omega: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    g: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    q: list[dict[int, Fraction]] = [{} for _ in range(n)]
     terms = []
-    for f in range(nf):
-        for e in range(ne):
-            if d1[f, e] != 0:
-                terms.append(((off_b + f, off_a + e), d1[f, e]))
-        if star is not None:
-            terms.append(((off_b + f, off_b + f), star[f, f] / 2))
-    for e in range(ne):
-        for v in range(nv):
-            if d0[e, v] != 0:
-                terms.append(((off_ap + e, off_c + v), d0[e, v]))
+    for field, anti, count, sign in ((off_a, off_ap, ne, 1),
+                                     (off_b, off_bp, nf, -1),
+                                     (off_c, off_cp, nv, -1)):
+        for i in range(count):
+            omega[field + i][anti + i] = Fraction(sign)
+            omega[anti + i][field + i] = Fraction(-sign)
+    for e, row in enumerate(d0.data):
+        for v, x in row.items():
+            g[off_ap + e][off_c + v] = g[off_c + v][off_ap + e] = x
+            terms.append(((off_ap + e, off_c + v), x))
+            q[off_a + e][off_c + v] = x
+            if v not in bd_v:
+                q[off_cp + v][off_ap + e] = x
+    for f, row in enumerate(d1.data):
+        for e, x in row.items():
+            g[off_b + f][off_a + e] = g[off_a + e][off_b + f] = x
+            terms.append(((off_b + f, off_a + e), x))
+            q[off_bp + f][off_a + e] = x
+            if e not in bd_e:
+                q[off_ap + e][off_b + f] = -x
+    for f, w in enumerate(star):
+        if w:
+            g[off_b + f][off_b + f] = q[off_bp + f][off_b + f] = w
+            terms.append(((off_b + f, off_b + f), w / 2))
+    bulk = GradedSymplecticSpace(gv, Matrix(n, n, omega), -1)
+    hessian = Matrix(n, n, g)
     action = Polynomial.build(gv, terms)
-
-    # cohomological field; antifield rows conjugate to boundary cells are
-    # dropped so that the boundary term survives in the variational split
-    q = [[Fraction(0)] * n for _ in range(n)]
-    for e in range(ne):
-        for v in range(nv):
-            q[off_a + e][off_c + v] = d0[e, v]
-    for f in range(nf):
-        for e in range(ne):
-            q[off_bp + f][off_a + e] = d1[f, e]
-        if star is not None:
-            q[off_bp + f][off_b + f] = star[f, f]
-    for e in range(ne):
-        if e in bd_e:
-            continue
-        for f in range(nf):
-            q[off_ap + e][off_b + f] = -d1[f, e]
-    for v in range(nv):
-        if v in bd_v:
-            continue
-        for e in range(ne):
-            q[off_cp + v][off_ap + e] = d0[e, v]
-    q_bulk = LinearCohomologicalField(gv, Matrix.from_rows(q))
+    q_bulk = LinearCohomologicalField(gv, Matrix(n, n, q))
 
     # variational boundary term: rows of the fields whose conjugates are
     # differentiated in S, at boundary cells; antifield rows stay bulk
@@ -421,9 +378,8 @@ def _pullback(p: Polynomial, pi: Matrix,
               bulk: GradedVectorSpace) -> Polynomial:
     """Substitute each boundary generator by its linear expression in
     bulk coordinates."""
-    images = [Polynomial.build(bulk, [((j,), pi[i, j])
-                                      for j in range(pi.cols)])
-              for i in range(pi.rows)]
+    images = [Polynomial.build(bulk, [((j,), x) for j, x in row.items()])
+              for row in pi.data]
     out_terms: list[tuple[Monomial, Fraction]] = []
     for mono, coeff in p.terms:
         prod = Polynomial.constant(bulk, coeff)
@@ -437,16 +393,9 @@ def _contract(alpha: OneForm, q: Matrix,
               gv: GradedVectorSpace) -> Polynomial:
     """iota of a linear field into a linear one-form: coefficient times
     inserted component, in that order."""
-    n = alpha.ambient_dim
-    terms = []
-    for a in range(n):
-        for i in range(n):
-            if alpha.coeff[a, i] == 0:
-                continue
-            for j in range(n):
-                if q[a, j] != 0:
-                    terms.append(((i, j), alpha.coeff[a, i] * q[a, j]))
-    return Polynomial.build(gv, terms)
+    return Polynomial.build(gv, (
+        ((i, j), x * y) for row, q_row in zip(alpha.coeff.data, q.data)
+        for i, x in row.items() for j, y in q_row.items()))
 
 
 @dataclass(frozen=True)
@@ -472,12 +421,12 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
     omega = p.bulk.omega
     q = p.q_bulk.matrix
     g = p.action_hessian
-    pi = p.pi
+    pi, pi_t = p.pi, p.pi.transpose()
+    qt_omega = q.transpose() @ omega
     c_bd = p.alpha_boundary.coeff
     res = {}
 
-    res["fundamental"] = (q.transpose() @ omega) - g \
-        + pi.transpose() @ c_bd.transpose() @ pi
+    res["fundamental"] = qt_omega - g + pi_t @ c_bd.transpose() @ pi
     res["restriction"] = pi @ q - p.q_boundary.matrix @ pi
     res["nilpotency_bulk"] = q @ q
     res["nilpotency_boundary"] = p.q_boundary.matrix @ p.q_boundary.matrix
@@ -488,8 +437,8 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
                                             p.boundary.base)
     res["master"] = qs - _pullback(rhs, pi, p.bulk.base)
 
-    res["lie_derivative"] = (q.transpose() @ omega + omega @ q) \
-        + pi.transpose() @ p.boundary_package.boundary_space.omega @ pi
+    res["lie_derivative"] = (qt_omega + omega @ q) \
+        + pi_t @ p.boundary_package.boundary_space.omega @ pi
 
     passed = all(r.is_zero() for r in res.values())
     return CheckReport(res, passed)
@@ -514,10 +463,9 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
     - rk W[:, I_(d+1)].
     """
     gv = p.bulk.base
-    q = [dict(r) for r in p.q_bulk._rows]
+    q = list(p.q_bulk.matrix.data)
     bdeg = p.boundary.base
-    pi0 = [{j: x for j, x in enumerate(p.pi.row(i)) if x}
-           for i in range(p.pi.rows) if bdeg.degree(i) == 0]
+    pi0 = [r for i, r in enumerate(p.pi.data) if bdeg.degree(i) == 0]
     trace = [{i: Fraction(1)} for i in p.boundary_fields]
     pi0_q = []
     for r in pi0:

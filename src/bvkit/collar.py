@@ -57,8 +57,9 @@ class QuadraticLocalTheory:
         n = self.n_vars
         if self.action.shape != (n, n):
             raise ValueError("action matrix size mismatch")
-        e = self.action.entries
-        if any(e[i][j] != e[j][i] for i in range(n) for j in range(i)):
+        rows = self.action.data
+        if any(rows[j].get(i) != x
+               for i, r in enumerate(rows) for j, x in r.items()):
             raise ValueError("action matrix must be symmetric")
 
     @property
@@ -179,17 +180,14 @@ def boundary_one_form(t: QuadraticLocalTheory,
         boundary_vars = t.boundary_vars()
     n = t.n_vars
     bset = set(boundary_vars)
+    rows = t.action.data
     if t.stencil is not None:
         for a in range(n):
-            allowed = set(t.stencil[a]) | {a}
-            for b in range(n):
-                if t.action[a, b] != 0 and b not in allowed:
-                    raise NonlocalAction(
-                        f"action couples variable {a} outside its stencil")
-    coeff = Matrix.from_rows([
-        list(t.action.row(a)) if a in bset else [Fraction(0)] * n
-        for a in range(n)])
-    return OneForm(n, coeff)
+            if not rows[a].keys() <= set(t.stencil[a]) | {a}:
+                raise NonlocalAction(
+                    f"action couples variable {a} outside its stencil")
+    return OneForm(n, Matrix(n, n, [rows[a] if a in bset else {}
+                                    for a in range(n)]))
 
 
 def el_form(t: QuadraticLocalTheory,
@@ -198,9 +196,9 @@ def el_form(t: QuadraticLocalTheory,
     if boundary_vars is None:
         boundary_vars = t.boundary_vars()
     bset = set(boundary_vars)
-    return Matrix.from_rows([
-        [Fraction(0)] * t.n_vars if a in bset else list(t.action.row(a))
-        for a in range(t.n_vars)])
+    n = t.n_vars
+    return Matrix(n, n, [{} if a in bset else t.action.data[a]
+                         for a in range(n)])
 
 
 @dataclass(frozen=True)

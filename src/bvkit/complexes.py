@@ -78,10 +78,9 @@ class CellComplex:
             op = self.boundary_op(k)
             scan: list[list[tuple[int, Fraction]]] = [
                 [] for _ in range(op.cols)]
-            for i, row in enumerate(op.entries):
-                for j, x in enumerate(row):
-                    if x:
-                        scan[j].append((i, x))
+            for i, row in enumerate(op.data):
+                for j, x in row.items():
+                    scan[j].append((i, x))
             out = self._faces[k] = tuple(map(tuple, scan))
         return out
 
@@ -129,14 +128,13 @@ class CellComplex:
         """The complex whose k-cells have the face lists faces[k - 1]
         (nonzero coefficients, by face index); the lists become faces(k)
         and the incidence matrices are filled in from them."""
-        zero = Fraction(0)
         ops = []
         for k, fs in enumerate(faces, 1):
-            m = [[zero] * len(fs) for _ in cells[k - 1]]
+            rows: list[dict[int, Fraction]] = [{} for _ in cells[k - 1]]
             for j, f in enumerate(fs):
                 for i, x in f:
-                    m[i][j] = x
-            ops.append(Matrix(len(m), len(fs), tuple(map(tuple, m))))
+                    rows[i][j] = x
+            ops.append(Matrix(len(rows), len(fs), rows))
         cx = CellComplex(cells, tuple(ops), boundary_flags, weights, cubical)
         cx._faces.update(enumerate(faces, 1))
         return cx
@@ -188,10 +186,10 @@ def validate(k: CellComplex) -> list[str]:
         if not (k.boundary_op(deg - 1) @ k.boundary_op(deg)).is_zero():
             problems.append(f"boundary of boundary nonzero in degree {deg}")
     for deg in range(1, k.dim + 1):
-        op = k.boundary_op(deg)
+        faces = k.faces(deg)
         for j in k.boundary_indices(deg):
-            for i in range(op.rows):
-                if op[i, j] != 0 and not k.boundary_flags[deg - 1][i]:
+            for i, _ in faces[j]:
+                if not k.boundary_flags[deg - 1][i]:
                     problems.append(
                         f"boundary cell {k.cells[deg][j]} has unflagged "
                         f"face {k.cells[deg - 1][i]}")
@@ -454,14 +452,14 @@ def triangulated_grid_complex(nx: int, ny: int,
     n_old = len(old_edges)
     diag_names = tuple(f"d{i}_{j}" for (i, j) in squares)
     n_e = n_old + len(squares)
-    d1 = [list(r) + [Fraction(0)] * len(squares)
-          for r in base.boundary_op(1).entries]
+    one, minus = Fraction(1), Fraction(-1)
+    d1 = [dict(r) for r in base.boundary_op(1).data]
     for c, (i, j) in enumerate(squares):
-        d1[vidx[(i, j)]][n_old + c] -= 1
-        d1[vidx[(i + 1, j + 1)]][n_old + c] += 1
+        d1[vidx[(i, j)]][n_old + c] = minus
+        d1[vidx[(i + 1, j + 1)]][n_old + c] = one
     eidx = {name: k for k, name in enumerate(old_edges)}
     tris = []
-    d2 = [[Fraction(0)] * (2 * len(squares)) for _ in range(n_e)]
+    d2: list[dict[int, Fraction]] = [{} for _ in range(n_e)]
     for c, (i, j) in enumerate(squares):
         bottom = eidx[f"h{i}_{j}"]
         top = eidx[f"h{i}_{j + 1}"]
@@ -469,15 +467,12 @@ def triangulated_grid_complex(nx: int, ny: int,
         right = eidx[f"w{i + 1}_{j}"]
         diag = n_old + c
         lo, hi = 2 * c, 2 * c + 1
-        d2[bottom][lo] += 1
-        d2[right][lo] += 1
-        d2[diag][lo] -= 1
-        d2[diag][hi] += 1
-        d2[top][hi] -= 1
-        d2[left][hi] -= 1
+        d2[bottom][lo] = d2[right][lo] = d2[diag][hi] = one
+        d2[diag][lo] = d2[top][hi] = d2[left][hi] = minus
         tris += [f"t{i}_{j}a", f"t{i}_{j}b"]
     eflags = tuple(base.boundary_flags[1]) + (False,) * len(squares)
     cells = (base.cells[0], old_edges + diag_names, tuple(tris))
     flags = (base.boundary_flags[0], eflags, (False,) * len(tris))
-    return CellComplex(cells, (Matrix.from_rows(d1), Matrix.from_rows(d2)),
+    return CellComplex(cells, (Matrix(len(d1), n_e, d1),
+                               Matrix(n_e, len(tris), d2)),
                        flags, None, cubical=False)

@@ -192,8 +192,7 @@ class GradedSymplecticSpace:
         n = self.base.dim
         if self.omega.shape != (n, n):
             raise ValueError("omega shape mismatch")
-        rows = [{b: x for b, x in enumerate(r) if x}
-                for r in self.omega.entries]
+        rows = self.omega.data
         for a, row in enumerate(rows):
             for b, x in row.items():
                 if self.base.degree(a) + self.base.degree(b) != self.form_degree:
@@ -222,13 +221,11 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
         fa = right_derivative(f, a)
         if fa.is_zero():
             continue
-        for b in range(n):
-            if lam[a, b] == 0:
-                continue
+        for b, x in lam.data[a].items():
             gb = left_derivative(g, b)
             if gb.is_zero():
                 continue
-            out = out + (fa * gb).scale(lam[a, b])
+            out = out + (fa * gb).scale(x)
     if max_total_degree is not None and out.max_word_length() > max_total_degree:
         raise TruncationOverflow("bracket exceeds the truncation degree")
     return out

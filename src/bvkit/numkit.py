@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: dense matrices, subspaces, kernels and
+"""Exact rational linear algebra: sparse matrices, subspaces, kernels and
 a Schur complement, all reduced by one sparse elimination step.
 
 All arithmetic is over the rationals (`fractions.Fraction`), so every
@@ -23,6 +23,7 @@ from typing import Iterable, Optional, Sequence
 Vector = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -48,130 +49,160 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Dense rational matrix; `entries` is a tuple of row tuples."""
+    """Sparse rational matrix: `data[i]` is row i as a dict {column:
+    value} of its nonzero Fractions. No operation stores a zero, so two
+    matrices are equal exactly when their shapes and row dicts are, and
+    every operation touches only nonzeros. Row dicts may be shared
+    between matrices and are never modified after construction.
+    `entries`, a tuple of dense row tuples, is built on first use."""
 
-    rows: int
-    cols: int
-    entries: tuple[Vector, ...]
+    __slots__ = ("rows", "cols", "data", "_entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("column count mismatch")
+    def __init__(self, rows: int, cols: int,
+                 data: Sequence[dict[int, Fraction]]):
+        self.rows, self.cols, self.data = rows, cols, tuple(data)
+        self._entries: Optional[tuple[Vector, ...]] = None
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        data = tuple(vec(r) for r in rows)
-        ncols = len(data[0]) if data else 0
-        return Matrix(len(data), ncols, data)
+        dense = tuple(vec(r) for r in rows)
+        ncols = len(dense[0]) if dense else 0
+        if any(len(r) != ncols for r in dense):
+            raise ValueError("column count mismatch")
+        m = Matrix(len(dense), ncols, [{j: x for j, x in enumerate(r) if x}
+                                       for r in dense])
+        m._entries = dense
+        return m
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, tuple(zero_vec(cols) for _ in range(rows)))
+        return Matrix(rows, cols, [{} for _ in range(rows)])
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, tuple(unit_vec(n, i) for i in range(n)))
+        return Matrix(n, n, [{i: _ONE} for i in range(n)])
 
     @staticmethod
     def diagonal(diag: Sequence) -> "Matrix":
         d = vec(diag)
-        n = len(d)
-        return Matrix(n, n, tuple(
-            tuple(d[i] if i == j else Fraction(0) for j in range(n))
-            for i in range(n)))
+        return Matrix(len(d), len(d), [{i: x} if x else {}
+                                       for i, x in enumerate(d)])
+
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        if self._entries is None:
+            self._entries = tuple(map(self.row, range(self.rows)))
+        return self._entries
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.entries[ij[0]][ij[1]]
+        return self.data[ij[0]].get(ij[1], _ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i]
+        out = [_ZERO] * self.cols
+        for j, x in self.data[i].items():
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.entries)
+        return tuple(r.get(j, _ZERO) for r in self.data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.col(j) for j in range(self.cols)))
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, x in r.items():
+                out[j][i] = x
+        return Matrix(self.cols, self.rows, out)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a + b if b else a for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        out = []
+        for ra, rb in zip(self.data, other.data):
+            if rb:
+                ra = dict(ra)
+                for j, x in rb.items():
+                    y = ra.pop(j, _ZERO) + x
+                    if y:
+                        ra[j] = y
+            out.append(ra)
+        return Matrix(self.rows, self.cols, out)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check_shape(other)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(a - b if b else a for a, b in zip(ra, rb))
-            for ra, rb in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(-a if a else a for a in r) for r in self.entries))
+        return Matrix(self.rows, self.cols,
+                      [{j: -x for j, x in r.items()} for r in self.data])
 
     def scale(self, c) -> "Matrix":
         c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(
-            tuple(c * a for a in r) for r in self.entries))
+        return Matrix(self.rows, self.cols,
+                      [{j: c * x for j, x in r.items()} if c else {}
+                       for r in self.data])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        # accumulate along nonzero entries only; same result, much faster
-        # on the sparse incidence matrices used throughout
         out = []
-        zero = Fraction(0)
-        for r in self.entries:
-            acc = [zero] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    for j, b in enumerate(other.entries[k]):
-                        if b:
-                            acc[j] += a * b
-            out.append(tuple(acc))
-        return Matrix(self.rows, other.cols, tuple(out))
+        for r in self.data:
+            acc: dict[int, Fraction] = {}
+            for k, a in r.items():
+                for j, b in other.data[k].items():
+                    y = acc.get(j)
+                    acc[j] = a * b if y is None else y + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return Matrix(self.rows, other.cols, out)
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         if self.cols != len(v):
             raise ValueError("vector length mismatch")
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum((r[j] * x for j, x in nz if r[j]), _ZERO)
-                     for r in self.entries)
+        return tuple(sum((x * v[j] for j, x in r.items() if v[j]), _ZERO)
+                     for r in self.data)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.shape == other.shape and self.data == other.data
+
+    def __repr__(self) -> str:
+        return f"Matrix({self.rows}, {self.cols}, {self.data!r})"
+
     def is_zero(self) -> bool:
-        return all(a == 0 for r in self.entries for a in r)
+        return not any(self.data)
 
     def is_antisymmetric(self) -> bool:
         if self.rows != self.cols:
             return False
-        e = self.entries
-        return all(e[i][j] == -e[j][i]
-                   for i in range(self.rows) for j in range(i + 1))
+        data = self.data
+        return all(data[j].get(i) == -x
+                   for i, r in enumerate(data) for j, x in r.items())
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(self.rows, self.cols + other.cols, tuple(
-            ra + rb for ra, rb in zip(self.entries, other.entries)))
+        c = self.cols
+        return Matrix(self.rows, c + other.cols, [
+            {**ra, **{j + c: x for j, x in rb.items()}}
+            for ra, rb in zip(self.data, other.data)])
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise ValueError("column count mismatch in vstack")
         return Matrix(self.rows + other.rows, self.cols,
-                      self.entries + other.entries)
+                      self.data + other.data)
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "Matrix":
-        return Matrix(len(row_idx), len(col_idx), tuple(
-            tuple(self.entries[i][j] for j in col_idx) for i in row_idx))
+    def submatrix(self, row_idx: Sequence[int],
+                  col_idx: Sequence[int]) -> "Matrix":
+        to: dict[int, list[int]] = {}
+        for k, j in enumerate(col_idx):
+            to.setdefault(j, []).append(k)
+        return Matrix(len(row_idx), len(col_idx), [
+            {k: x for j, x in self.data[i].items() for k in to.get(j, ())}
+            for i in row_idx])
 
     def _check_shape(self, other: "Matrix"):
         if self.shape != other.shape:
@@ -179,17 +210,12 @@ class Matrix:
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    r0 = c0 = 0
+    out: list[dict[int, Fraction]] = []
+    c0 = 0
     for b in blocks:
-        for i in range(b.rows):
-            for j in range(b.cols):
-                out[r0 + i][c0 + j] = b[i, j]
-        r0 += b.rows
+        out += ({j + c0: x for j, x in r.items()} for r in b.data)
         c0 += b.cols
-    return Matrix.from_rows(out)
+    return Matrix(len(out), c0, out)
 
 
 def _int_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
@@ -303,8 +329,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """
     if not m.rows:
         return m, []
-    rows, dens = _int_rows({j: x for j, x in enumerate(src) if x}
-                           for src in m.entries)
+    rows, dens = _int_rows(m.data)
     pivots = _pivot_columns(rows, dens, m.cols, reduced=True)
     out = []
     for q, p in pivots:
@@ -331,15 +356,16 @@ def rank(m: Matrix) -> int:
 def kernel(m: Matrix) -> "Subspace":
     """Exact nullspace {v : m @ v = 0} as a canonical Subspace."""
     red, pivots = rref(m)
-    free = [j for j in range(m.cols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r, f]
-        basis.append(v)
-    return Subspace.from_span(m.cols, basis)
+    basis = {f: [_ZERO] * m.cols for f in range(m.cols)}
+    for p in pivots:
+        del basis[p]
+    for f, v in basis.items():
+        v[f] = _ONE
+    for p, row in zip(pivots, red.data):
+        for f, x in row.items():
+            if f != p:
+                basis[f][p] = -x
+    return Subspace.from_span(m.cols, list(basis.values()))
 
 
 def solve_matrix(a: Matrix, b: Matrix,
@@ -353,11 +379,10 @@ def solve_matrix(a: Matrix, b: Matrix,
         return None
     if require_unique and len(pivots) < a.cols:
         return None
-    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
-    for r, p in enumerate(pivots):
-        for j in range(b.cols):
-            x[p][j] = red[r, a.cols + j]
-    return Matrix.from_rows(x) if a.cols else Matrix.zeros(0, b.cols)
+    x: list[dict[int, Fraction]] = [{} for _ in range(a.cols)]
+    for p, row in zip(pivots, red.data):
+        x[p] = {j - a.cols: v for j, v in row.items() if j >= a.cols}
+    return Matrix(a.cols, b.cols, x)
 
 
 def invert(a: Matrix) -> Optional[Matrix]:
@@ -427,9 +452,10 @@ def schur_complement(rows: Sequence[dict[int, Fraction]],
         for i in touched:
             if is_diagonal_pivot(i):
                 heappush(heap, (len(work[i]), i))
-    return Matrix(len(keep), len(keep), tuple(
-        tuple(Fraction(work[i][j], dens[i]) if j in work[i] else _ZERO
-              for j in keep) for i in keep))
+    pos = {j: k for k, j in enumerate(keep)}
+    return Matrix(len(keep), len(keep), [
+        {pos[j]: Fraction(x, dens[i]) for j, x in work[i].items()}
+        for i in keep])
 
 
 @dataclass(frozen=True)
@@ -459,14 +485,16 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim).entries)
+        return Subspace(ambient_dim, tuple(unit_vec(ambient_dim, i)
+                                           for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def matrix(self) -> Matrix:
-        return Matrix(self.dim, self.ambient_dim, self.basis)
+        return Matrix(self.dim, self.ambient_dim,
+                      [{j: x for j, x in enumerate(b) if x} for b in self.basis])
 
     def contains(self, v: Sequence[Fraction]) -> bool:
         if len(v) != self.ambient_dim:

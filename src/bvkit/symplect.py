@@ -24,6 +24,7 @@ from .numkit import (
     kernel,
     rref,
     sparse_rank,
+    unit_vec,
     zero_vec,
 )
 
@@ -50,11 +51,9 @@ class PresymplecticSpace:
     def standard(n_pairs: int) -> "PresymplecticSpace":
         """Darboux space with omega(p_i, q_i) = 1, coordinates (q1..qn, p1..pn)."""
         n = 2 * n_pairs
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n_pairs):
-            rows[n_pairs + i][i] = Fraction(1)
-            rows[i][n_pairs + i] = Fraction(-1)
-        return PresymplecticSpace(n, Matrix.from_rows(rows))
+        return PresymplecticSpace(n, Matrix(n, n, [
+            {n_pairs + i: Fraction(-1)} for i in range(n_pairs)] + [
+            {i: Fraction(1)} for i in range(n_pairs)]))
 
     @staticmethod
     def trivial(dim: int) -> "PresymplecticSpace":
@@ -126,9 +125,9 @@ def classify(v: PresymplecticSpace, l: Subspace) -> ClassificationResult:
     """
     if l.ambient_dim != v.dim:
         raise ValueError("subspace does not live in the given space")
-    scale = lcm(*(x.denominator for r in v.omega.entries for x in r))
-    omega = [{j: x.numerator * (scale // x.denominator)
-              for j, x in enumerate(r) if x} for r in v.omega.entries]
+    scale = lcm(*(x.denominator for r in v.omega.data for x in r.values()))
+    omega = [{j: x.numerator * (scale // x.denominator) for j, x in r.items()}
+             for r in v.omega.data]
     basis = [_int_row({j: x for j, x in enumerate(b) if x})[0]
              for b in l.basis]
     b_omega = []
@@ -189,9 +188,11 @@ def presymplectic_reduce(v: PresymplecticSpace) -> Reduction:
 
     ker(omega) is the dot-orthogonal complement of omega's row space, so
     the nonzero rows of rref(omega) project onto the quotient, and
-    omega_red = S^T omega S is omega read at the pivots."""
-    red, pivots = rref(v.omega)
-    proj = Matrix(len(pivots), v.dim, red.entries[:len(pivots)])
+    omega_red = S^T omega S is omega read at the pivots. Zero rows do not
+    change the RREF, so only the nonzero rows of omega are reduced."""
+    nonzero = [r for r in v.omega.data if r]
+    red, pivots = rref(Matrix(len(nonzero), v.dim, nonzero))
+    proj = Matrix(len(pivots), v.dim, red.data[:len(pivots)])
     omega_red = v.omega.submatrix(pivots, pivots)
     reduced = PresymplecticSpace(len(pivots), omega_red)
     if proj.transpose() @ omega_red @ proj != v.omega:
@@ -239,16 +240,13 @@ def gotay_embed(c: PresymplecticSpace) -> GotayEmbedding:
     # the basis is in RREF already: each row's first nonzero is its pivot
     pivots = [next(j for j, x in enumerate(b) if x) for b in ker.basis]
     # selector P with P[i, pivots[i]] = 1; K in RREF makes P k_j = e_j
-    sel = Matrix.from_rows([
-        [Fraction(1 if j == pivots[i] else 0) for j in range(n)]
-        for i in range(k)])
+    sel = Matrix(k, n, [{p: Fraction(1)} for p in pivots])
     top = c.omega.hstack(sel.transpose())
     bottom = (-sel).hstack(Matrix.zeros(k, k))
     omega_f = top.vstack(bottom)
     space = PresymplecticSpace(n + k, omega_f)
     emb = Matrix.identity(n).vstack(Matrix.zeros(k, n))
-    image = Subspace.from_span(n + k, [tuple(row) + (Fraction(0),) * k
-                                       for row in Matrix.identity(n).entries])
+    image = Subspace.from_span(n + k, [unit_vec(n + k, i) for i in range(n)])
     return GotayEmbedding(space, emb, image)
 
 

@@ -127,15 +127,18 @@ def on_shell_action(t: ScalarFieldTheory, boundary_values: dict) -> Fraction:
     return dot(phi, op.matrix.apply(phi)) / 2
 
 
+def _pairing_coeff(n: int) -> Matrix:
+    """Coefficient matrix of alpha = sum_i x_(n+i) d(x_i) on Q^(2n): each
+    of the last n coordinates is the momentum of one of the first n."""
+    return Matrix(2 * n, 2 * n, [{n + i: Fraction(1)} for i in range(n)]
+                  + [{} for _ in range(n)])
+
+
 def scalar_phase_space(n_points: int) -> PresymplecticSpace:
     """Boundary phase space: coordinates (phi_1..m, chi_1..m) with the
     pairing of each momentum chi with its field value phi."""
-    w = Matrix.zeros(2 * n_points, 2 * n_points)
-    rows = [list(r) for r in w.entries]
-    for i in range(n_points):
-        rows[i][n_points + i] = Fraction(1)  # alpha = sum chi d(phi)
     return PresymplecticSpace(2 * n_points,
-                              d_of_coeff(Matrix.from_rows(rows)))
+                              d_of_coeff(_pairing_coeff(n_points)))
 
 
 def evolution_relation_scalar(t: ScalarFieldTheory,
@@ -293,10 +296,8 @@ class GeodesicFixture:
 
 def geodesic_fixture(step: Fraction = Fraction(1)) -> GeodesicFixture:
     n = 6
-    w = Matrix.zeros(n, n)
-    rows = [list(r) for r in w.entries]
-    rows[1][2] = Fraction(1)  # alpha's linear part: dth coefficient on dq2
-    coeff = Matrix.from_rows(rows)
+    # alpha's linear part: dth coefficient on dq2
+    coeff = Matrix(n, n, [{}, {2: Fraction(1)}, {}, {}, {}, {}])
     const = unit_vec(n, 0)    # velocity times dq picks up d(q1) at the basepoint
     space = PresymplecticSpace(n, d_of_coeff(coeff))
     alpha = OneForm(n, coeff, const)
@@ -352,10 +353,7 @@ def ed_boundary_space(sigma: CellComplex) -> tuple[PresymplecticSpace, OneForm]:
     if not sigma.is_closed():
         raise ValueError("sigma must be closed")
     n = sigma.n_cells(1)
-    rows = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = Fraction(1)
-    coeff = Matrix.from_rows(rows)
+    coeff = _pairing_coeff(n)
     return PresymplecticSpace(2 * n, d_of_coeff(coeff)), OneForm(2 * n, coeff)
 
 

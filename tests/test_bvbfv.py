@@ -2,6 +2,7 @@ import dataclasses
 import random
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -23,7 +24,7 @@ from bvkit.bvbfv import (
     hamiltonian_of,
     moduli_of_vacua,
 )
-from bvkit.collar import prism
+from bvkit.collar import NotProjectable, prism, project_vector_field
 from bvkit.complexes import (
     annulus_complex,
     circle_complex,
@@ -47,6 +48,7 @@ from bvkit.numkit import (
     unit_vec,
     vec,
 )
+from bvkit.symplect import NotBasic, OneForm, Reduction
 from test_graded import derivation_apply
 from test_numkit import image, intersect, sum_spaces
 
@@ -665,7 +667,7 @@ def test_moduli_closed_torus_bf():
 
 def test_moduli_annulus_ladder():
     start = time.monotonic()
-    for n in (5, 7):
+    for n in (5, 7, 9, 11):
         mod = moduli_of_vacua(build_ed_package(annulus_complex(n)))
         assert {d: v for d, v in mod.items() if v} == {0: 1, -1: 1}
     assert time.monotonic() - start < 10
@@ -691,6 +693,77 @@ def test_disk_package_identities_ladder():
     start = time.monotonic()
     check_all(build_ed_package(grid_complex(6, 6)))
     assert time.monotonic() - start < 10
+
+
+def test_annulus_package_identities_ladder():
+    start = time.monotonic()
+    check_all(build_ed_package(annulus_complex(9)))
+    assert time.monotonic() - start < 10
+
+
+@cache
+def annulus5_package():
+    return build_ed_package(annulus_complex(5))
+
+
+def changed_boundary_field(p):
+    """q_boundary with 1 added at the first degree-raising slot where the
+    result still squares to zero."""
+    gv = p.boundary.base
+    for a in range(gv.dim):
+        for b in gv.indices_of_degree(gv.degree(a) + 1):
+            rows = [list(r) for r in p.q_boundary.matrix.entries]
+            rows[a][b] += 1
+            try:
+                return LinearCohomologicalField(gv, Matrix.from_rows(rows))
+            except ValueError:
+                continue
+    raise AssertionError("no admissible change")
+
+
+def test_check_catches_a_changed_boundary_field_at_size():
+    p = annulus5_package()
+    changed = changed_boundary_field(p)
+    rep = check_bvbfv(dataclasses.replace(p, q_boundary=changed))
+    assert not rep.passed
+    assert not rep.residuals["restriction"].is_zero()
+
+
+def test_hamiltonian_of_refuses_a_changed_field_at_size():
+    p = annulus5_package()
+    assert hamiltonian_of(p.q_boundary, p.boundary) == p.s_boundary
+    with pytest.raises(NotSymplecticField):
+        hamiltonian_of(changed_boundary_field(p), p.boundary)
+
+
+def kernel_slot(pkg):
+    """(first pivot row, first non-pivot column) of the reduction: an
+    entry there reaches along the kernel."""
+    return pkg.pivots[0], next(j for j in range(pkg.preboundary_dim)
+                               if j not in pkg.pivots)
+
+
+def test_descend_refuses_a_kernel_direction_at_size():
+    pkg = annulus5_package().boundary_package
+    red = Reduction(pkg.boundary_space, pkg.projection, pkg.pivots)
+    coeff = pkg.projection.transpose() @ pkg.alpha.coeff @ pkg.projection
+    assert red.descend(OneForm(coeff.rows, coeff)) == pkg.alpha
+    i, k = kernel_slot(pkg)
+    rows = [list(r) for r in coeff.entries]
+    rows[i][k] += 1
+    with pytest.raises(NotBasic):
+        red.descend(OneForm(coeff.rows, Matrix.from_rows(rows)))
+
+
+def test_project_vector_field_refuses_a_kernel_breaking_entry_at_size():
+    p = annulus5_package()
+    pkg = p.boundary_package
+    assert project_vector_field(p.q_bulk.matrix, pkg) == p.q_boundary.matrix
+    i, k = kernel_slot(pkg)
+    rows = [list(r) for r in p.q_bulk.matrix.entries]
+    rows[i][k] += 1
+    with pytest.raises(NotProjectable):
+        project_vector_field(Matrix.from_rows(rows), pkg)
 
 
 def test_corner_interval():

@@ -23,7 +23,7 @@ from bvkit.complexes import (
     validate,
 )
 from bvkit.numkit import Matrix, kernel, vec
-from test_numkit import section_of
+from test_numkit import from_dense, section_of
 
 
 def point_complex():
@@ -150,7 +150,7 @@ def test_symmetry_check_matches_transpose_rule():
         if n and rng.random() < 0.5:
             i, j = rng.randrange(n), rng.randrange(n)
             a[i][j] += rng.choice([1, -1, Fraction(1, 2)])
-        m = Matrix(n, n, tuple(tuple(r) for r in a))
+        m = from_dense(n, n, a)
         want = m.transpose() == m
         cx = path_complex(n)
         if want:

@@ -19,6 +19,7 @@ from bvkit.complexes import (
     validate,
 )
 from bvkit.numkit import Matrix, vec
+from test_numkit import from_dense
 
 
 def betti(cx, relative=False):
@@ -217,8 +218,7 @@ def dense_from_dict(data):
         for j, name in enumerate(cells[k]):
             for face, sign in face_map.get(name, []):
                 m[index[k - 1][face]][j] = Fraction(sign)
-        ops.append(Matrix(len(m), len(cells[k]) if m else 0,
-                          tuple(map(tuple, m))))
+        ops.append(from_dense(len(m), len(cells[k]) if m else 0, m))
     weights = None
     if "weights" in data:
         weights = tuple(tuple(Fraction(w) for w in ws)

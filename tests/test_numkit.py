@@ -24,6 +24,11 @@ from bvkit.numkit import (
 from bvkit.theories import ScalarFieldTheory, dtn
 
 
+def from_dense(rows, cols, a):
+    """The Matrix with the dense rows `a`, also when it has no rows."""
+    return Matrix.from_rows(a) if rows else Matrix.zeros(0, cols)
+
+
 def random_matrix(rng, rows, cols, den=4, num=6):
     return Matrix.from_rows(
         [[Fraction(rng.randint(-num, num), rng.randint(1, den)) for _ in range(cols)]
@@ -75,7 +80,7 @@ def dense_rref(m):
                 a[i] = [x - f * y for x, y in zip(a[i], a[pr])]
         pivots.append(pc)
         pr += 1
-    return Matrix(m.rows, m.cols, tuple(vec(r) for r in a)), pivots
+    return from_dense(m.rows, m.cols, a), pivots
 
 
 def random_rref_case(rng):
@@ -109,7 +114,7 @@ def random_rref_case(rng):
             u, w = rng.sample(range(rows), 2)
             c, d = Fraction(rng.randint(-3, 3)), Fraction(1, rng.randint(1, 4))
             a[rng.randrange(rows)] = [c * x + d * y for x, y in zip(a[u], a[w])]
-    return Matrix(rows, cols, tuple(tuple(r) for r in a))
+    return from_dense(rows, cols, a)
 
 
 def test_rref_matches_dense_gauss_jordan():
@@ -136,13 +141,230 @@ def test_products_skip_zeros_exactly():
 
     for _ in range(100):
         rows, cols = rng.randint(0, 7), rng.randint(0, 7)
-        m = Matrix(rows, cols, tuple(tuple(sparse(cols)) for _ in range(rows)))
+        m = from_dense(rows, cols, [sparse(cols) for _ in range(rows)])
         v = sparse(cols)
         dense = tuple(sum((r[j] * v[j] for j in range(cols)), Fraction(0))
                       for r in m.entries)
         assert m.apply(v) == dense
         u = sparse(cols)
         assert dot(u, v) == sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+class DenseMatrix:
+    """Oracle: the former dense `Matrix`, a tuple of row tuples, with
+    every operation by the textbook entry-by-entry rule."""
+
+    def __init__(self, rows, cols, entries):
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError("column count mismatch")
+        self.rows, self.cols = rows, cols
+        self.entries = tuple(tuple(Fraction(x) for x in r) for r in entries)
+
+    @staticmethod
+    def from_rows(rows):
+        return DenseMatrix(len(rows), len(rows[0]) if rows else 0, rows)
+
+    @staticmethod
+    def zeros(rows, cols):
+        return DenseMatrix(rows, cols, [[0] * cols for _ in range(rows)])
+
+    @staticmethod
+    def identity(n):
+        return DenseMatrix.diagonal([1] * n)
+
+    @staticmethod
+    def diagonal(diag):
+        n = len(diag)
+        return DenseMatrix(n, n, [[diag[i] if i == j else 0 for j in range(n)]
+                                  for i in range(n)])
+
+    @property
+    def shape(self):
+        return self.rows, self.cols
+
+    def __getitem__(self, ij):
+        return self.entries[ij[0]][ij[1]]
+
+    def row(self, i):
+        return self.entries[i]
+
+    def col(self, j):
+        return tuple(r[j] for r in self.entries)
+
+    def transpose(self):
+        return DenseMatrix(self.cols, self.rows,
+                           [self.col(j) for j in range(self.cols)])
+
+    def _check_shape(self, other):
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+
+    def __add__(self, other):
+        self._check_shape(other)
+        return DenseMatrix(self.rows, self.cols, [
+            [a + b for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)])
+
+    def __sub__(self, other):
+        self._check_shape(other)
+        return DenseMatrix(self.rows, self.cols, [
+            [a - b for a, b in zip(ra, rb)]
+            for ra, rb in zip(self.entries, other.entries)])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def scale(self, c):
+        return DenseMatrix(self.rows, self.cols,
+                           [[c * a for a in r] for r in self.entries])
+
+    def __matmul__(self, other):
+        if self.cols != other.rows:
+            raise ValueError("shape mismatch")
+        return DenseMatrix(self.rows, other.cols, [
+            [sum((r[k] * other[k, j] for k in range(self.cols)), Fraction(0))
+             for j in range(other.cols)] for r in self.entries])
+
+    def apply(self, v):
+        if self.cols != len(v):
+            raise ValueError("vector length mismatch")
+        return tuple(sum((a * x for a, x in zip(r, v)), Fraction(0))
+                     for r in self.entries)
+
+    def is_zero(self):
+        return all(a == 0 for r in self.entries for a in r)
+
+    def is_antisymmetric(self):
+        return self.rows == self.cols and all(
+            self[i, j] == -self[j, i]
+            for i in range(self.rows) for j in range(self.rows))
+
+    def hstack(self, other):
+        if self.rows != other.rows:
+            raise ValueError("row count mismatch in hstack")
+        return DenseMatrix(self.rows, self.cols + other.cols, [
+            ra + rb for ra, rb in zip(self.entries, other.entries)])
+
+    def vstack(self, other):
+        if self.cols != other.cols:
+            raise ValueError("column count mismatch in vstack")
+        return DenseMatrix(self.rows + other.rows, self.cols,
+                           self.entries + other.entries)
+
+    def submatrix(self, row_idx, col_idx):
+        return DenseMatrix(len(row_idx), len(col_idx), [
+            [self[i, j] for j in col_idx] for i in row_idx])
+
+
+def assert_matches(s, d):
+    """The sparse s holds exactly the nonzeros of the dense oracle d: the
+    same shape, the same dense view, and no stored zero."""
+    assert isinstance(s, Matrix) and s.shape == d.shape
+    assert s.data == tuple({j: x for j, x in enumerate(r) if x}
+                           for r in d.entries)
+    assert s.entries == d.entries
+    assert all(type(x) is Fraction for r in s.entries for x in r)
+
+
+def test_sparse_matrix_matches_dense_oracle():
+    rng = random.Random(83)
+    values = [0, 0, 0, Fraction(0), 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)]
+    seen = {"empty": 0, "zero_row": 0, "cancel": 0, "antisymmetric": 0}
+
+    def size():
+        return rng.choice([0, 1, 2, 3, 4, 5])
+
+    def pair(rows, cols, density=None):
+        """A sparse matrix and its oracle from the same dense rows, which
+        carry explicit zeros (ints and Fractions) and all-zero rows."""
+        p = rng.choice([0.2, 0.5, 0.9]) if density is None else density
+        a = [[rng.choice(values[4:]) if rng.random() < p
+              else rng.choice(values[:4]) for _ in range(cols)]
+             for _ in range(rows)]
+        if rows and rng.random() < 0.3:
+            a[rng.randrange(rows)] = [0] * cols
+        d = DenseMatrix(rows, cols, a)
+        s = Matrix.from_rows(a) if rows else Matrix.zeros(0, cols)
+        assert_matches(s, d)
+        return s, d
+
+    for _ in range(600):
+        r, c, k = size(), size(), size()
+        s, d = pair(r, c)
+        seen["empty"] += 0 in s.shape
+        seen["zero_row"] += any(not row for row in s.data) and c > 0
+        assert (s.rows, s.cols) == (r, c)
+        for i in range(r):
+            assert s.row(i) == d.row(i)
+            assert all(s[i, j] == d[i, j] for j in range(c))
+        assert all(s.col(j) == d.col(j) for j in range(c))
+        assert_matches(s.transpose(), d.transpose())
+        assert_matches(-s, -d)
+        x = rng.choice([0, 1, -2, Fraction(1, 3)])
+        assert_matches(s.scale(x), d.scale(x))
+        assert s.is_zero() == d.is_zero()
+        v = [rng.choice(values) for _ in range(c)]
+        assert s.apply(v) == d.apply(v)
+        s2, d2 = pair(r, c)
+        assert_matches(s + s2, d + d2)
+        assert_matches(s - s2, d - d2)
+        assert (s == s2) == (d.entries == d2.entries)
+        s3, d3 = pair(c, k)
+        assert_matches(s @ s3, d @ d3)
+        h, dh = pair(r, k)
+        assert_matches(s.hstack(h), d.hstack(dh))
+        w, dw = pair(k, c)
+        assert_matches(s.vstack(w), d.vstack(dw))
+        rows = [rng.randrange(r) for _ in range(size())] if r else []
+        cols = [rng.randrange(c) for _ in range(size())] if c else []
+        assert_matches(s.submatrix(rows, cols), d.submatrix(rows, cols))
+        diag = [rng.choice(values) for _ in range(r)]
+        assert_matches(Matrix.diagonal(diag), DenseMatrix.diagonal(diag))
+        assert_matches(Matrix.identity(r), DenseMatrix.identity(r))
+        assert_matches(Matrix.zeros(r, c), DenseMatrix.zeros(r, c))
+        # antisymmetry: the upper triangle of a square case mirrored
+        sq, _ = pair(r, r)
+        anti = sq - sq.transpose()
+        if rng.random() < 0.5 and r:
+            i, j = rng.randrange(r), rng.randrange(r)
+            anti = anti + Matrix.from_rows(
+                [[1 if (a, b) == (i, j) else 0 for b in range(r)]
+                 for a in range(r)])
+        dense_anti = DenseMatrix(r, r, anti.entries)
+        assert anti.is_antisymmetric() == dense_anti.is_antisymmetric()
+        seen["antisymmetric"] += dense_anti.is_antisymmetric() and r > 1
+        assert s.is_antisymmetric() == d.is_antisymmetric()
+        # cancellation leaves no stored zero: m - m, m + (-m), scale(0),
+        # and [p | p] @ [q; t - q] == p @ t, whose terms cancel pairwise
+        zero = Matrix.zeros(r, c)
+        for cancelled in (s - s, s + -s, s.scale(0)):
+            assert cancelled == zero and cancelled.is_zero()
+        p, dp = pair(r, k, density=0.9)
+        q, dq = pair(k, c, density=0.9)
+        t, dt = pair(k, c, density=rng.choice([0.0, 0.2]))
+        prod = p.hstack(p) @ q.vstack(t - q)
+        assert_matches(prod, dp @ dt)
+        if t.is_zero():
+            assert prod == zero and prod.is_zero()
+            seen["cancel"] += not (p @ q).is_zero()
+    assert min(seen.values()) >= 50, seen
+
+
+def test_sparse_matrix_refusals_match_dense_oracle():
+    a, b = Matrix.from_rows([[1, 2]]), Matrix.from_rows([[1], [2], [3]])
+    for op in (lambda m, n: m + n, lambda m, n: m - n, lambda m, n: m @ n,
+               lambda m, n: m.hstack(n), lambda m, n: m.vstack(n)):
+        with pytest.raises(ValueError):
+            op(a, b)
+        with pytest.raises(ValueError):
+            op(DenseMatrix.from_rows(a.entries),
+               DenseMatrix.from_rows(b.entries))
+    with pytest.raises(ValueError, match="vector length mismatch"):
+        a.apply([1])
+    with pytest.raises(ValueError, match="column count mismatch"):
+        Matrix.from_rows([[1, 2], [3]])
+    with pytest.raises(ValueError, match="column count mismatch"):
+        DenseMatrix.from_rows([[1, 2], [3]])
 
 
 def test_rref_identity():
@@ -197,7 +419,7 @@ def test_is_antisymmetric_matches_transpose_rule():
         if n and cols and rng.random() < 0.5:
             i, j = rng.randrange(n), rng.randrange(cols)
             a[i][j] += rng.choice([1, -1, Fraction(1, 2)])
-        m = Matrix.from_rows(a) if n else Matrix(0, cols, ())
+        m = from_dense(n, cols, a)
         want = m.rows == m.cols and m.transpose() == -m
         assert m.is_antisymmetric() == want
         seen[want] += 1
@@ -288,7 +510,7 @@ def test_schur_complement_matches_dense_formula():
         if rng.random() < 0.4:  # force off-diagonal pivots
             for i in range(n):
                 rows[i][i] = 0
-        a = Matrix(n, n, tuple(vec(r) for r in rows))
+        a = from_dense(n, n, rows)
         role = [rng.choice(["keep", "drop", "drop", "neither"])
                 for _ in range(n)]
         keep = [i for i in range(n) if role[i] == "keep"]
@@ -307,16 +529,16 @@ def test_schur_complement_matches_dense_formula():
 def wide_matrix(rng, rows, cols, bits=40, density=0.6):
     """Entries with numerators and denominators up to 2**bits."""
     top = 2 ** bits
-    return Matrix(rows, cols, tuple(
-        tuple(Fraction(rng.randint(-top, top), rng.randint(1, top))
-              if rng.random() < density else Fraction(0)
-              for _ in range(cols)) for _ in range(rows)))
+    return from_dense(rows, cols, [
+        [Fraction(rng.randint(-top, top), rng.randint(1, top))
+         if rng.random() < density else Fraction(0)
+         for _ in range(cols)] for _ in range(rows)])
 
 
 def hilbert(n, extra=0):
-    return Matrix(n, n + extra, tuple(
-        tuple(Fraction(1, i + j + 1) for j in range(n + extra))
-        for i in range(n)))
+    return from_dense(n, n + extra, [
+        [Fraction(1, i + j + 1) for j in range(n + extra)]
+        for i in range(n)])
 
 
 def low_rank(rng, rows, cols, r):
@@ -326,9 +548,9 @@ def low_rank(rng, rows, cols, r):
          for _ in range(rows)]
     v = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(cols)]
          for _ in range(r)]
-    return Matrix(rows, cols, tuple(
-        tuple(sum((u[i][k] * v[k][j] for k in range(r)), Fraction(0))
-              for j in range(cols)) for i in range(rows)))
+    return from_dense(rows, cols, [
+        [sum((u[i][k] * v[k][j] for k in range(r)), Fraction(0))
+         for j in range(cols)] for i in range(rows)])
 
 
 def sparse_rows(m):
@@ -423,7 +645,7 @@ def test_sparse_rank_on_int_fraction_and_mixed_values():
         given = [{j: x for j, x in enumerate(r) if x or rng.random() < 0.3}
                  for r in dense]
         before = [dict(r) for r in given]
-        m = Matrix(rows, cols, tuple(vec(r) for r in dense))
+        m = from_dense(rows, cols, dense)
         assert sparse_rank(given, cols) == bareiss_rank(m)
         assert given == before
         assert all(type(x) is type(y) for r, b in zip(given, before)
@@ -449,7 +671,7 @@ def test_schur_complement_denominators_and_singular_drop():
             for j in range(k, n):
                 a[target][j] = sum((ci * a[i][j] for ci, i in zip(c, drop_rows)
                                     if i != target), Fraction(0))
-        m = Matrix(n, n, tuple(tuple(r) for r in a))
+        m = from_dense(n, n, a)
         got = check_kernel(m, list(range(k)), list(range(k, n)))
         if singular:
             assert got is None
@@ -790,6 +1012,25 @@ def test_no_unused_imports_in_src():
                   for alias in node.names
                   for name in [(alias.asname or alias.name).split(".")[0]]
                   if name not in used]
+    assert found == []
+
+
+def test_dense_entries_read_only_in_numkit_and_render():
+    """`Matrix.entries` is a dense view; outside numkit only the JSON
+    renderer `cli.mat_to_json` may read it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "numkit.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef)
+                   and (path.name, fn.name) == ("cli.py", "mat_to_json")
+                   for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "entries"
+                  and id(node) not in allowed]
     assert found == []
 
 

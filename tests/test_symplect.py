@@ -29,7 +29,7 @@ from bvkit.symplect import (
     twisted_product,
 )
 from bvkit.collar import NotProjectable, preboundary_reduce, project_vector_field
-from test_numkit import intersect, quotient, section_of, sum_spaces
+from test_numkit import from_dense, intersect, quotient, section_of, sum_spaces
 
 
 def omega_complement(v, l):
@@ -255,8 +255,8 @@ def outcome(fn, *args):
 
 
 def random_block(rng, rows, cols):
-    return Matrix(rows, cols, tuple(vec(rng.randint(-2, 2) for _ in range(cols))
-                                    for _ in range(rows)))
+    return from_dense(rows, cols, [[rng.randint(-2, 2) for _ in range(cols)]
+                                   for _ in range(rows)])
 
 
 def test_reduce_at_pivots_matches_quotient_section_oracle():
