@@ -499,6 +499,8 @@ def corner_extend(sigma: CellComplex) -> CornerData:
     """Reduce the boundary generator pairing ghosts with the dual-field
     divergence on a piece Sigma with corners: one (ghost, field) pair per
     corner cell survives and the corner field vanishes."""
+    if sigma.dim < 1:
+        raise ValueError("corners need a complex with edges")
     if sigma.is_closed():
         empty_pkg = preboundary_reduce(OneForm.zero(0))
         return CornerData(GradedVectorSpace.make([]), Matrix.zeros(0, 0),

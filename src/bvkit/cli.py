@@ -299,10 +299,14 @@ def cmd_hj_action(cfg) -> dict:
 def cmd_collar(cfg) -> dict:
     data = _load_input(cfg)
     cx = _complex_of(data["complex"])
-    layout = tuple(FieldSpec(f["name"], int(f["cell_dim"]),
-                             int(f.get("degree", 0)))
-                   for f in data["fields"])
-    t = QuadraticLocalTheory(cx, layout, mat_from_json(data["action"]))
+    layout = []
+    for f in data["fields"]:
+        cell_dim = _count(f, "cell_dim")
+        if cell_dim > cx.dim:
+            raise CommandError(f"cell_dim {cell_dim} exceeds the complex's "
+                               f"dimension {cx.dim}")
+        layout.append(FieldSpec(f["name"], cell_dim, int(f.get("degree", 0))))
+    t = QuadraticLocalTheory(cx, tuple(layout), mat_from_json(data["action"]))
     pkg = preboundary_reduce(boundary_one_form(t))
     return {"payload": package_to_json(pkg), "residuals": []}
 

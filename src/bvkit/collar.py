@@ -101,32 +101,20 @@ def prism(base: CellComplex, layers: int) -> CellComplex:
     sq_names = tuple(f"{c}|{t}.{t + 1}" for t in range(layers)
                      for c in (base.cells[1] if has_edges else ()))
 
-    cells1 = ve_names + e_names
-    d_base = base.boundary_op(1) if has_edges else Matrix.zeros(n0, 0)
-
-    d1 = [[Fraction(0)] * len(cells1) for _ in v_names]
-    for t in range(layers):
-        for c in range(n0):
-            col = t * n0 + c
-            d1[t * n0 + c][col] -= 1
-            d1[(t + 1) * n0 + c][col] += 1
-    for t in range(nt):
-        for c in range(n1):
-            col = len(ve_names) + t * n1 + c
-            for r in range(n0):
-                if d_base[r, c] != 0:
-                    d1[t * n0 + r][col] += d_base[r, c]
-
-    d2 = [[Fraction(0)] * len(sq_names) for _ in cells1]
-    for t in range(layers):
-        for c in range(n1):
-            col = t * n1 + c
-            # d(edge x interval) = (d edge) x interval - edge x d(interval)
-            for r in range(n0):
-                if d_base[r, c] != 0:
-                    d2[t * n0 + r][col] += d_base[r, c]
-            d2[len(ve_names) + (t + 1) * n1 + c][col] -= 1
-            d2[len(ve_names) + t * n1 + c][col] += 1
+    # d(edge x interval) = (d edge) x interval - edge x d(interval), with
+    # the vertical edge over vertex c between layers t and t + 1 at
+    # t * n0 + c and the copy of edge c in layer t at n_ve + t * n1 + c
+    base_faces = base.faces(1)
+    n_ve = len(ve_names)
+    one = Fraction(1)
+    ve_faces = tuple(((t * n0 + c, -one), ((t + 1) * n0 + c, one))
+                     for t in range(layers) for c in range(n0))
+    e_faces = tuple(tuple((t * n0 + r, x) for r, x in f)
+                    for t in range(nt) for f in base_faces)
+    sq_faces = tuple(tuple((t * n0 + r, x) for r, x in f)
+                     + ((n_ve + t * n1 + c, one),
+                        (n_ve + (t + 1) * n1 + c, -one))
+                     for t in range(layers) for c, f in enumerate(base_faces))
 
     def layer_of_v(i):
         return i // n0
@@ -148,15 +136,15 @@ def prism(base: CellComplex, layers: int) -> CellComplex:
                    tuple(w1[i % n1] for i in range(len(sq_names))))
 
     if has_edges:
-        cells = (v_names, cells1, sq_names)
-        ops = (Matrix.from_rows(d1), Matrix.from_rows(d2))
+        cells = (v_names, ve_names + e_names, sq_names)
+        faces = (ve_faces + e_faces, sq_faces)
         flags = (vflags, veflags + eflags, sqflags)
     else:
-        cells = (v_names, cells1)
-        ops = (Matrix.from_rows(d1),)
+        cells = (v_names, ve_names)
+        faces = (ve_faces,)
         flags = (vflags, veflags)
         weights = weights[:2] if weights else None
-    return CellComplex(cells, ops, flags, weights, cubical=base.cubical)
+    return CellComplex(cells, faces, flags, weights, cubical=base.cubical)
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ from its lexicographically smaller endpoint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .numkit import Matrix, Vector, block_diag, frac, kernel
+from .numkit import Matrix, Vector, frac, kernel, rref
 
 
 class NotCubical(ValueError):
@@ -23,32 +23,44 @@ class NotCubical(ValueError):
 # (face index, incidence coefficient) pairs of one cell, by face index
 Faces = tuple[tuple[int, Fraction], ...]
 
+_ONE = Fraction(1)
+
+
+def _summed_faces(terms: Iterable[tuple[int, Fraction]]) -> Faces:
+    """One cell's face list from (face index, coefficient) terms: terms
+    on the same face add up, and faces whose terms cancel are dropped."""
+    acc: dict[int, Fraction] = {}
+    for i, x in terms:
+        acc[i] = acc.get(i, 0) + x
+    return tuple((i, x) for i, x in sorted(acc.items()) if x)
+
 
 @dataclass(frozen=True)
 class CellComplex:
-    """Cells per dimension, signed incidence matrices, boundary markers.
+    """Cells per dimension, their signed face lists, boundary markers.
 
-    boundary_ops[k] is the operator from (k+1)-cells to k-cells, so it has
-    one row per k-cell and one column per (k+1)-cell.
+    face_lists[k - 1][j] lists the faces of the j-th k-cell as (face
+    index, incidence coefficient) pairs, nonzero and in face order. The
+    boundary and coboundary matrices are built from them on each call.
     """
 
     cells: tuple[tuple[str, ...], ...]
-    boundary_ops: tuple[Matrix, ...]
+    face_lists: tuple[tuple[Faces, ...], ...]
     boundary_flags: tuple[tuple[bool, ...], ...]
     weights: Optional[tuple[tuple[Fraction, ...], ...]] = None
     cubical: bool = False
-    # faces(k) by k, filled on first use or by the constructors that
-    # already hold the face lists; never copied by dataclasses.replace
-    _faces: dict[int, tuple[Faces, ...]] = field(
-        init=False, compare=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
-        if self.weights is not None and (
-                len(self.weights) != len(self.cells)
-                or any(len(ws) != len(cs)
-                       for ws, cs in zip(self.weights, self.cells))):
-            raise ValueError("weights must give one weight per cell "
-                             "in every dimension")
+        for what, per_cell, cells in (
+                ("face list", self.face_lists, self.cells[1:]),
+                ("boundary flag", self.boundary_flags, self.cells),
+                ("weight", self.weights, self.cells)):
+            if per_cell is not None and (
+                    len(per_cell) != len(cells)
+                    or any(len(xs) != len(cs)
+                           for xs, cs in zip(per_cell, cells))):
+                raise ValueError(f"{what}s must give one {what} per cell "
+                                 "in every dimension")
 
     @property
     def dim(self) -> int:
@@ -59,30 +71,22 @@ class CellComplex:
             return len(self.cells[k])
         return 0
 
-    def boundary_op(self, k: int) -> Matrix:
-        """The operator taking k-cells to (k-1)-cells."""
+    def faces(self, k: int) -> tuple[Faces, ...]:
+        """The face list of each k-cell; vertices have empty ones, and
+        there are no cells above the top dimension."""
         if 1 <= k <= self.dim:
-            return self.boundary_ops[k - 1]
+            return self.face_lists[k - 1]
         if k == self.dim + 1:
-            return Matrix.zeros(self.n_cells(self.dim), 0)
+            return ()
         if k == 0:
-            return Matrix.zeros(0, self.n_cells(0))
+            return ((),) * self.n_cells(0)
         raise ValueError(f"no boundary operator in degree {k}")
 
-    def faces(self, k: int) -> tuple[Faces, ...]:
-        """For each column of boundary_op(k), its nonzero (face index,
-        incidence coefficient) pairs in face order; computed once per
-        complex."""
-        out = self._faces.get(k)
-        if out is None:
-            op = self.boundary_op(k)
-            scan: list[list[tuple[int, Fraction]]] = [
-                [] for _ in range(op.cols)]
-            for i, row in enumerate(op.data):
-                for j, x in row.items():
-                    scan[j].append((i, x))
-            out = self._faces[k] = tuple(map(tuple, scan))
-        return out
+    def boundary_op(self, k: int) -> Matrix:
+        """The operator taking k-cells to (k-1)-cells: the transpose of
+        the coboundary on (k-1)-cochains."""
+        fs = self.faces(k)
+        return Matrix(len(fs), self.n_cells(k - 1), map(dict, fs)).transpose()
 
     def interior_indices(self, k: int) -> list[int]:
         return [i for i, b in enumerate(self.boundary_flags[k]) if not b]
@@ -120,26 +124,6 @@ class CellComplex:
         return out
 
     @staticmethod
-    def from_faces(cells: tuple[tuple[str, ...], ...],
-                   faces: Sequence[tuple[Faces, ...]],
-                   boundary_flags: tuple[tuple[bool, ...], ...],
-                   weights: Optional[tuple[tuple[Fraction, ...], ...]] = None,
-                   cubical: bool = False) -> "CellComplex":
-        """The complex whose k-cells have the face lists faces[k - 1]
-        (nonzero coefficients, by face index); the lists become faces(k)
-        and the incidence matrices are filled in from them."""
-        ops = []
-        for k, fs in enumerate(faces, 1):
-            rows: list[dict[int, Fraction]] = [{} for _ in cells[k - 1]]
-            for j, f in enumerate(fs):
-                for i, x in f:
-                    rows[i][j] = x
-            ops.append(Matrix(len(rows), len(fs), rows))
-        cx = CellComplex(cells, tuple(ops), boundary_flags, weights, cubical)
-        cx._faces.update(enumerate(faces, 1))
-        return cx
-
-    @staticmethod
     def from_dict(data: dict) -> "CellComplex":
         cells = tuple(tuple(c) for c in data["cells"])
         dim = data["dims"]
@@ -166,16 +150,15 @@ class CellComplex:
                     by_face[index[k - 1][face]] = x
                 fs.append(tuple((i, x) for i, x in sorted(by_face.items())
                                 if x))
-            # with no (k-1)-cells, boundary_op(k) has no columns either
-            faces.append(tuple(fs) if cells[k - 1] else ())
+            faces.append(tuple(fs))
         flagged = set(data.get("boundary_flags", []))
         flags = tuple(tuple(name in flagged for name in cs) for cs in cells)
         weights = None
         if "weights" in data:
             weights = tuple(tuple(coefficient(w) for w in ws)
                             for ws in data["weights"])
-        return CellComplex.from_faces(cells, faces, flags, weights,
-                                      cubical=data.get("cubical", False))
+        return CellComplex(cells, tuple(faces), flags, weights,
+                           cubical=data.get("cubical", False))
 
 
 def validate(k: CellComplex) -> list[str]:
@@ -201,11 +184,13 @@ def validate(k: CellComplex) -> list[str]:
 
 
 def coboundary(k: CellComplex, degree: int, relative: bool = False) -> Matrix:
-    """d on degree-`degree` cochains; with `relative`, on cochains
-    vanishing on the boundary subcomplex."""
+    """d on degree-`degree` cochains, one row per face list of a
+    (degree+1)-cell; with `relative`, on cochains vanishing on the
+    boundary subcomplex."""
     if not 0 <= degree <= k.dim:
         raise ValueError(f"degree {degree} out of range")
-    d = k.boundary_op(degree + 1).transpose()
+    fs = k.faces(degree + 1)
+    d = Matrix(len(fs), k.n_cells(degree), map(dict, fs))
     if not relative:
         return d
     # boundary cells have boundary faces, so d preserves vanishing there
@@ -224,28 +209,15 @@ class CohomologyReport:
 def cohomology(k: CellComplex, degree: int,
                relative: bool = False) -> CohomologyReport:
     """ker d / im d on the (relative) cochain complex, with representative
-    cocycles expressed in full cochain coordinates."""
-    pivots: list[tuple[int, list[Fraction]]] = []
-
-    def grows_span(v: Vector) -> bool:
-        """Reduce v by the pivot rows so far; a remainder, if any, joins
-        them with its pivot entry scaled to 1, and v was independent."""
-        w = list(v)
-        for p, row in pivots:
-            c = w[p]
-            if c:
-                w = [y - c * x if x else y for y, x in zip(w, row)]
-        p = next((j for j, x in enumerate(w) if x), None)
-        if p is not None:
-            pivots.append((p, [x / w[p] for x in w]))
-        return p is not None
-
-    if degree > 0:
-        d_below = coboundary(k, degree - 1, relative)
-        for j in range(d_below.cols):
-            grows_span(d_below.col(j))
-    reps = [v for v in kernel(coboundary(k, degree, relative)).basis
-            if grows_span(v)]
+    cocycles expressed in full cochain coordinates: the kernel basis
+    vectors at pivot columns of one RREF of [image of d | kernel of d],
+    that is, each one not in the span of the image and those before it."""
+    d = coboundary(k, degree, relative)
+    image = (coboundary(k, degree - 1, relative) if degree > 0
+             else Matrix.zeros(d.cols, 0))
+    cocycles = kernel(d)
+    _, pivots = rref(image.hstack(cocycles.matrix().transpose()))
+    reps = [cocycles.basis[q - image.cols] for q in pivots if q >= image.cols]
     if relative:
         idx = k.interior_indices(degree)
         n_full = k.n_cells(degree)
@@ -272,66 +244,56 @@ def hodge_star(k: CellComplex, degree: int) -> Matrix:
     return Matrix.diagonal(hodge_weights(k, degree))
 
 
-def _edge_boundary(vertex_names: Sequence[str],
-                   edges: Sequence[tuple[str, str]]) -> Matrix:
-    idx = {v: i for i, v in enumerate(vertex_names)}
-    m = [[Fraction(0)] * len(edges) for _ in vertex_names]
-    for j, (a, b) in enumerate(edges):
-        m[idx[a]][j] -= 1
-        m[idx[b]][j] += 1
-    return Matrix.from_rows(m)
+def _edge(tail: int, head: int) -> Faces:
+    """Face list of an edge pointing from vertex `tail` to vertex `head`."""
+    return _summed_faces(((tail, -_ONE), (head, _ONE)))
 
 
 def path_complex(n_vertices: int, weights: Optional[Sequence] = None,
                  boundary: Optional[Sequence[int]] = None) -> CellComplex:
     """Path graph; endpoints are boundary unless overridden."""
     vs = tuple(f"v{i}" for i in range(n_vertices))
-    edges = [(f"v{i}", f"v{i + 1}") for i in range(n_vertices - 1)]
     es = tuple(f"e{i}" for i in range(n_vertices - 1))
     if boundary is None:
         boundary = [0, n_vertices - 1] if n_vertices > 1 else [0]
     vflags = tuple(i in set(boundary) for i in range(n_vertices))
     if weights is None:
         weights = [1] * len(es)
-    w = ((Fraction(1),) * n_vertices, tuple(frac(x) for x in weights))
-    return CellComplex((vs, es), (_edge_boundary(vs, edges),),
-                       (vflags, (False,) * len(es)), w, cubical=True)
+    w = ((_ONE,) * n_vertices, tuple(frac(x) for x in weights))
+    edges = tuple(_edge(i, i + 1) for i in range(len(es)))
+    return CellComplex((vs, es), (edges,), (vflags, (False,) * len(es)), w,
+                       cubical=True)
 
 
 def circle_complex(n: int, tag: str = "") -> CellComplex:
     """Cycle graph with n vertices, closed (no boundary)."""
     vs = tuple(f"{tag}v{i}" for i in range(n))
-    edges = [(f"{tag}v{i}", f"{tag}v{(i + 1) % n}") for i in range(n)]
     es = tuple(f"{tag}e{i}" for i in range(n))
-    return CellComplex((vs, es), (_edge_boundary(vs, edges),),
-                       ((False,) * n, (False,) * n),
-                       ((Fraction(1),) * n, (Fraction(1),) * n),
-                       cubical=True)
+    edges = tuple(_edge(i, (i + 1) % n) for i in range(n))
+    return CellComplex((vs, es), (edges,), ((False,) * n, (False,) * n),
+                       ((_ONE,) * n, (_ONE,) * n), cubical=True)
 
 
 def disjoint_union(a: CellComplex, b: CellComplex) -> CellComplex:
     dim = max(a.dim, b.dim)
-    cells = tuple(a.cells[k] if k <= a.dim else () for k in range(dim + 1))
-    cells = tuple(cells[k] + (b.cells[k] if k <= b.dim else ())
-                  for k in range(dim + 1))
-    ops = []
-    for k in range(1, dim + 1):
-        oa = a.boundary_op(k) if k <= a.dim else Matrix.zeros(
-            a.n_cells(k - 1), 0)
-        ob = b.boundary_op(k) if k <= b.dim else Matrix.zeros(
-            b.n_cells(k - 1), 0)
-        ops.append(block_diag(oa, ob))
-    flags = tuple(
-        (a.boundary_flags[k] if k <= a.dim else ())
-        + (b.boundary_flags[k] if k <= b.dim else ())
-        for k in range(dim + 1))
+
+    def joined(in_a, in_b):
+        """Per dimension, a's entries followed by b's."""
+        return tuple((in_a[k] if k <= a.dim else ())
+                     + (in_b[k] if k <= b.dim else ())
+                     for k in range(dim + 1))
+
+    # b's faces move past a's cells of one dimension lower; the leading
+    # () below stands in for the vertices, which have no face lists
+    b_faces = tuple(tuple(tuple((i + a.n_cells(k), x) for i, x in f)
+                          for f in fs)
+                    for k, fs in enumerate(b.face_lists))
+    face_lists = joined(((),) + a.face_lists, ((),) + b_faces)[1:]
     weights = None
     if a.weights is not None and b.weights is not None:
-        weights = tuple(
-            (a.weights[k] if k <= a.dim else ())
-            + (b.weights[k] if k <= b.dim else ())
-            for k in range(dim + 1))
-    return CellComplex(cells, tuple(ops), flags, weights,
+        weights = joined(a.weights, b.weights)
+    return CellComplex(joined(a.cells, b.cells), face_lists,
+                       joined(a.boundary_flags, b.boundary_flags), weights,
                        cubical=a.cubical and b.cubical)
 
 
@@ -352,8 +314,6 @@ def grid_complex(nx: int, ny: int,
 
     squares = [(i, j) for j in range(ny) for i in range(nx)
                if (i, j) not in hole_set]
-    nvx = nx if periodic else nx + 1
-    nvy = ny if periodic else ny + 1
 
     vset, he_set, ve_set = set(), set(), set()
     for (i, j) in squares:
@@ -367,52 +327,39 @@ def grid_complex(nx: int, ny: int,
     verts = sorted(vset)
     hes = sorted(he_set)
     ves = sorted(ve_set)
-    vname = {v: f"v{v[0]}_{v[1]}" for v in verts}
-    hname = {e: f"h{e[0]}_{e[1]}" for e in hes}
-    vnamee = {e: f"w{e[0]}_{e[1]}" for e in ves}
     vidx = {v: i for i, v in enumerate(verts)}
     eidx = {("h", e): i for i, e in enumerate(hes)}
     eidx.update({("w", e): len(hes) + i for i, e in enumerate(ves)})
-    n_e = len(hes) + len(ves)
 
-    d1 = [[Fraction(0)] * n_e for _ in verts]
-    for e in hes:
-        i, j = e
-        d1[vidx[wrap(i, j)]][eidx[("h", e)]] -= 1
-        d1[vidx[wrap(i + 1, j)]][eidx[("h", e)]] += 1
-    for e in ves:
-        i, j = e
-        d1[vidx[wrap(i, j)]][eidx[("w", e)]] -= 1
-        d1[vidx[wrap(i, j + 1)]][eidx[("w", e)]] += 1
-
-    d2 = [[Fraction(0)] * len(squares) for _ in range(n_e)]
-    edge_use = [0] * n_e
-    for c, (i, j) in enumerate(squares):
+    edge_faces = tuple(
+        [_edge(vidx[(i, j)], vidx[wrap(i + 1, j)]) for (i, j) in hes]
+        + [_edge(vidx[(i, j)], vidx[wrap(i, j + 1)]) for (i, j) in ves])
+    square_faces = []
+    edge_use = [0] * len(edge_faces)
+    for (i, j) in squares:
         bottom = eidx[("h", wrap(i, j))]
         top = eidx[("h", wrap(i, j + 1))]
         left = eidx[("w", wrap(i, j))]
         right = eidx[("w", wrap(i + 1, j))]
-        d2[bottom][c] += 1
-        d2[right][c] += 1
-        d2[top][c] -= 1
-        d2[left][c] -= 1
+        square_faces.append(_summed_faces(
+            ((bottom, _ONE), (right, _ONE), (top, -_ONE), (left, -_ONE))))
         for e in (bottom, top, left, right):
             edge_use[e] += 1
 
-    eflags = tuple(edge_use[i] < 2 for i in range(n_e))
+    eflags = tuple(n < 2 for n in edge_use)
     vflags = [False] * len(verts)
-    for e in range(n_e):
-        if eflags[e]:
-            for vi in range(len(verts)):
-                if d1[vi][e] != 0:
-                    vflags[vi] = True
+    for fs, flagged in zip(edge_faces, eflags):
+        if flagged:
+            for v, _ in fs:
+                vflags[v] = True
 
-    cells = (tuple(vname[v] for v in verts),
-             tuple([hname[e] for e in hes] + [vnamee[e] for e in ves]),
+    cells = (tuple(f"v{i}_{j}" for (i, j) in verts),
+             tuple([f"h{i}_{j}" for (i, j) in hes]
+                   + [f"w{i}_{j}" for (i, j) in ves]),
              tuple(f"f{i}_{j}" for (i, j) in squares))
     flags = (tuple(vflags), eflags, (False,) * len(squares))
 
-    def wlookup(kind, key, default=Fraction(1)):
+    def wlookup(kind, key, default=_ONE):
         if weights is None:
             return default
         return frac(weights.get((kind,) + key, default))
@@ -420,7 +367,7 @@ def grid_complex(nx: int, ny: int,
     ws = (tuple(wlookup("v", v) for v in verts),
           tuple([wlookup("h", e) for e in hes] + [wlookup("w", e) for e in ves]),
           tuple(wlookup("f", s) for s in squares))
-    return CellComplex(cells, (Matrix.from_rows(d1), Matrix.from_rows(d2)),
+    return CellComplex(cells, (edge_faces, tuple(square_faces)),
                        flags, ws, cubical=True)
 
 
@@ -442,37 +389,28 @@ def triangulated_grid_complex(nx: int, ny: int,
     hole_set = set(holes)
     squares = [(i, j) for j in range(ny) for i in range(nx)
                if (i, j) not in hole_set]
-    vset = set()
-    for (i, j) in squares:
-        vset.update([(i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)])
-    verts = sorted(vset)
-    vidx = {v: i for i, v in enumerate(verts)}
+    vidx = {name: k for k, name in enumerate(base.cells[0])}
     # reuse the cubical edge layout and append one diagonal per square
     old_edges = base.cells[1]
     n_old = len(old_edges)
-    diag_names = tuple(f"d{i}_{j}" for (i, j) in squares)
-    n_e = n_old + len(squares)
-    one, minus = Fraction(1), Fraction(-1)
-    d1 = [dict(r) for r in base.boundary_op(1).data]
-    for c, (i, j) in enumerate(squares):
-        d1[vidx[(i, j)]][n_old + c] = minus
-        d1[vidx[(i + 1, j + 1)]][n_old + c] = one
     eidx = {name: k for k, name in enumerate(old_edges)}
-    tris = []
-    d2: list[dict[int, Fraction]] = [{} for _ in range(n_e)]
+    diagonals, tris, tri_faces = [], [], []
     for c, (i, j) in enumerate(squares):
+        diagonals.append(_edge(vidx[f"v{i}_{j}"], vidx[f"v{i + 1}_{j + 1}"]))
         bottom = eidx[f"h{i}_{j}"]
         top = eidx[f"h{i}_{j + 1}"]
         left = eidx[f"w{i}_{j}"]
         right = eidx[f"w{i + 1}_{j}"]
         diag = n_old + c
-        lo, hi = 2 * c, 2 * c + 1
-        d2[bottom][lo] = d2[right][lo] = d2[diag][hi] = one
-        d2[diag][lo] = d2[top][hi] = d2[left][hi] = minus
+        tri_faces += [
+            _summed_faces(((bottom, _ONE), (right, _ONE), (diag, -_ONE))),
+            _summed_faces(((diag, _ONE), (top, -_ONE), (left, -_ONE)))]
         tris += [f"t{i}_{j}a", f"t{i}_{j}b"]
     eflags = tuple(base.boundary_flags[1]) + (False,) * len(squares)
-    cells = (base.cells[0], old_edges + diag_names, tuple(tris))
+    cells = (base.cells[0],
+             old_edges + tuple(f"d{i}_{j}" for (i, j) in squares),
+             tuple(tris))
     flags = (base.boundary_flags[0], eflags, (False,) * len(tris))
-    return CellComplex(cells, (Matrix(len(d1), n_e, d1),
-                               Matrix(n_e, len(tris), d2)),
+    return CellComplex(cells, (base.faces(1) + tuple(diagonals),
+                               tuple(tri_faces)),
                        flags, None, cubical=False)

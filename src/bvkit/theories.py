@@ -175,8 +175,8 @@ def with_boundary_vertices(cx: CellComplex,
     w = cx.weights
     weights = ((Fraction(1),) * len(cells[0]),
                w[1] if w is not None else (Fraction(1),) * len(cells[1]))
-    return ScalarFieldTheory(CellComplex.from_faces(
-        cells, (cx.faces(1),), flags, weights, cubical=True))
+    return ScalarFieldTheory(CellComplex(cells, (cx.faces(1),), flags,
+                                         weights, cubical=True))
 
 
 def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
@@ -204,8 +204,8 @@ def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
     flags = (tuple(n in bset for n in cells[0]), (False,) * len(e_idx))
     w = ((Fraction(1),) * len(v_idx),
          tuple(g.weights[1][j] for j in e_idx))
-    return ScalarFieldTheory(CellComplex.from_faces(
-        cells, (faces,), flags, w, cubical=True))
+    return ScalarFieldTheory(CellComplex(cells, (faces,), flags, w,
+                                         cubical=True))
 
 
 @dataclass(frozen=True)

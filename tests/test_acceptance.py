@@ -31,7 +31,6 @@ from bvkit.collar import (
 )
 from bvkit.complexes import (
     CellComplex,
-    _edge_boundary,
     annulus_complex,
     circle_complex,
     cohomology,
@@ -59,6 +58,7 @@ from bvkit.theories import (
     reduce_relation,
     subgraph_theory,
 )
+from test_complexes import dense_edge_boundary, dense_faces
 
 
 def dot(u, v):
@@ -166,7 +166,7 @@ def partitioned_theory(rng, n_left, n_right, n_cut):
          tuple(Fraction(rng.randint(1, 6), rng.randint(1, 3))
                for _ in edges))
     cx = CellComplex((tuple(names), enames),
-                     (_edge_boundary(names, edges),),
+                     (dense_faces(dense_edge_boundary(names, edges)),),
                      (tuple(nm in bset for nm in names),
                       (False,) * len(enames)), w, cubical=True)
     t = ScalarFieldTheory(cx)

@@ -271,3 +271,141 @@ def test_readme_flag_list_matches_parser():
     options = [s for a in cli.build_parser()._actions
                for s in a.option_strings if s not in ("-h", "--help")]
     assert re.findall(r"`(--[a-z-]+)`", listed) == options
+
+
+def _valid_inputs():
+    """One valid --input payload per command that reads one."""
+    path3 = cli.FIXTURES["path3"](None)
+    plane = {"omega": [["0", "1"], ["-1", "0"]]}
+    particle = cli.relation_to_json(
+        mechanics_relation(MechanicsFixture("free_particle")))
+    return {
+        "check-relation": {"source": plane, "target": plane,
+                           "body": [["1", "0", "1", "0"],
+                                    ["0", "1", "0", "1"]]},
+        "compose": {"first": particle, "second": particle},
+        "reduce": {"alpha": [["0", "0", "0"], ["1", "0", "0"],
+                             ["0", "0", "0"]], "const": ["0", "1", "0"]},
+        "dtn": path3,
+        "glue": {"complex": cli.FIXTURES["path5"](None), "cut": ["v2"],
+                 "left": ["v0", "v1", "v2"], "right": ["v2", "v3", "v4"]},
+        "hj-action": {"complex": path3,
+                      "boundary_values": {"v0": "1", "v2": "0"}},
+        "collar": {"complex": path3,
+                   "fields": [{"name": "phi", "cell_dim": 0, "degree": 0}],
+                   "action": [["1", "-1", "0"], ["-1", "2", "-1"],
+                              ["0", "-1", "1"]]},
+        "bfv-resolve": {"n_pairs": 2, "constraints": [["0", "0", "1", "0"]]},
+        "bfv-cohomology": {"n_pairs": 1, "constraints": [["0", "1"]],
+                           "truncation": 2},
+        "bv-check": {"fixture": "disk", "size": 1},
+        "moduli": {"complex": cli.FIXTURES["disk"](None), "bf": True},
+        "corner": path3,
+        "boundary-bfv": {"complex": cli.FIXTURES["circle"](None), "d": 2},
+    }
+
+
+SMALL_VALUES = [0, 1, 2, -1, 3, 0.5, "1", "-1", "1/2", "1/0", "x", "",
+                "v0", True, False, None, [], {}, [0], ["v0"]]
+
+
+def _mutated_input(rng, data):
+    """`data` with one to three of its values replaced by, preceded by or
+    swapped for a small JSON value, or deleted. Each place is found by a
+    walk from the top that stops at each level with even odds, so the
+    top-level fields are hit most often."""
+    data = json.loads(json.dumps(data))
+    for _ in range(rng.randint(1, 3)):
+        parent, key = None, None
+        x = data
+        while isinstance(x, (dict, list)) and x and (
+                key is None or rng.random() < 0.5):
+            parent, key = x, rng.choice(list(x) if isinstance(x, dict)
+                                        else range(len(x)))
+            x = x[key]
+        if parent is None:
+            break
+        small = json.loads(json.dumps(rng.choice(SMALL_VALUES)))
+        r = rng.random()
+        if r < 0.15:
+            del parent[key]
+        elif r < 0.25 and isinstance(parent, list):
+            parent.insert(key, small)
+        else:
+            parent[key] = small
+    return data
+
+
+def _run_input(tmp_path, command, data):
+    """`cli.run` on `data` as the --input file; the report must render
+    to JSON that parses back to it, with a status that has an exit code."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    cfg = cli.build_parser().parse_args([command, "--input", str(path)])
+    report = cli.run(cfg)
+    assert json.loads(cli.render(report)) == report
+    assert report["status"] in cli.EXIT
+    if report["status"] == "error":
+        assert report["payload"]["diagnostic"]
+    return report
+
+
+def test_mutated_inputs_give_a_report_for_every_command(tmp_path):
+    import random
+
+    rng = random.Random(101)
+    valid = _valid_inputs()
+    statuses = {s: 0 for s in cli.EXIT}
+    for command, data in valid.items():
+        assert _run_input(tmp_path, command, data)["status"] == "pass"
+    for _ in range(1000):
+        command = rng.choice(sorted(valid))
+        data = _mutated_input(rng, valid[command])
+        statuses[_run_input(tmp_path, command, data)["status"]] += 1
+    assert statuses["pass"] >= 50 and statuses["error"] >= 500, statuses
+
+
+def _tiny_complex(dims, cells, flags=()):
+    return {"dims": dims, "cells": cells, "boundary": [],
+            "boundary_flags": list(flags)}
+
+
+@pytest.mark.parametrize("cx", [
+    _tiny_complex(0, [["a", "b"], ["e"]]),
+    _tiny_complex(-1, [["a", "b"], ["e"]]),
+    _tiny_complex(3, [["a", "b"], ["e"]]),
+    _tiny_complex(1, [["a", "b"], ["e"], ["f"]]),
+], ids=["dims-below-cells", "dims-negative", "dims-beyond-cells",
+        "dims-below-three-cell-lists"])
+@pytest.mark.parametrize("command", [
+    "dtn", "glue", "hj-action", "collar", "bv-check", "moduli", "corner",
+    "boundary-bfv"])
+def test_dims_that_disagree_with_the_cell_lists_are_errors(tmp_path, cx,
+                                                          command):
+    data = {"dtn": cx, "corner": cx,
+            "glue": {"complex": cx, "cut": [], "left": [], "right": []},
+            "hj-action": {"complex": cx, "boundary_values": {}},
+            "collar": {"complex": cx, "action": [],
+                       "fields": [{"name": "x", "cell_dim": 0}]},
+            "bv-check": {"complex": cx}, "moduli": {"complex": cx},
+            "boundary-bfv": {"complex": cx, "d": 2}}[command]
+    report = _run_input(tmp_path, command, data)
+    assert report["status"] == "error"
+    assert "malformed complex JSON" in report["payload"]["diagnostic"]
+
+
+@pytest.mark.parametrize("cell_dim", [5, 2, -1, "1", True, 0.0, None])
+def test_collar_refuses_a_cell_dimension_the_complex_lacks(tmp_path,
+                                                           cell_dim):
+    data = {"complex": cli.FIXTURES["path3"](None), "action": [],
+            "fields": [{"name": "x", "cell_dim": cell_dim}]}
+    report = _run_input(tmp_path, "collar", data)
+    assert report["status"] == "error"
+    assert "cell_dim" in report["payload"]["diagnostic"]
+
+
+def test_corner_refuses_a_complex_without_edges(tmp_path):
+    data = _tiny_complex(0, [["a"]], ["a"])
+    code, rep, _ = run_cli(tmp_path, ["corner"], data)
+    assert code == 2
+    assert "corners need a complex with edges" in rep["payload"]["diagnostic"]

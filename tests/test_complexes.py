@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bvkit.collar import prism
 from bvkit.complexes import (
     CellComplex,
     NotCubical,
@@ -18,7 +19,7 @@ from bvkit.complexes import (
     triangulated_grid_complex,
     validate,
 )
-from bvkit.numkit import Matrix, vec
+from bvkit.numkit import Matrix, block_diag, kernel, vec
 from test_numkit import from_dense
 
 
@@ -31,12 +32,11 @@ def boundary_subcomplex(cx):
     cells = tuple(tuple(cx.cells[k][i] for i in cx.boundary_indices(k))
                   for k in range(cx.dim + 1))
     dim = max((k for k in range(cx.dim + 1) if cells[k]), default=0)
-    ops = []
-    for k in range(1, dim + 1):
-        ops.append(cx.boundary_op(k).submatrix(cx.boundary_indices(k - 1),
-                                               cx.boundary_indices(k)))
+    faces = tuple(dense_faces(cx.boundary_op(k).submatrix(
+        cx.boundary_indices(k - 1), cx.boundary_indices(k)))
+        for k in range(1, dim + 1))
     flags = tuple((False,) * len(cells[k]) for k in range(dim + 1))
-    return CellComplex(cells[:dim + 1], tuple(ops), flags)
+    return CellComplex(cells[:dim + 1], faces, flags)
 
 
 def test_validate_interval():
@@ -47,7 +47,7 @@ def test_validate_flags_sign_error():
     g = grid_complex(1, 1)
     bad_d2 = Matrix.from_rows([[-r[0]] if i == 0 else [r[0]]
                                for i, r in enumerate(g.boundary_op(2).entries)])
-    broken = CellComplex(g.cells, (g.boundary_op(1), bad_d2),
+    broken = CellComplex(g.cells, (g.faces(1), dense_faces(bad_d2)),
                          g.boundary_flags, g.weights, cubical=True)
     assert any("boundary of boundary" in p for p in validate(broken))
 
@@ -55,7 +55,7 @@ def test_validate_flags_sign_error():
 def test_validate_flags_open_boundary_subcomplex():
     g = path_complex(3)
     flags = (g.boundary_flags[0], (True, False))  # edge flagged, faces not
-    broken = CellComplex(g.cells, g.boundary_ops, flags, g.weights,
+    broken = CellComplex(g.cells, g.face_lists, flags, g.weights,
                          cubical=True)
     assert any("unflagged face" in p for p in validate(broken))
 
@@ -186,7 +186,9 @@ def test_json_roundtrip():
     for cx in [path_complex(4), annulus_complex(3)]:
         again = CellComplex.from_dict(cx.to_dict())
         assert again.cells == cx.cells
-        assert again.boundary_ops == cx.boundary_ops
+        assert again.face_lists == cx.face_lists
+        assert all(again.boundary_op(k) == cx.boundary_op(k)
+                   for k in range(cx.dim + 2))
         assert again.boundary_flags == cx.boundary_flags
         assert again.weights == cx.weights
 
@@ -198,11 +200,113 @@ def test_grid_boundary_flags_disk():
     assert torus_complex(3, 3).boundary_indices(0) == []
 
 
-def dense_faces(cx, k):
-    """Oracle: the face lists by a scan over the dense boundary_op(k)."""
-    op = cx.boundary_op(k)
+def dense_faces(op):
+    """Oracle: the face lists of the columns of a boundary matrix, by a
+    scan over its dense entries."""
     return tuple(tuple((i, op[i, j]) for i in range(op.rows) if op[i, j])
                  for j in range(op.cols))
+
+
+def dense_edge_boundary(vertex_names, edges):
+    """Oracle: the vertex-by-edge incidence table of edges given as
+    (tail, head) vertex names, one dense entry at a time."""
+    idx = {v: i for i, v in enumerate(vertex_names)}
+    m = [[Fraction(0)] * len(edges) for _ in vertex_names]
+    for j, (a, b) in enumerate(edges):
+        m[idx[a]][j] -= 1
+        m[idx[b]][j] += 1
+    return from_dense(len(m), len(edges), m)
+
+
+def dense_grid(nx, ny, holes=(), periodic=False):
+    """Oracle: grid_complex's incidence tables and boundary flags by
+    dense V x E and E x F tables, and the vertex flags by a scan of every
+    vertex against every flagged edge."""
+    def wrap(i, j):
+        return (i % nx, j % ny) if periodic else (i, j)
+
+    squares = [(i, j) for j in range(ny) for i in range(nx)
+               if (i, j) not in set(holes)]
+    verts = sorted({wrap(i + a, j + b) for i, j in squares
+                    for a in (0, 1) for b in (0, 1)})
+    hes = sorted({wrap(i, j + b) for i, j in squares for b in (0, 1)})
+    ves = sorted({wrap(i + a, j) for i, j in squares for a in (0, 1)})
+    vidx = {v: i for i, v in enumerate(verts)}
+    eidx = {("h", e): i for i, e in enumerate(hes)}
+    eidx.update({("w", e): len(hes) + i for i, e in enumerate(ves)})
+    n_e = len(hes) + len(ves)
+    d1 = [[Fraction(0)] * n_e for _ in verts]
+    for kind, es, step in (("h", hes, (1, 0)), ("w", ves, (0, 1))):
+        for i, j in es:
+            d1[vidx[wrap(i, j)]][eidx[(kind, (i, j))]] -= 1
+            d1[vidx[wrap(i + step[0], j + step[1])]][eidx[(kind, (i, j))]] += 1
+    d2 = [[Fraction(0)] * len(squares) for _ in range(n_e)]
+    edge_use = [0] * n_e
+    for c, (i, j) in enumerate(squares):
+        sides = [(("h", wrap(i, j)), 1), (("w", wrap(i + 1, j)), 1),
+                 (("h", wrap(i, j + 1)), -1), (("w", wrap(i, j)), -1)]
+        for side, sign in sides:
+            d2[eidx[side]][c] += sign
+            edge_use[eidx[side]] += 1
+    eflags = tuple(u < 2 for u in edge_use)
+    vflags = tuple(any(eflags[e] and d1[v][e] != 0 for e in range(n_e))
+                   for v in range(len(verts)))
+    ops = (from_dense(len(verts), n_e, d1),
+           from_dense(n_e, len(squares), d2))
+    return ops, (vflags, eflags, (False,) * len(squares))
+
+
+def dense_triangulated(nx, ny, holes=()):
+    """Oracle: triangulated_grid_complex's tables, the grid's d1 with one
+    diagonal column per square and two triangle columns per square."""
+    (d1, d2), _ = dense_grid(nx, ny, holes)
+    squares = [(i, j) for j in range(ny) for i in range(nx)
+               if (i, j) not in set(holes)]
+    names = grid_complex(nx, ny, holes=holes).cells
+    vidx = {n: i for i, n in enumerate(names[0])}
+    eidx = {n: i for i, n in enumerate(names[1])}
+    n_old = len(names[1])
+    t1 = [list(r) + [Fraction(0)] * len(squares) for r in d1.entries]
+    t2 = [[Fraction(0)] * (2 * len(squares))
+          for _ in range(n_old + len(squares))]
+    for c, (i, j) in enumerate(squares):
+        t1[vidx[f"v{i}_{j}"]][n_old + c] -= 1
+        t1[vidx[f"v{i + 1}_{j + 1}"]][n_old + c] += 1
+        lo, hi, diag = 2 * c, 2 * c + 1, n_old + c
+        for e, col, sign in ((f"h{i}_{j}", lo, 1), (f"w{i + 1}_{j}", lo, 1),
+                             (f"h{i}_{j + 1}", hi, -1), (f"w{i}_{j}", hi, -1)):
+            t2[eidx[e]][col] += sign
+        t2[diag][lo] -= 1
+        t2[diag][hi] += 1
+    return (from_dense(len(t1), n_old + len(squares), t1),
+            from_dense(len(t2), 2 * len(squares), t2))
+
+
+def dense_prism(base, layers):
+    """Oracle: prism's tables, d(edge x interval) = (d edge) x interval -
+    edge x d(interval), filled one dense entry at a time."""
+    n0, n1, nt = base.n_cells(0), base.n_cells(1), layers + 1
+    d_base = base.boundary_op(1).entries if n1 else ()
+    n_ve = layers * n0
+    d1 = [[Fraction(0)] * (n_ve + nt * n1) for _ in range(nt * n0)]
+    for t in range(layers):
+        for c in range(n0):
+            d1[t * n0 + c][t * n0 + c] -= 1
+            d1[(t + 1) * n0 + c][t * n0 + c] += 1
+    d2 = [[Fraction(0)] * (layers * n1) for _ in range(n_ve + nt * n1)]
+    for t in range(nt):
+        for c in range(n1):
+            for r in range(n0):
+                d1[t * n0 + r][n_ve + t * n1 + c] += d_base[r][c]
+                if t < layers:
+                    d2[t * n0 + r][t * n1 + c] += d_base[r][c]
+            if t < layers:
+                d2[n_ve + (t + 1) * n1 + c][t * n1 + c] -= 1
+                d2[n_ve + t * n1 + c][t * n1 + c] += 1
+    ops = (from_dense(len(d1), n_ve + nt * n1, d1),)
+    if base.dim >= 1:
+        ops += (from_dense(len(d2), layers * n1, d2),)
+    return ops
 
 
 def dense_from_dict(data):
@@ -218,7 +322,7 @@ def dense_from_dict(data):
         for j, name in enumerate(cells[k]):
             for face, sign in face_map.get(name, []):
                 m[index[k - 1][face]][j] = Fraction(sign)
-        ops.append(from_dense(len(m), len(cells[k]) if m else 0, m))
+        ops.append(from_dense(len(m), len(cells[k]), m))
     weights = None
     if "weights" in data:
         weights = tuple(tuple(Fraction(w) for w in ws)
@@ -257,11 +361,11 @@ def test_face_lists_from_json_match_dense_scan():
         data = random_complex_dict(rng, rng.randint(1, 3))
         cx = CellComplex.from_dict(data)
         ops, weights = dense_from_dict(data)
-        assert cx.boundary_ops == ops and cx.weights == weights
-        fresh = CellComplex(cx.cells, cx.boundary_ops, cx.boundary_flags,
-                            cx.weights)
+        assert cx.weights == weights
+        assert tuple(cx.boundary_op(k) for k in range(1, cx.dim + 1)) == ops
         for k in range(1, cx.dim + 1):
-            assert cx.faces(k) == dense_faces(cx, k) == fresh.faces(k)
+            assert cx.faces(k) == dense_faces(ops[k - 1])
+            assert coboundary(cx, k - 1) == ops[k - 1].transpose()
             assert type(cx.faces(k)) is tuple
             assert all(type(f) is tuple for f in cx.faces(k))
         for entry in data["boundary"]:
@@ -298,7 +402,8 @@ def test_face_lists_of_subgraphs_and_boundary_choices_match_dense_scan():
         cx = CellComplex.from_dict(data)
         chosen = rng.sample(names, rng.randint(0, n))
         t = with_boundary_vertices(cx, chosen)
-        assert t.graph.faces(1) == dense_faces(t.graph, 1) == cx.faces(1)
+        assert t.graph.faces(1) == dense_faces(t.graph.boundary_op(1)) \
+            == cx.faces(1)
         vs = rng.sample(names, rng.randint(0, n))
         bd = rng.sample(vs, rng.randint(0, len(vs)))
         picked = rng.sample(data["cells"][1], rng.randint(0, len(edges)))
@@ -309,19 +414,20 @@ def test_face_lists_of_subgraphs_and_boundary_choices_match_dense_scan():
             e_idx = [j for j, nm in enumerate(cx.cells[1]) if nm in g.cells[1]]
             assert g.boundary_op(1) == cx.boundary_op(1).submatrix(v_idx,
                                                                    e_idx)
-            assert g.faces(1) == dense_faces(g, 1)
+            assert g.faces(1) == dense_faces(g.boundary_op(1))
 
 
 def test_replaced_complex_does_not_reuse_face_lists():
     from dataclasses import replace
 
     cx = CellComplex.from_dict(annulus_complex(3).to_dict())
-    before = cx.faces(1)
-    flipped = replace(cx, boundary_ops=(-cx.boundary_op(1),)
-                      + cx.boundary_ops[1:])
-    assert flipped.faces(1) == dense_faces(flipped, 1) != before
-    assert flipped.faces(2) == cx.faces(2)
-    assert cx.faces(1) is before
+    before = cx.boundary_op(1)
+    flipped = replace(cx, face_lists=(dense_faces(-before),)
+                      + cx.face_lists[1:])
+    assert flipped.boundary_op(1) == -before != before
+    assert coboundary(flipped, 0) == -coboundary(cx, 0)
+    assert flipped.boundary_op(2) == cx.boundary_op(2)
+    assert cx.boundary_op(1) == before
 
 
 def _mutated(data, where, value):
@@ -362,5 +468,169 @@ def test_malformed_complex_raises_what_the_dense_rule_raises(where, value):
 def test_weights_must_match_the_cells(weights):
     g = path_complex(3)
     with pytest.raises(ValueError, match="one weight per cell"):
-        CellComplex(g.cells, g.boundary_ops, g.boundary_flags, weights,
+        CellComplex(g.cells, g.face_lists, g.boundary_flags, weights,
                     cubical=True)
+
+
+def _interior(flags):
+    return [i for i, b in enumerate(flags) if not b]
+
+
+def _prism_flags(base, layers):
+    f0, n1 = base.boundary_flags[0], base.n_cells(1)
+    vflags = tuple(t == 0 or b for t in range(layers + 1) for b in f0)
+    eflags = tuple(t == 0 for t in range(layers + 1) for _ in range(n1))
+    flags = (vflags, tuple(f0) * layers + eflags)
+    return flags + ((False,) * (layers * n1),) if base.dim >= 1 else flags
+
+
+def _dense_union(a, b):
+    """Oracle: disjoint_union's tables as block sums of the parts'."""
+    def op(cx, k):
+        return cx.boundary_op(k) if k <= cx.dim else Matrix.zeros(
+            cx.n_cells(k - 1), 0)
+
+    dim = max(a.dim, b.dim)
+    ops = tuple(block_diag(op(a, k), op(b, k)) for k in range(1, dim + 1))
+    flags = tuple((a.boundary_flags[k] if k <= a.dim else ())
+                  + (b.boundary_flags[k] if k <= b.dim else ())
+                  for k in range(dim + 1))
+    return ops, flags
+
+
+def _oracle_cases():
+    point = CellComplex.from_dict({"dims": 0, "cells": [["p"]],
+                                   "boundary": [], "boundary_flags": ["p"]})
+    for n in (1, 2, 4):
+        vs = [f"v{i}" for i in range(n)]
+        ends = [(vs[i], vs[i + 1]) for i in range(n - 1)]
+        for bd in (None, [n - 1]):
+            want = [0, n - 1] if bd is None else bd
+            flags = (tuple(i in want for i in range(n)),
+                     (False,) * (n - 1))
+            yield (f"path{n}", path_complex(n, boundary=bd),
+                   (dense_edge_boundary(vs, ends),), flags)
+    for n in (1, 2, 5):
+        vs = [f"v{i}" for i in range(n)]
+        ends = [(vs[i], vs[(i + 1) % n]) for i in range(n)]
+        yield (f"circle{n}", circle_complex(n),
+               (dense_edge_boundary(vs, ends),), ((False,) * n,) * 2)
+    for nx, ny, holes, periodic in [
+            (1, 1, (), False), (3, 2, (), False),
+            (4, 3, [(0, 0), (2, 1)], False), (5, 5, [(2, 2)], False), (3, 3, [(0, 0), (1, 1), (2, 2)], False),
+            (1, 1, (), True), (1, 2, (), True), (2, 1, (), True),
+            (3, 3, (), True)]:
+        ops, flags = dense_grid(nx, ny, holes, periodic)
+        yield (f"grid{nx}x{ny}{holes}{periodic}",
+               grid_complex(nx, ny, holes=holes, periodic=periodic), ops,
+               flags)
+    for nx, ny, holes in [(2, 2, ()), (3, 3, [(1, 1)]), (3, 2, [(0, 1)])]:
+        grid_flags = dense_grid(nx, ny, holes)[1]
+        n = nx * ny - len(holes)
+        flags = (grid_flags[0], grid_flags[1] + (False,) * n,
+                 (False,) * (2 * n))
+        yield (f"tri{nx}x{ny}{holes}",
+               triangulated_grid_complex(nx, ny, holes=holes),
+               dense_triangulated(nx, ny, holes), flags)
+    for a, b in [(circle_complex(3, "a"), grid_complex(2, 1)),
+                 (grid_complex(1, 2), path_complex(3)),
+                 (circle_complex(1, "a"), circle_complex(2, "b"))]:
+        yield ("union", disjoint_union(a, b)) + _dense_union(a, b)
+    for base in (point, path_complex(3), circle_complex(3), circle_complex(1)):
+        for layers in (1, 2, 3):
+            yield (f"prism{base.cells[0]}x{layers}", prism(base, layers),
+                   dense_prism(base, layers), _prism_flags(base, layers))
+
+
+def test_builders_match_dense_incidence_tables():
+    seen = {"cancelled": 0, "prism over a point": 0}
+    for name, cx, ops, flags in _oracle_cases():
+        assert cx.boundary_flags == flags, name
+        assert validate(cx) == [], name
+        assert len(cx.face_lists) == len(ops) == cx.dim, name
+        for k, op in enumerate(ops, 1):
+            assert cx.boundary_op(k) == op, name
+            assert cx.faces(k) == dense_faces(op), name
+            assert all(x for f in cx.faces(k) for _, x in f), name
+            d = op.transpose()
+            assert coboundary(cx, k - 1) == d, name
+            assert coboundary(cx, k - 1, relative=True) == d.submatrix(
+                _interior(flags[k]), _interior(flags[k - 1])), name
+            seen["cancelled"] += sum(not any(op.col(j))
+                                     for j in range(op.cols))
+        top = cx.n_cells(cx.dim)
+        assert cx.boundary_op(cx.dim + 1) == Matrix.zeros(top, 0)
+        assert coboundary(cx, cx.dim) == Matrix.zeros(0, top)
+        assert cx.faces(0) == ((),) * cx.n_cells(0)
+        seen["prism over a point"] += cx.dim == 1 and "|" in cx.cells[0][0]
+    # circle(1) cancels its edge, torus(1, 1) its square and both edges
+    assert seen["cancelled"] >= 10 and seen["prism over a point"] == 3, seen
+
+
+def grows_span_cohomology(cx, degree, relative=False):
+    """Oracle: the representatives by dense elimination, reducing each
+    image column and then each kernel basis vector by the pivot rows
+    found so far; a kernel vector that leaves a remainder is kept."""
+    pivots = []
+
+    def grows_span(v):
+        w = list(v)
+        for p, row in pivots:
+            c = w[p]
+            if c:
+                w = [y - c * x if x else y for y, x in zip(w, row)]
+        p = next((j for j, x in enumerate(w) if x), None)
+        if p is not None:
+            pivots.append((p, [x / w[p] for x in w]))
+        return p is not None
+
+    if degree > 0:
+        d_below = coboundary(cx, degree - 1, relative)
+        for j in range(d_below.cols):
+            grows_span(d_below.col(j))
+    reps = [v for v in kernel(coboundary(cx, degree, relative)).basis
+            if grows_span(v)]
+    if relative:
+        idx = cx.interior_indices(degree)
+        full = [[Fraction(0)] * cx.n_cells(degree) for _ in reps]
+        for f, r in zip(full, reps):
+            for pos, i in enumerate(idx):
+                f[i] = r[pos]
+        reps = [tuple(f) for f in full]
+    return tuple(reps)
+
+
+def test_cohomology_representatives_match_dense_elimination():
+    fixtures = [cx for _, cx, _, _ in _oracle_cases()] + [
+        annulus_complex(3), torus_complex(1, 1), torus_complex(4, 3),
+        disjoint_union(circle_complex(4, "a"), circle_complex(5, "b"))]
+    nonzero = 0
+    for cx in fixtures:
+        for k in range(cx.dim + 1):
+            for rel in (False, True):
+                rep = cohomology(cx, k, rel)
+                want = grows_span_cohomology(cx, k, rel)
+                assert rep.representative_basis == want
+                assert rep.dimension == len(want)
+                nonzero += bool(want)
+    assert nonzero >= 40, nonzero
+
+
+@pytest.mark.parametrize("what, change", [
+    ("face list", lambda g: {"face_lists": ()}),
+    ("face list", lambda g: {"face_lists": (g.faces(1)[:1],)}),
+    ("face list", lambda g: {"face_lists": (g.faces(1) + ((),),)}),
+    ("face list", lambda g: {"face_lists": (g.faces(1), ())}),
+    ("boundary flag", lambda g: {"boundary_flags": g.boundary_flags[:1]}),
+    ("boundary flag", lambda g: {"boundary_flags":
+                                 ((True,) * 2, (False,) * 2)}),
+    ("boundary flag", lambda g: {"boundary_flags":
+                                 g.boundary_flags + ((),)}),
+], ids=["no-edge-lists", "short-edge-lists", "long-edge-lists",
+        "extra-degree-lists", "missing-flag-degree", "short-vertex-flags",
+        "extra-flag-degree"])
+def test_face_lists_and_flags_must_match_the_cells(what, change):
+    from dataclasses import replace
+
+    with pytest.raises(ValueError, match=f"one {what} per cell"):
+        replace(path_complex(3), **change(path_complex(3)))

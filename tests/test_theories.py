@@ -45,6 +45,7 @@ from bvkit.theories import (
     with_boundary_vertices,
 )
 from test_acceptance import partitioned_theory
+from test_complexes import dense_edge_boundary, dense_faces
 from test_symplect import omega_complement
 
 
@@ -60,14 +61,12 @@ def random_connected_theory(rng, n, boundary_count):
     weights = [Fraction(rng.randint(1, 6), rng.randint(1, 3))
                for _ in edges]
     enames = tuple(f"e{j}" for j in range(len(edges)))
-    from bvkit.complexes import _edge_boundary
-
     bnames = set(rng.sample(names, boundary_count))
     cells = (tuple(names), enames)
     flags = (tuple(nm in bnames for nm in names), (False,) * len(enames))
     w = ((Fraction(1),) * n, tuple(weights))
-    cx = CellComplex(cells, (_edge_boundary(names, edges),), flags, w,
-                     cubical=True)
+    cx = CellComplex(cells, (dense_faces(dense_edge_boundary(names, edges)),),
+                     flags, w, cubical=True)
     return ScalarFieldTheory(cx)
 
 
@@ -97,7 +96,8 @@ def test_dtn_singular_interior():
     d1 = Matrix.from_rows([[-1], [1], [0]])
     flags = ((True, True, False), (False,))
     w = ((Fraction(1),) * 3, (Fraction(1),))
-    t = ScalarFieldTheory(CellComplex(cells, (d1,), flags, w, cubical=True))
+    t = ScalarFieldTheory(CellComplex(cells, (dense_faces(d1),), flags, w,
+                                      cubical=True))
     with pytest.raises(SingularInterior):
         dtn(t)
 
@@ -136,7 +136,8 @@ def random_incidence_theory(rng, n, n_edges):
     w = ((Fraction(1),) * n,
          tuple(Fraction(rng.choice([-2, 1, 3, 7]), rng.randint(1, 4))
                for _ in range(n_edges)))
-    return ScalarFieldTheory(CellComplex(cells, (Matrix.from_rows(d1),),
+    return ScalarFieldTheory(CellComplex(cells,
+                                         (dense_faces(Matrix.from_rows(d1)),),
                                          flags, w, cubical=True))
 
 
