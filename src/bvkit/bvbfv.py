@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from .collar import (
     BoundaryPackage,
@@ -26,8 +26,6 @@ from .graded import (
     GradedVectorSpace,
     Monomial,
     Polynomial,
-    TruncatedPolynomialAlgebra,
-    normalize_monomial,
 )
 from .numkit import Matrix, block_diag, sparse_rank, vec
 from .symplect import OneForm
@@ -82,15 +80,6 @@ class LinearCohomologicalField:
             for b, x in self.matrix.data[a].items():
                 yield m[:pos] + (b,) + m[pos + 1:], -x if odd else x
             odd ^= self.space.parity(a)
-
-    def on_monomial(self, m: Monomial) -> dict[Monomial, Fraction]:
-        """The nonzero terms of Q(m), each word normalized."""
-        out: dict[Monomial, Fraction] = {}
-        for word, x in self._words(m):
-            mono, sign = normalize_monomial(self.space, word)
-            if mono is not None:
-                out[mono] = out.get(mono, 0) + sign * x
-        return {w: x for w, x in out.items() if x}
 
     def apply(self, p: Polynomial) -> Polynomial:
         return Polynomial.build(self.space, (
@@ -191,34 +180,52 @@ def hamiltonian_of(q: LinearCohomologicalField,
     return s
 
 
-def bfv_cohomology(q: LinearCohomologicalField,
-                   algebra: TruncatedPolynomialAlgebra,
+def bfv_cohomology(q: LinearCohomologicalField, truncation: int,
                    degrees: Iterable[int]) -> dict[int, int]:
-    """dim H^d of the derivation on the truncated polynomial algebra at
-    each requested ghost degree d.
+    """dim H^d of the derivation on the polynomials of word length at most
+    `truncation`, at each requested ghost degree d.
 
-    dim H^d = n_d - rank Q_d - rank Q_(d-1), where n_d counts the degree-d
-    monomials and Q_d maps them to degree d + 1. Each rank is computed
-    once, exactly, from sparse rows Q(m) over the degree-d monomials m.
+    Q is linear, so it keeps word length, and in characteristic 0
+    H(Sym^k V, Q) = Sym^k H(V, Q) with Koszul signs (Kunneth for V^(x)k,
+    then S_k-coinvariants, which are exact by Maschke). With h_g the
+    cohomology of Q on the generators of degree g, dim H^d is the sum
+    over k <= truncation of the coefficient of x^d y^k in
+    prod_(g odd) (1 + x^g y)^h_g * prod_(g even) (1 - x^g y)^(-h_g).
     """
-    by_degree = algebra.monomials_by_ghost_degree()
+    h = _linear_cohomology(q.matrix.data, [d for _, d in q.space.labels])
+    count = {(0, 0): 1}   # (word length, degree) -> dimension
+    for g, hg in h.items():
+        if not hg:
+            continue
+        # coefficient of (x^g y)^j: exterior powers for odd g, symmetric
+        # powers for even g
+        factor = [comb(hg, j) if g % 2 else comb(hg + j - 1, j)
+                  for j in range(truncation + 1)]
+        nxt: dict[tuple[int, int], int] = {}
+        for (k, d), c in count.items():
+            for j, f in enumerate(factor[:truncation - k + 1]):
+                key = (k + j, d + g * j)
+                nxt[key] = nxt.get(key, 0) + c * f
+        count = nxt
+    out = {d: 0 for d in degrees}
+    for (_, d), c in count.items():
+        if d in out:
+            out[d] += c
+    return out
 
-    def rank_of(d: int) -> int:
-        index = {m: i for i, m in enumerate(by_degree.get(d + 1, []))}
-        return sparse_rank(({index[w]: x for w, x in q.on_monomial(m).items()}
-                            for m in by_degree.get(d, [])), len(index))
 
-    return _cohomology_dims({d: len(ms) for d, ms in by_degree.items()},
-                            rank_of, degrees)
-
-
-def _cohomology_dims(counts: dict[int, int], rank_of: Callable[[int], int],
-                     degrees: Iterable[int]) -> dict[int, int]:
-    """dim H^d = n_d - rank D_d - rank D_(d-1) at each requested degree d,
-    where n_d = counts[d] and D_d is the differential leaving degree d;
-    each rank is computed once."""
-    rank_of = cache(rank_of)
-    return {d: counts.get(d, 0) - rank_of(d) - rank_of(d - 1) for d in degrees}
+def _linear_cohomology(rows: Sequence[dict[int, Fraction]],
+                       degrees: Sequence[int]) -> dict[int, int]:
+    """{g: h_g}, the cohomology per degree of a differential on
+    coordinates of the given degrees, where row a has its entries only in
+    degree degrees[a] + 1: h_g = n_g - rank D_g - rank D_(g-1), with D_g
+    the rows of degree g."""
+    by_degree: dict[int, list[dict[int, Fraction]]] = {}
+    for row, g in zip(rows, degrees):
+        by_degree.setdefault(g, []).append(row)
+    ranks = {g: sparse_rank(rs, len(degrees)) for g, rs in by_degree.items()}
+    return {g: len(by_degree[g]) - ranks[g] - ranks.get(g - 1, 0)
+            for g in sorted(by_degree)}
 
 
 def _rank_on(rows: Iterable[dict[int, Fraction]], cols: Sequence[int]) -> int:
@@ -538,16 +545,10 @@ def boundary_bfv_reduction(sigma: CellComplex, d: int) -> dict[int, int]:
     # c, A, B (dual), A+ (dual top)
     off_c, off_a, off_b, off_ap = 0, nv, nv + ne, nv + 2 * ne
     degs = [1] * nv + [0] * ne + [0] * ne + [-1] * nv
-    by_degree = {g: [i for i, x in enumerate(degs) if x == g]
-                 for g in set(degs)}
     # Q(A_e) = sum_v d0[e, v] c_v and Q(A+_v) = sum_e dd[v, e] B_e
     q: list[dict[int, Fraction]] = [{} for _ in degs]
     for e, faces in enumerate(sigma.faces(1)):
         for v, x in faces:
             q[off_a + e][off_c + v] = x
             q[off_ap + v][off_b + e] = x
-    return _cohomology_dims(
-        {g: len(ix) for g, ix in by_degree.items()},
-        lambda g: _rank_on([q[i] for i in by_degree.get(g, [])],
-                           by_degree.get(g + 1, [])),
-        sorted(by_degree))
+    return _linear_cohomology(q, degs)

@@ -43,7 +43,6 @@ from .complexes import (
 from .graded import (
     GradedSymplecticSpace,
     GradedVectorSpace,
-    TruncatedPolynomialAlgebra,
     poisson_bracket,
 )
 from .numkit import Matrix, Subspace, frac
@@ -169,6 +168,14 @@ def _count(data: dict, key: str, default: Optional[int] = None) -> int:
     x = data.get(key, default) if default is not None else data[key]
     if type(x) is not int or x < 0:
         raise CommandError(f"{key} must be a non-negative integer, got {x!r}")
+    return x
+
+
+def _integer(data: dict, key: str, default: int = 0) -> int:
+    """A JSON integer field of either sign (not a bool, float or string)."""
+    x = data.get(key, default)
+    if type(x) is not int:
+        raise CommandError(f"{key} must be an integer, got {x!r}")
     return x
 
 
@@ -305,7 +312,7 @@ def cmd_collar(cfg) -> dict:
         if cell_dim > cx.dim:
             raise CommandError(f"cell_dim {cell_dim} exceeds the complex's "
                                f"dimension {cx.dim}")
-        layout.append(FieldSpec(f["name"], cell_dim, int(f.get("degree", 0))))
+        layout.append(FieldSpec(f["name"], cell_dim, _integer(f, "degree")))
     t = QuadraticLocalTheory(cx, tuple(layout), mat_from_json(data["action"]))
     pkg = preboundary_reduce(boundary_one_form(t))
     return {"payload": package_to_json(pkg), "residuals": []}
@@ -331,9 +338,9 @@ def cmd_bfv_cohomology(cfg) -> dict:
     data = _load_input(cfg)
     cs = _constraint_set(data)
     _, _, q = bfv_resolve(cs)
-    alg = TruncatedPolynomialAlgebra(q.space, _count(data, "truncation", 2))
-    dims = {str(d): n for d, n in bfv_cohomology(q, alg, (-1, 0, 1)).items()}
-    return {"payload": {"dims": dims}, "residuals": []}
+    dims = bfv_cohomology(q, _count(data, "truncation", 2), (-1, 0, 1))
+    return {"payload": {"dims": {str(d): n for d, n in dims.items()}},
+            "residuals": []}
 
 
 def cmd_bv_check(cfg) -> dict:

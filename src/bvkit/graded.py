@@ -230,33 +230,3 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
         raise TruncationOverflow("bracket exceeds the truncation degree")
     return out
 
-
-@dataclass(frozen=True)
-class TruncatedPolynomialAlgebra:
-    """Monomial basis of total word length at most max_total_degree."""
-
-    generators: GradedVectorSpace
-    max_total_degree: int
-
-    def monomials(self) -> list[Monomial]:
-        out: list[Monomial] = [()]
-        frontier: list[Monomial] = [()]
-        for _ in range(self.max_total_degree):
-            nxt = []
-            for m in frontier:
-                start = m[-1] if m else 0
-                for i in range(start, self.generators.dim):
-                    mono, sign = normalize_monomial(self.generators, m + (i,))
-                    if mono is not None and sign == 1 and mono == m + (i,):
-                        nxt.append(mono)
-            out.extend(nxt)
-            frontier = nxt
-        return out
-
-    def monomials_by_ghost_degree(self) -> dict[int, list[Monomial]]:
-        """The monomials grouped by ghost degree, in enumeration order."""
-        gv = self.generators
-        out: dict[int, list[Monomial]] = {}
-        for m in self.monomials():
-            out.setdefault(sum(gv.degree(i) for i in m), []).append(m)
-        return out

@@ -202,8 +202,8 @@ def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
              tuple(g.cells[1][j] for j in e_idx))
     bset = set(boundary)
     flags = (tuple(n in bset for n in cells[0]), (False,) * len(e_idx))
-    w = ((Fraction(1),) * len(v_idx),
-         tuple(g.weights[1][j] for j in e_idx))
+    w1 = hodge_weights(g, 1)
+    w = ((Fraction(1),) * len(v_idx), tuple(w1[j] for j in e_idx))
     return ScalarFieldTheory(CellComplex(cells, (faces,), flags, w,
                                          cubical=True))
 

@@ -13,7 +13,6 @@ import pytest
 from bvkit import cli
 from bvkit.bvbfv import (
     ConstraintSet,
-    TruncatedPolynomialAlgebra,
     bfv_cohomology,
     bfv_resolve,
     boundary_bfv_reduction,
@@ -310,13 +309,11 @@ def test_criterion_6_bfv_resolution_and_cohomology():
         assert poisson_bracket(s, s, ext).is_zero()
         assert (q.matrix @ q.matrix).is_zero()
         d_max = rng.randint(1, 3) if ext.base.dim <= 10 else rng.randint(1, 2)
-        alg = TruncatedPolynomialAlgebra(q.space, d_max)
         # invariant-monomial oracle: observables in the unconstrained pairs
-        assert bfv_cohomology(q, alg, (0,))[0] == _monomial_count(
+        assert bfv_cohomology(q, d_max, (0,))[0] == _monomial_count(
             2 * (n - k), d_max)
     _, _, q = bfv_resolve(_momentum_constraints(2, [[1, 0]]))
-    alg = TruncatedPolynomialAlgebra(q.space, 2)
-    assert bfv_cohomology(q, alg, (0,))[0] == 6
+    assert bfv_cohomology(q, 2, (0,))[0] == 6
 
 
 def _mutated_package(rng, p):

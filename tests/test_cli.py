@@ -183,6 +183,13 @@ def _plane_relation(omega=None, body=None):
             "body": body or [["1", "0", "1", "0"]]}
 
 
+def _collar_degree(degree):
+    return {"complex": cli.FIXTURES["path3"](None),
+            "fields": [{"name": "phi", "cell_dim": 0, "degree": degree}],
+            "action": [["1", "-1", "0"], ["-1", "2", "-1"],
+                       ["0", "-1", "1"]]}
+
+
 def _bfv_input(**changes):
     data = {"n_pairs": 1, "truncation": 2, "constraints": [[0, 1]]}
     return dict(data, **changes)
@@ -227,6 +234,9 @@ def _bfv_input(**changes):
                    "second": _plane_relation()}),
     (["reduce"], {"alpha": ["01", "00"]}),
     (["reduce"], {"alpha": [["0", "1"], ["0", "0"]], "const": "00"}),
+    (["collar"], _collar_degree(2.7)),
+    (["collar"], _collar_degree("2")),
+    (["collar"], _collar_degree(True)),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
         "dtn-dims-beyond-cells", "bv-check-empty-disk",
@@ -244,11 +254,29 @@ def _bfv_input(**changes):
         "dtn-long-edge-weights", "glue-short-edge-weights",
         "check-relation-string-body-row", "check-relation-string-omega-row",
         "compose-string-body-row", "reduce-string-alpha-row",
-        "reduce-string-const"])
+        "reduce-string-const", "collar-fractional-degree",
+        "collar-string-degree", "collar-boolean-degree"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"
     assert rep["payload"]["diagnostic"]
+
+
+def test_collar_reads_a_negative_degree(tmp_path):
+    # antifields carry negative degrees
+    code, rep, _ = run_cli(tmp_path, ["collar"], _collar_degree(-1))
+    assert code == 0 and rep["status"] == "pass"
+
+
+def test_glue_names_the_missing_weights(tmp_path):
+    fix = cli.FIXTURES["path5"](None)
+    del fix["weights"]
+    payload = {"complex": fix, "cut": ["v2"],
+               "left": ["v0", "v1", "v2"], "right": ["v2", "v3", "v4"]}
+    for command, data in (("dtn", fix), ("glue", payload)):
+        code, rep, _ = run_cli(tmp_path, [command], data)
+        assert code == 2
+        assert rep["payload"]["diagnostic"].startswith("NotCubical: ")
 
 
 def test_unknown_fixture_is_error(tmp_path):

@@ -281,6 +281,27 @@ def test_glue_490_vertices():
     assert time.monotonic() - start < 10
 
 
+def test_glue_grid_21_left_to_right():
+    # the CLI's edge split: an edge goes left iff both its ends do
+    start = time.monotonic()
+    g = grid_complex(21, 21)
+    column = {n: int(n[1:].split("_")[0]) for n in g.cells[0]}
+    left_bd = [n for n in g.cells[0] if column[n] == 0]
+    right_bd = [n for n in g.cells[0] if column[n] == 21]
+    t = with_boundary_vertices(g, left_bd + right_bd)
+    cut = [n for n in g.cells[0] if column[n] == 10]
+    lv = {n for n in g.cells[0] if column[n] <= 10}
+    rv = {n for n in g.cells[0] if column[n] >= 10}
+    ledges = [e for e, faces in zip(g.cells[1], g.faces(1))
+              if {g.cells[0][i] for i, _ in faces} <= lv]
+    redges = sorted(set(g.cells[1]) - set(ledges))
+    left = subgraph_theory(t, sorted(lv), left_bd + cut, edges=ledges)
+    right = subgraph_theory(t, sorted(rv), right_bd + cut, edges=redges)
+    rep = glue_scalar(t, cut, left, right)
+    assert rep.exact and rep.lagrangian
+    assert time.monotonic() - start < 10
+
+
 def test_glue_rejects_bad_partition():
     t5 = ScalarFieldTheory(path_complex(5))
     left = subgraph_theory(t5, ["v0", "v1"], ["v0", "v1"])
