@@ -43,8 +43,8 @@ from bvkit.numkit import (
     Matrix,
     Subspace,
     block_diag,
-    kernel,
     invert,
+    kernel,
     rank,
     sparse_rank,
     unit_vec,
