@@ -45,7 +45,7 @@ from .graded import (
     GradedVectorSpace,
     poisson_bracket,
 )
-from .numkit import Matrix, Subspace, frac
+from .numkit import Matrix, Subspace, frac, frac_reader
 from .relations import LinearRelation, compose
 from .symplect import OneForm, PresymplecticSpace
 from .theories import (
@@ -70,36 +70,45 @@ class CommandError(ValueError):
     pass
 
 
-def _json_row(row, what: str) -> list:
+def _json_row(row, what: str, number=frac) -> list:
     """One JSON list of numbers; a string or any other value is refused
     rather than read one character or key at a time."""
     if not isinstance(row, list):
         raise CommandError(f"{what} must be a list, got {row!r}")
-    return [frac(x) for x in row]
+    return [number(x) for x in row]
 
 
-def mat_from_json(rows) -> Matrix:
-    return Matrix.from_rows([_json_row(row, "matrix row") for row in rows])
+def mat_from_json(rows, number=frac, what: str = "matrix row") -> Matrix:
+    """`number` reads each entry: pass one `frac_reader()` per document."""
+    dense = [_json_row(row, what, number) for row in rows]
+    width = len(dense[0]) if dense else 0
+    if any(len(r) != width for r in dense):
+        raise ValueError("column count mismatch")
+    return Matrix(len(dense), width,
+                  [{j: x for j, x in enumerate(r) if x} for r in dense])
 
 
-def space_from_json(d: dict) -> PresymplecticSpace:
-    omega = mat_from_json(d["omega"])
+def space_from_json(d: dict, number=frac) -> PresymplecticSpace:
+    omega = mat_from_json(d["omega"], number)
     return PresymplecticSpace(omega.rows, omega)
 
 
-def relation_from_json(d: dict) -> LinearRelation:
-    src = space_from_json(d["source"])
-    tgt = space_from_json(d["target"])
-    body = [_json_row(row, "body row") for row in d["body"]]
+def relation_from_json(d: dict, number=frac) -> LinearRelation:
+    src = space_from_json(d["source"], number)
+    tgt = space_from_json(d["target"], number)
+    body = mat_from_json(d["body"], number, "body row")
+    if body.rows and body.cols != src.dim + tgt.dim:
+        raise ValueError("spanning vectors do not match ambient dimension")
     return LinearRelation(src, tgt,
-                          Subspace.from_span(src.dim + tgt.dim, body))
+                          Subspace.from_span(src.dim + tgt.dim, body.data))
 
 
 def relation_to_json(rel: LinearRelation) -> dict:
     return {
         "source": {"omega": mat_to_json(rel.source.omega)},
         "target": {"omega": mat_to_json(rel.target.omega)},
-        "body": [[str(x) for x in b] for b in rel.body.basis],
+        "body": [[str(b.get(j, 0)) for j in range(rel.body.ambient_dim)]
+                 for b in rel.body.basis],
     }
 
 
@@ -181,9 +190,10 @@ def _integer(data: dict, key: str, default: int = 0) -> int:
 
 def _constraint_set(data: dict) -> ConstraintSet:
     n_pairs = _count(data, "n_pairs")
+    number = frac_reader()
     rows = []
     for row in data["constraints"]:
-        row = _json_row(row, "constraint")
+        row = _json_row(row, "constraint", number)
         if len(row) != 2 * n_pairs:
             raise CommandError("constraint length must be 2 * n_pairs")
         rows.append(tuple(row))
@@ -216,7 +226,7 @@ def cmd_check_relation(cfg) -> dict:
     if cfg.fixture == "dirac":
         _, rel, _ = dirac_counterexample(_order_of(cfg, 1))
     else:
-        rel = relation_from_json(_load_input(cfg))
+        rel = relation_from_json(_load_input(cfg), frac_reader())
     c = rel.classify()
     return {
         "payload": {
@@ -232,8 +242,9 @@ def cmd_check_relation(cfg) -> dict:
 
 def cmd_compose(cfg) -> dict:
     data = _load_input(cfg)
-    first = relation_from_json(data["first"])
-    second = relation_from_json(data["second"])
+    number = frac_reader()
+    first = relation_from_json(data["first"], number)
+    second = relation_from_json(data["second"], number)
     out = compose(first, second)
     return {
         "payload": {
@@ -246,9 +257,10 @@ def cmd_compose(cfg) -> dict:
 
 def cmd_reduce(cfg) -> dict:
     data = _load_input(cfg)
-    coeff = mat_from_json(data["alpha"])
-    const = (tuple(_json_row(data["const"], "const")) if "const" in data
-             else None)
+    number = frac_reader()
+    coeff = mat_from_json(data["alpha"], number)
+    const = (tuple(_json_row(data["const"], "const", number))
+             if "const" in data else None)
     pkg = preboundary_reduce(OneForm(coeff.rows, coeff, const))
     return {"payload": package_to_json(pkg), "residuals": []}
 
@@ -313,7 +325,8 @@ def cmd_collar(cfg) -> dict:
             raise CommandError(f"cell_dim {cell_dim} exceeds the complex's "
                                f"dimension {cx.dim}")
         layout.append(FieldSpec(f["name"], cell_dim, _integer(f, "degree")))
-    t = QuadraticLocalTheory(cx, tuple(layout), mat_from_json(data["action"]))
+    t = QuadraticLocalTheory(cx, tuple(layout),
+                             mat_from_json(data["action"], frac_reader()))
     pkg = preboundary_reduce(boundary_one_form(t))
     return {"payload": package_to_json(pkg), "residuals": []}
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .numkit import Matrix, Vector, frac, kernel, rref
+from .numkit import Matrix, Vector, _rref_rows, frac, frac_reader, kernel
 
 
 class NotCubical(ValueError):
@@ -129,17 +129,7 @@ class CellComplex:
         dim = data["dims"]
         index = [{name: i for i, name in enumerate(cs)} for cs in cells]
         face_map = {entry["cell"]: entry["faces"] for entry in data["boundary"]}
-        parsed: dict[str, Fraction] = {}
-
-        def coefficient(x) -> Fraction:
-            # only strings are cached, so other values fail as Fraction(x)
-            if type(x) is not str:
-                return Fraction(x)
-            y = parsed.get(x)
-            if y is None:
-                y = parsed[x] = Fraction(x)
-            return y
-
+        coefficient = frac_reader()
         faces = []
         for k in range(1, dim + 1):
             fs = []
@@ -216,18 +206,17 @@ def cohomology(k: CellComplex, degree: int,
     image = (coboundary(k, degree - 1, relative) if degree > 0
              else Matrix.zeros(d.cols, 0))
     cocycles = kernel(d)
-    _, pivots = rref(image.hstack(cocycles.matrix().transpose()))
-    reps = [cocycles.basis[q - image.cols] for q in pivots if q >= image.cols]
-    if relative:
-        idx = k.interior_indices(degree)
-        n_full = k.n_cells(degree)
-        embedded = []
-        for r in reps:
-            full = [Fraction(0)] * n_full
-            for pos, i in enumerate(idx):
-                full[i] = r[pos]
-            embedded.append(tuple(full))
-        reps = embedded
+    joint = image.hstack(cocycles.matrix().transpose())
+    _, pivots = _rref_rows(joint.data, joint.cols)
+    n = k.n_cells(degree)
+    at = k.interior_indices(degree) if relative else range(n)
+    reps = []
+    for q in pivots:
+        if q >= image.cols:
+            full = [Fraction(0)] * n
+            for pos, x in cocycles.basis[q - image.cols].items():
+                full[at[pos]] = x
+            reps.append(tuple(full))
     return CohomologyReport(degree, relative, len(reps), tuple(reps))
 
 

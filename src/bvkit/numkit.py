@@ -27,10 +27,28 @@ _ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like "3/4", and Fractions to Fraction."""
+    """Coerce ints, strings like "3/4", and Fractions to Fraction.
+    Booleans are refused, though Fraction() would read them as 1 and 0."""
     if isinstance(x, Fraction):
         return x
+    if type(x) is bool:
+        raise TypeError(f"a boolean is not a number: {x!r}")
     return Fraction(x)
+
+
+def frac_reader():
+    """A `frac` that parses each distinct string once. Make one per input
+    document, so that its memo lives only while the document is read."""
+    parsed: dict[str, Fraction] = {}
+
+    def read(x) -> Fraction:
+        if type(x) is not str:
+            return frac(x)
+        y = parsed.get(x)
+        if y is None:
+            y = parsed[x] = Fraction(x)
+        return y
+    return read
 
 
 def vec(entries: Iterable) -> Vector:
@@ -316,28 +334,33 @@ def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
     return pivots
 
 
-def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row-echelon form with leftmost pivots scaled to 1.
-
-    Returns the reduced matrix and the strictly increasing pivot column
-    list. Canonical: two row-equivalent matrices reduce identically.
-
-    Sparse fraction-free Gauss-Jordan over integer rows
-    (`_pivot_columns`); each pivot row is divided by its pivot entry only
-    when the result is built. The RREF is unique, so the pivot choice
-    does not change the result.
-    """
-    if not m.rows:
-        return m, []
-    rows, dens = _int_rows(m.data)
-    pivots = _pivot_columns(rows, dens, m.cols, reduced=True)
+def _rref_rows(rows: Iterable[dict[int, Fraction]], n_cols: int
+               ) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The nonzero RREF rows as {col: Fraction} dicts and their strictly
+    increasing pivot columns, for rows given as dicts of nonzero ints or
+    Fractions in range(n_cols), which are not modified. `_pivot_columns`
+    reduces; each pivot row is divided by its pivot entry only here."""
+    work, dens = _int_rows(rows)
+    pivots = _pivot_columns(work, dens, n_cols, reduced=True)
     out = []
     for q, p in pivots:
-        row, a = rows[p], rows[p][q]
-        out.append([Fraction(row[j], a) if j in row else _ZERO
-                    for j in range(m.cols)])
-    out += [[_ZERO] * m.cols] * (m.rows - len(pivots))
-    return Matrix.from_rows(out), [q for q, _ in pivots]
+        row = work[p]
+        a = row[q]
+        out.append({j: Fraction(x, a) for j, x in row.items()})
+    return out, [q for q, _ in pivots]
+
+
+def rref(m: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row-echelon form with leftmost pivots scaled to 1, as a
+    dense view of `_rref_rows`: the reduced matrix, zero rows last, and
+    the strictly increasing pivot column list. Canonical: two
+    row-equivalent matrices reduce identically."""
+    if not m.rows:
+        return m, []
+    rows, pivots = _rref_rows(m.data, m.cols)
+    dense = [[row.get(j, _ZERO) for j in range(m.cols)] for row in rows]
+    dense += [[_ZERO] * m.cols] * (m.rows - len(rows))
+    return Matrix.from_rows(dense), pivots
 
 
 def sparse_rank(rows: Iterable[dict[int, Fraction]], n_cols: int) -> int:
@@ -355,13 +378,11 @@ def rank(m: Matrix) -> int:
 
 def kernel(m: Matrix) -> "Subspace":
     """Exact nullspace {v : m @ v = 0} as a canonical Subspace."""
-    red, pivots = rref(m)
-    basis = {f: [_ZERO] * m.cols for f in range(m.cols)}
+    rows, pivots = _rref_rows(m.data, m.cols)
+    basis = {f: {f: _ONE} for f in range(m.cols)}
     for p in pivots:
         del basis[p]
-    for f, v in basis.items():
-        v[f] = _ONE
-    for p, row in zip(pivots, red.data):
+    for p, row in zip(pivots, rows):
         for f, x in row.items():
             if f != p:
                 basis[f][p] = -x
@@ -374,13 +395,13 @@ def solve_matrix(a: Matrix, b: Matrix,
     (or, with require_unique, if a has a nontrivial kernel)."""
     if b.rows != a.rows:
         raise ValueError("rhs row count mismatch")
-    red, pivots = rref(a.hstack(b))
+    rows, pivots = _rref_rows(a.hstack(b).data, a.cols + b.cols)
     if any(p >= a.cols for p in pivots):
         return None
     if require_unique and len(pivots) < a.cols:
         return None
     x: list[dict[int, Fraction]] = [{} for _ in range(a.cols)]
-    for p, row in zip(pivots, red.data):
+    for p, row in zip(pivots, rows):
         x[p] = {j - a.cols: v for j, v in row.items() if j >= a.cols}
     return Matrix(a.cols, b.cols, x)
 
@@ -460,24 +481,34 @@ def schur_complement(rows: Sequence[dict[int, Fraction]],
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of Q^n presented by an RREF row basis.
+    """Subspace of Q^n presented by its RREF row basis: the nonzero RREF
+    rows as {col: Fraction} dicts of their nonzeros, each row's pivot its
+    smallest column.
 
     The canonical RREF presentation makes equality of subspaces equality
     of representations.
     """
 
     ambient_dim: int
-    basis: tuple[Vector, ...]
+    basis: tuple[dict[int, Fraction], ...]
 
     @staticmethod
-    def from_span(ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
+    def from_span(ambient_dim: int, vectors: Sequence) -> "Subspace":
+        """The span of `vectors`: all {col: value} dicts with columns in
+        range(ambient_dim), or all dense sequences of length ambient_dim.
+        """
         if not vectors:
             return Subspace(ambient_dim, ())
-        m = Matrix.from_rows(vectors)
-        if m.cols != ambient_dim:
-            raise ValueError("spanning vectors do not match ambient dimension")
-        red, pivots = rref(m)
-        return Subspace(ambient_dim, red.entries[:len(pivots)])
+        if isinstance(vectors[0], dict):
+            rows = [{j: x for j, x in v.items() if x} for v in vectors]
+        else:
+            m = Matrix.from_rows(vectors)
+            if m.cols != ambient_dim:
+                raise ValueError(
+                    "spanning vectors do not match ambient dimension")
+            rows = m.data
+        return Subspace(ambient_dim,
+                        tuple(_rref_rows(rows, ambient_dim)[0]))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -485,28 +516,33 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, tuple(unit_vec(ambient_dim, i)
-                                           for i in range(ambient_dim)))
+        return Subspace(ambient_dim,
+                        tuple({i: _ONE} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def matrix(self) -> Matrix:
-        return Matrix(self.dim, self.ambient_dim,
-                      [{j: x for j, x in enumerate(b) if x} for b in self.basis])
+        return Matrix(self.dim, self.ambient_dim, self.basis)
 
-    def contains(self, v: Sequence[Fraction]) -> bool:
-        if len(v) != self.ambient_dim:
+    def contains(self, v) -> bool:
+        """Whether v, a dense vector of length ambient_dim or a {col:
+        value} dict, lies in the subspace."""
+        if isinstance(v, dict):
+            w = dict(v)
+        elif len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        else:
+            w = dict(enumerate(v))
         # the basis is in RREF: each row's pivot entry is 0 in every other
         # row, so v lies in the span iff v - sum v[pivot_i] b_i vanishes
-        w = list(v)
         for b in self.basis:
-            c = w[next(j for j, x in enumerate(b) if x)]
+            c = w.get(min(b))
             if c:
-                w = [y - c * x if x else y for y, x in zip(w, b)]
-        return not any(w)
+                for j, x in b.items():
+                    w[j] = w.get(j, _ZERO) - c * x
+        return not any(w.values())
 
     def contains_subspace(self, other: "Subspace") -> bool:
         self._check_ambient(other)

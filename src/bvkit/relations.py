@@ -46,7 +46,8 @@ class LinearRelation:
 
     def transpose(self) -> "LinearRelation":
         ns, nt = self.source.dim, self.target.dim
-        flipped = [tuple(b[ns:]) + tuple(b[:ns]) for b in self.body.basis]
+        flipped = [{j - ns if j >= ns else j + nt: x for j, x in b.items()}
+                   for b in self.body.basis]
         return LinearRelation(self.target, self.source,
                               Subspace.from_span(ns + nt, flipped))
 
@@ -83,12 +84,13 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     ns = first.source.dim
     nm = first.target.dim
     nt = second.target.dim
-    zs, zt = (0,) * ns, (0,) * nt
-    span = [b[ns:] + b[:ns] + zt for b in first.body.basis]
-    span += [tuple(-y for y in b[:nm]) + zs + b[nm:]
+    span = [{j - ns if j >= ns else j + nm: x for j, x in b.items()}
+            for b in first.body.basis]
+    span += [dict((j, -x) if j < nm else (j + ns, x) for j, x in b.items())
              for b in second.body.basis]
     joint = Subspace.from_span(nm + ns + nt, span)
-    body = tuple(b[nm:] for b in joint.basis if not any(b[:nm]))
+    body = tuple({j - nm: x for j, x in b.items()}
+                 for b in joint.basis if min(b) >= nm)
     return LinearRelation(first.source, second.target,
                           Subspace(ns + nt, body))
 
@@ -98,7 +100,10 @@ def project_relation(rel: LinearRelation, side: str) -> Subspace:
     ("range") factor."""
     ns, nt = rel.source.dim, rel.target.dim
     if side == "domain":
-        return Subspace.from_span(ns, [b[:ns] for b in rel.body.basis])
+        return Subspace.from_span(ns, [{j: x for j, x in b.items() if j < ns}
+                                       for b in rel.body.basis])
     if side == "range":
-        return Subspace.from_span(nt, [b[ns:] for b in rel.body.basis])
+        return Subspace.from_span(nt, [
+            {j - ns: x for j, x in b.items() if j >= ns}
+            for b in rel.body.basis])
     raise ValueError("side must be 'domain' or 'range'")

@@ -19,10 +19,10 @@ from .numkit import (
     Subspace,
     Vector,
     _int_row,
+    _rref_rows,
     block_diag,
     dot,
     kernel,
-    rref,
     sparse_rank,
     unit_vec,
     zero_vec,
@@ -128,8 +128,7 @@ def classify(v: PresymplecticSpace, l: Subspace) -> ClassificationResult:
     scale = lcm(*(x.denominator for r in v.omega.data for x in r.values()))
     omega = [{j: x.numerator * (scale // x.denominator) for j, x in r.items()}
              for r in v.omega.data]
-    basis = [_int_row({j: x for j, x in enumerate(b) if x})[0]
-             for b in l.basis]
+    basis = [_int_row(b)[0] for b in l.basis]
     b_omega = []
     for b in basis:
         row: dict[int, int] = {}
@@ -188,11 +187,9 @@ def presymplectic_reduce(v: PresymplecticSpace) -> Reduction:
 
     ker(omega) is the dot-orthogonal complement of omega's row space, so
     the nonzero rows of rref(omega) project onto the quotient, and
-    omega_red = S^T omega S is omega read at the pivots. Zero rows do not
-    change the RREF, so only the nonzero rows of omega are reduced."""
-    nonzero = [r for r in v.omega.data if r]
-    red, pivots = rref(Matrix(len(nonzero), v.dim, nonzero))
-    proj = Matrix(len(pivots), v.dim, red.data[:len(pivots)])
+    omega_red = S^T omega S is omega read at the pivots."""
+    rows, pivots = _rref_rows(v.omega.data, v.dim)
+    proj = Matrix(len(pivots), v.dim, rows)
     omega_red = v.omega.submatrix(pivots, pivots)
     reduced = PresymplecticSpace(len(pivots), omega_red)
     if proj.transpose() @ omega_red @ proj != v.omega:
@@ -237,8 +234,8 @@ def gotay_embed(c: PresymplecticSpace) -> GotayEmbedding:
     n = c.dim
     if k == 0:
         return GotayEmbedding(c, Matrix.identity(n), Subspace.full(n))
-    # the basis is in RREF already: each row's first nonzero is its pivot
-    pivots = [next(j for j, x in enumerate(b) if x) for b in ker.basis]
+    # the basis is in RREF already: each row's smallest column is its pivot
+    pivots = [min(b) for b in ker.basis]
     # selector P with P[i, pivots[i]] = 1; K in RREF makes P k_j = e_j
     sel = Matrix(k, n, [{p: Fraction(1)} for p in pivots])
     top = c.omega.hstack(sel.transpose())

@@ -23,7 +23,6 @@ from .numkit import (
     schur_complement,
     unit_vec,
     vec,
-    zero_vec,
 )
 from .relations import LinearRelation, compose, graph
 from .symplect import (
@@ -323,7 +322,7 @@ def reduce_relation(rel: LinearRelation, p_src: Matrix, p_tgt: Matrix,
                     reduced: PresymplecticSpace) -> LinearRelation:
     """Push a relation body through reduction projections on both sides."""
     m = block_diag(p_src, p_tgt)
-    span = [m.apply(b) for b in rel.body.basis]
+    span = (rel.body.matrix() @ m.transpose()).data
     return LinearRelation(reduced, reduced,
                           Subspace.from_span(2 * reduced.dim, span))
 
@@ -366,12 +365,9 @@ def classical_boundary_ed(sigma: CellComplex) -> tuple[BoundaryPackage,
     n = sigma.n_cells(1)
     d_dual = sigma.boundary_op(1)  # closedness of B in the dual complex
     c_b = kernel(d_dual)
-    c = Subspace.from_span(2 * n, [
-        tuple(unit_vec(n, i)) + zero_vec(n) for i in range(n)
-    ] + [zero_vec(n) + tuple(b) for b in c_b.basis])
-    d0 = coboundary(sigma, 0)
-    char = Subspace.from_span(2 * n, [
-        tuple(d0.col(j)) + zero_vec(n) for j in range(d0.cols)])
+    c = Subspace.from_span(2 * n, [{i: 1} for i in range(n)] + [
+        {n + j: x for j, x in b.items()} for b in c_b.basis])
+    char = Subspace.from_span(2 * n, coboundary(sigma, 0).transpose().data)
     return pkg, c, char
 
 
@@ -383,12 +379,10 @@ def classical_boundary_bf(sigma: CellComplex) -> tuple[Subspace, Subspace]:
     n = sigma.n_cells(1)
     flat_a = kernel(coboundary(sigma, 1))
     closed_b = kernel(sigma.boundary_op(1))
-    c = Subspace.from_span(2 * n, [
-        tuple(a) + zero_vec(n) for a in flat_a.basis
-    ] + [zero_vec(n) + tuple(b) for b in closed_b.basis])
+    c = Subspace.from_span(2 * n, list(flat_a.basis) + [
+        {n + j: x for j, x in b.items()} for b in closed_b.basis])
     d0 = coboundary(sigma, 0)
-    span = [tuple(d0.col(j)) + zero_vec(n) for j in range(d0.cols)]
     d2 = sigma.boundary_op(2)  # exact shifts of B come from the dual d
-    span += [zero_vec(n) + tuple(d2.col(j)) for j in range(d2.cols)]
-    char = Subspace.from_span(2 * n, span)
+    char = Subspace.from_span(2 * n, list(d0.transpose().data) + [
+        {n + j: x for j, x in r.items()} for r in d2.transpose().data])
     return c, char

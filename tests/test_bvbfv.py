@@ -675,7 +675,7 @@ def oracle_moduli(p):
         gauge_src = intersect(w, Subspace.from_span(
             n, [unit_vec(n, i) for i in gv.indices_of_degree(d + 1)]))
         moved = Subspace.from_span(
-            n, [q.apply(b) for b in gauge_src.basis] + rel)
+            n, [q.apply(b) for b in gauge_src.matrix().entries] + rel)
         out[d] = sum_spaces(locus_d,
                             Subspace.from_span(n, rel)).dim - moved.dim
     return out

@@ -195,6 +195,12 @@ def _bfv_input(**changes):
     return dict(data, **changes)
 
 
+def _path3_face_sign(sign):
+    fix = cli.FIXTURES["path3"](None)
+    fix["boundary"][0]["faces"][0][1] = sign
+    return fix
+
+
 @pytest.mark.parametrize("args, payload", [
     (["dtn"], _path3_weight("1/0")),
     (["hj-action"], _path3_values({"v0": "1/0", "v2": "0"})),
@@ -237,6 +243,16 @@ def _bfv_input(**changes):
     (["collar"], _collar_degree(2.7)),
     (["collar"], _collar_degree("2")),
     (["collar"], _collar_degree(True)),
+    (["check-relation"], _plane_relation(body=[[True, "0", True, "0"]])),
+    (["compose"], {"first": _plane_relation(omega=[[False, True],
+                                                   ["-1", False]]),
+                   "second": _plane_relation()}),
+    (["bfv-resolve"], _bfv_input(constraints=[[False, True]])),
+    (["reduce"], {"alpha": [["0", "0", "0"], ["1", "0", "0"],
+                            ["0", "0", "0"]], "const": ["0", True, "0"]}),
+    (["hj-action"], _path3_values({"v0": True, "v2": False})),
+    (["dtn"], _path3_weight(True)),
+    (["dtn"], _path3_face_sign(True)),
 ], ids=["dtn-zero-weight-denominator", "hj-action-zero-denominator",
         "bfv-resolve-zero-denominator", "bv-check-top-level-array",
         "dtn-dims-beyond-cells", "bv-check-empty-disk",
@@ -255,11 +271,51 @@ def _bfv_input(**changes):
         "check-relation-string-body-row", "check-relation-string-omega-row",
         "compose-string-body-row", "reduce-string-alpha-row",
         "reduce-string-const", "collar-fractional-degree",
-        "collar-string-degree", "collar-boolean-degree"])
+        "collar-string-degree", "collar-boolean-degree",
+        "check-relation-boolean-body", "compose-boolean-omega",
+        "bfv-resolve-boolean-constraint", "reduce-boolean-const",
+        "hj-action-boolean-value", "dtn-boolean-weight",
+        "dtn-boolean-face-sign"])
 def test_bad_numbers_and_non_object_input_are_errors(tmp_path, args, payload):
     code, rep, _ = run_cli(tmp_path, args, payload)
     assert code == 2 and rep["status"] == "error"
     assert rep["payload"]["diagnostic"]
+
+
+@pytest.mark.parametrize("relation, diagnostic", [
+    (_plane_relation(body=[["1", "0", "1", "0"], ["0", "1", "0"]]),
+     "ValueError: column count mismatch"),
+    (_plane_relation(body=[["1", "0", "1"], ["0", "1", "0"]]),
+     "ValueError: spanning vectors do not match ambient dimension"),
+    (_plane_relation(body=[["1", "0", "1"], ["0", "1"]]),
+     "ValueError: column count mismatch"),
+    (_plane_relation(body=[["1", "0", "1", "0"], ["0", "1"], ["x"]]),
+     "ValueError: Invalid literal for Fraction: 'x'"),
+    (_plane_relation(omega=[["0", "1"], ["-1"]]),
+     "ValueError: column count mismatch"),
+    (_plane_relation(omega=[["0", "1"], ["-1"]], body=[["1"], ["1", "0"]]),
+     "ValueError: column count mismatch"),
+], ids=["ragged-body", "narrow-body", "ragged-narrow-body",
+        "ragged-body-bad-number", "ragged-omega", "ragged-omega-and-body"])
+def test_row_shape_diagnostics(tmp_path, relation, diagnostic):
+    """The row checks run in a fixed order: every number of the omegas
+    and then of the body is read before the rows' lengths are compared,
+    and rows of unequal length are refused before rows of the wrong
+    one."""
+    for command, payload in (("check-relation", relation),
+                             ("compose", {"first": relation,
+                                          "second": relation})):
+        code, rep, _ = run_cli(tmp_path, [command], payload)
+        assert code == 2
+        assert rep["payload"]["diagnostic"] == diagnostic
+
+
+def test_empty_body_is_the_zero_relation(tmp_path):
+    payload = dict(_plane_relation(), body=[])
+    code, rep, _ = run_cli(tmp_path, ["check-relation"], payload)
+    assert code == 0
+    assert rep["payload"]["body_dim"] == 0
+    assert rep["payload"]["isotropic"] and not rep["payload"]["lagrangian"]
 
 
 def test_collar_reads_a_negative_degree(tmp_path):

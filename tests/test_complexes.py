@@ -588,8 +588,8 @@ def grows_span_cohomology(cx, degree, relative=False):
         d_below = coboundary(cx, degree - 1, relative)
         for j in range(d_below.cols):
             grows_span(d_below.col(j))
-    reps = [v for v in kernel(coboundary(cx, degree, relative)).basis
-            if grows_span(v)]
+    cocycles = kernel(coboundary(cx, degree, relative))
+    reps = [v for v in cocycles.matrix().entries if grows_span(v)]
     if relative:
         idx = cx.interior_indices(degree)
         full = [[Fraction(0)] * cx.n_cells(degree) for _ in reps]

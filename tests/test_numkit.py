@@ -21,6 +21,8 @@ from bvkit.numkit import (
     sparse_rank,
     vec,
 )
+from bvkit.relations import LinearRelation, compose, project_relation
+from bvkit.symplect import PresymplecticSpace
 from bvkit.theories import ScalarFieldTheory, dtn
 
 
@@ -445,7 +447,7 @@ def test_kernel_vectors_annihilated():
         m = random_matrix(rng, 4, 7)
         k = kernel(m)
         assert k.dim == 7 - rank(m)
-        for v in k.basis:
+        for v in k.matrix().entries:
             assert all(x == 0 for x in m.apply(v))
 
 
@@ -856,8 +858,8 @@ def intersect(u, v):
     """Oracle: intersection by the Zassenhaus double-block reduction."""
     u._check_ambient(v)
     n = u.ambient_dim
-    rows = [list(b) + list(b) for b in u.basis]
-    rows += [list(b) + [0] * n for b in v.basis]
+    rows = [list(b) + list(b) for b in u.matrix().entries]
+    rows += [list(b) + [0] * n for b in v.matrix().entries]
     if not rows:
         return Subspace.zero(n)
     red, pivots = rref(Matrix.from_rows(rows))
@@ -961,7 +963,7 @@ def test_contains_matches_stacked_span():
         inside = [sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0))
                   for j in range(n)]
         for v in (vec(inside), vec([rng.randint(-2, 2) for _ in range(n)])):
-            stacked = Subspace.from_span(n, list(u.basis) + [v])
+            stacked = Subspace.from_span(n, list(u.matrix().entries) + [v])
             assert u.contains(v) == (stacked.dim == u.dim)
         assert u.contains(vec(inside))
 
@@ -988,6 +990,166 @@ def test_contains_subspace_matches_stacked_span():
         assert u.contains_subspace(v) == want
         seen[want] += 1
     assert min(seen.values()) > 40, seen
+
+
+def dense_span(n, vectors):
+    """Oracle: the dense RREF basis `Subspace.from_span` held while its
+    rows were tuples, the nonzero rows of the RREF of the spanning
+    vectors, with `dense_rref` for `rref`."""
+    if not vectors:
+        return ()
+    m = Matrix.from_rows(vectors)
+    if m.cols != n:
+        raise ValueError("spanning vectors do not match ambient dimension")
+    red, pivots = dense_rref(m)
+    return red.entries[:len(pivots)]
+
+
+def dense_kernel(m):
+    """Oracle: the dense kernel basis, one vector per free column of the
+    RREF."""
+    red, pivots = dense_rref(m)
+    free = [f for f in range(m.cols) if f not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red.entries[i][f]
+        basis.append(v)
+    return dense_span(m.cols, basis)
+
+
+def dense_solve(a, b):
+    """Oracle: X with a @ X = b from the RREF of [a | b], or None."""
+    red, pivots = dense_rref(a.hstack(b))
+    if any(p >= a.cols for p in pivots):
+        return None
+    x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    for i, p in enumerate(pivots):
+        x[p] = list(red.entries[i][a.cols:])
+    return from_dense(a.cols, b.cols, x)
+
+
+def dense_compose(first, second):
+    """Oracle: the composite's dense basis from the joint span of the
+    rows (y, x, 0) and (-y, 0, z)."""
+    ns, nm, nt = first.source.dim, first.target.dim, second.target.dim
+    span = [b[ns:] + b[:ns] + (0,) * nt
+            for b in dense_span(ns + nm, first.body.matrix().entries)]
+    span += [tuple(-y for y in b[:nm]) + (0,) * ns + b[nm:]
+             for b in dense_span(nm + nt, second.body.matrix().entries)]
+    joint = dense_span(nm + ns + nt, span)
+    return tuple(b[nm:] for b in joint if not any(b[:nm]))
+
+
+def dense_classify(v, l):
+    """Oracle: (isotropic, coisotropic) from the pairings of the basis
+    and the inclusion of l^omega = ker(B omega) in l."""
+    basis = dense_span(v.dim, l.matrix().entries)
+    b_omega = [v.omega.transpose().apply(b) for b in basis]
+    isotropic = all(dot(r, b) == 0 for r in b_omega for b in basis)
+    perp = dense_kernel(from_dense(len(basis), v.dim, b_omega))
+    coisotropic = all(
+        len(dense_span(v.dim, list(basis) + [w])) == len(basis)
+        for w in perp)
+    return isotropic, coisotropic
+
+
+def random_span(rng, n, seen):
+    """Seeded spanning vectors of Q^n: none, the whole space, or a few
+    sparse rows with zero and duplicate rows mixed in; each case named in
+    `seen`. Half of them are given as dicts."""
+    r = rng.random()
+    if r < 0.1:
+        seen["empty"] += 1
+        vs = []
+    elif r < 0.2:
+        seen["full"] += 1
+        vs = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        vs += [[Fraction(rng.randint(-2, 2)) for _ in range(n)]]
+        rng.shuffle(vs)
+    else:
+        vs = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+               if rng.random() < 0.5 else Fraction(0) for _ in range(n)]
+              for _ in range(rng.randint(1, n + 2))]
+        if rng.random() < 0.3:
+            seen["zero row"] += 1
+            vs.insert(rng.randint(0, len(vs)), [Fraction(0)] * n)
+        if rng.random() < 0.3:
+            seen["duplicate row"] += 1
+            vs.append(list(rng.choice(vs)))
+    if rng.random() < 0.5:
+        return [{j: x for j, x in enumerate(v) if x} for v in vs]
+    return vs
+
+
+def as_dense(n, vs):
+    return [[v.get(j, Fraction(0)) for j in range(n)]
+            if isinstance(v, dict) else v for v in vs]
+
+
+def random_space(rng, n):
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            a[i][j] = Fraction(rng.choice([0, 0, 1, -1, 2]))
+            a[j][i] = -a[i][j]
+    return PresymplecticSpace(n, from_dense(n, n, a))
+
+
+def test_sparse_subspace_matches_dense_oracles():
+    """Every sparse `Subspace` operation against the dense basis it had
+    when its rows were tuples: 600 seeded cases in ambients of dimension
+    0 to 6."""
+    rng = random.Random(83)
+    seen = {"empty": 0, "full": 0, "zero row": 0, "duplicate row": 0,
+            "zero ambient": 0, "contained": 0, "not contained": 0,
+            "solvable": 0, "unsolvable": 0, "composite": 0}
+    for _ in range(600):
+        n = rng.randint(0, 6)
+        seen["zero ambient"] += n == 0
+        vs, ws = random_span(rng, n, seen), random_span(rng, n, seen)
+        u, w = Subspace.from_span(n, vs), Subspace.from_span(n, ws)
+        assert u.matrix().entries == dense_span(n, as_dense(n, vs))
+        assert u == Subspace.from_span(n, as_dense(n, vs))
+        assert all(min(b) == next(j for j, x in enumerate(row) if x)
+                   for b, row in zip(u.basis, u.matrix().entries))
+        stacked = dense_span(n, as_dense(n, vs + ws))
+        assert u.contains_subspace(w) == (len(stacked) == u.dim)
+        for x in as_dense(n, ws[:2]):
+            want = len(dense_span(n, as_dense(n, vs) + [x])) == u.dim
+            assert u.contains(x) == u.contains(
+                {j: y for j, y in enumerate(x) if y}) == want
+            seen["contained" if want else "not contained"] += 1
+        m = from_dense(len(vs), n, as_dense(n, vs))
+        assert kernel(m).matrix().entries == dense_kernel(m)
+        b = from_dense(len(vs), 2, [[Fraction(rng.randint(-2, 2))
+                                     for _ in range(2)] for _ in vs])
+        x = dense_solve(m, b)
+        assert solve_matrix(m, b) == x
+        seen["solvable" if x is not None else "unsolvable"] += 1
+
+        ns, nm, nt = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+        src, mid, tgt = (random_space(rng, k) for k in (ns, nm, nt))
+        first = LinearRelation(src, mid, Subspace.from_span(
+            ns + nm, random_span(rng, ns + nm, seen)))
+        second = LinearRelation(mid, tgt, Subspace.from_span(
+            nm + nt, random_span(rng, nm + nt, seen)))
+        got = compose(first, second)
+        assert got.body.matrix().entries == dense_compose(first, second)
+        seen["composite"] += got.body.dim > 0
+        body = first.body.matrix().entries
+        assert first.transpose().body.matrix().entries == dense_span(
+            ns + nm, [r[ns:] + r[:ns] for r in body])
+        assert project_relation(first, "domain").matrix().entries == (
+            dense_span(ns, [r[:ns] for r in body]))
+        assert project_relation(first, "range").matrix().entries == (
+            dense_span(nm, [r[ns:] for r in body]))
+        c = first.classify()
+        assert (c.is_isotropic, c.is_coisotropic) == dense_classify(
+            first.ambient, first.body)
+    assert min(seen.values()) >= 40, seen
 
 
 def test_no_runtime_asserts_in_src():
@@ -1032,6 +1194,22 @@ def test_dense_entries_read_only_in_numkit_and_render():
                   if isinstance(node, ast.Attribute) and node.attr == "entries"
                   and id(node) not in allowed]
     assert found == []
+
+
+def test_only_rank_reads_the_dense_rref():
+    """`rref` is a dense view of the elimination kernel's sparse readout;
+    in src/ only `numkit.rank` calls it."""
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            found += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and "rref" in (getattr(node.func, "id", None),
+                                     getattr(node.func, "attr", None))]
+    assert found == ["numkit.py:rank"]
 
 
 def test_subspace_ambient_mismatch_raises():

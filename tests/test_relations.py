@@ -69,7 +69,7 @@ def oracle_compose(first, second):
     outer1 = b1.submatrix(range(k1), range(ns)).transpose()
     outer2 = b2.submatrix(range(k2), range(nm, nm + nt)).transpose()
     span = [outer1.apply(p[:k1]) + outer2.apply(p[k1:])
-            for p in params.basis]
+            for p in params.matrix().entries]
     return Subspace.from_span(ns + nt, span)
 
 
@@ -177,7 +177,7 @@ def test_transpose_is_involution_and_flips_membership():
     v = PresymplecticSpace.standard(2)
     r = random_relation(rng, v, v, 3)
     assert r.transpose().transpose().body == r.body
-    for b in r.body.basis:
+    for b in r.body.matrix().entries:
         x, y = b[:4], b[4:]
         assert r.transpose().contains(y, x)
 

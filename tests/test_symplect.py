@@ -420,7 +420,7 @@ def basic_by_kernel_vectors(v, a):
     wt = a.coeff.transpose()
     return all(not any(a.coeff.apply(k)) and not any(wt.apply(k))
                and dot(a.const, k) == 0
-               for k in v.kernel_subspace().basis)
+               for k in v.kernel_subspace().matrix().entries)
 
 
 def test_reduce_one_form_matches_kernel_vector_rule():
