@@ -27,7 +27,14 @@ from .graded import (
     Monomial,
     Polynomial,
 )
-from .numkit import Matrix, block_diag, sparse_rank, vec
+from .numkit import (
+    Matrix,
+    _int_row,
+    _pivot_columns,
+    block_diag,
+    sparse_rank,
+    vec,
+)
 from .symplect import OneForm
 
 __all__ = [
@@ -228,12 +235,15 @@ def _linear_cohomology(rows: Sequence[dict[int, Fraction]],
             for g in sorted(by_degree)}
 
 
-def _rank_on(rows: Iterable[dict[int, Fraction]], cols: Sequence[int]) -> int:
-    """Exact rank of sparse {col: value} rows restricted to the columns
-    `cols`."""
+def _rank_on(rows: Iterable[dict[int, int]], cols: Sequence[int]) -> int:
+    """Exact rank of sparse integer rows {col: nonzero int} restricted to
+    the columns `cols`, eliminated with unit denominators."""
     index = {j: i for i, j in enumerate(cols)}
-    return sparse_rank(({index[j]: x for j, x in r.items() if j in index}
-                        for r in rows), len(index))
+    keys = index.keys()
+    work = dict(enumerate({index[j]: r[j] for j in hit}
+                          for r in rows if (hit := r.keys() & keys)))
+    return len(_pivot_columns(work, dict.fromkeys(work, 1), len(index),
+                              reduced=False))
 
 
 @dataclass(frozen=True)
@@ -470,25 +480,29 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
     - rk W[:, I_(d+1)].
     """
     gv = p.bulk.base
-    q = list(p.q_bulk.matrix.data)
+    qm = p.q_bulk.matrix.data
     bdeg = p.boundary.base
     pi0 = [r for i, r in enumerate(p.pi.data) if bdeg.degree(i) == 0]
-    trace = [{i: Fraction(1)} for i in p.boundary_fields]
     pi0_q = []
     for r in pi0:
         row: dict[int, Fraction] = {}
         for a, c in r.items():
-            for b, x in q[a].items():
+            for b, x in qm[a].items():
                 row[b] = row.get(b, 0) + c * x
-        pi0_q.append(row)
+        pi0_q.append({b: x for b, x in row.items() if x})
+    # each row scaled to integers once; scaling a row changes no rank
+    q = [_int_row(r)[0] for r in qm]
+    pi0 = [_int_row(r)[0] for r in pi0]
+    pi0_q = [_int_row(r)[0] for r in pi0_q]
+    trace = [{i: 1} for i in p.boundary_fields]
     m_rows = q + pi0 + trace
     w_rows = pi0_q + [q[i] for i in p.boundary_fields] + trace
     out = {}
     for d in sorted(gv.components()):
         here, above = gv.indices_of_degree(d), gv.indices_of_degree(d + 1)
         rel = [i for i in p.boundary_antifields if gv.degree(i) == d]
-        dropped = set(rel)
-        pq = [r for a, r in enumerate(q) if a not in dropped]
+        # only the rows of q in degree d have entries in degree d + 1
+        pq = [q[a] for a in here if a not in rel]
         out[d] = (len(here) - _rank_on(m_rows, here)
                   + _rank_on(m_rows, rel) - len(rel)
                   - _rank_on(w_rows + pq, above) + _rank_on(w_rows, above))

@@ -63,7 +63,12 @@ EXIT = {"pass": 0, "fail": 1, "error": 2}
 
 
 def mat_to_json(m: Matrix) -> list[list[str]]:
-    return [[str(x) for x in row] for row in m.entries]
+    """Dense rows of strings, written from the nonzeros of `m.data`."""
+    out = [["0"] * m.cols for _ in range(m.rows)]
+    for line, row in zip(out, m.data):
+        for j, x in row.items():
+            line[j] = str(x)
+    return out
 
 
 class CommandError(ValueError):
@@ -129,7 +134,7 @@ def package_to_json(pkg: BoundaryPackage) -> dict:
 def residual(name: str, value) -> dict:
     if isinstance(value, Matrix):
         zero = value.is_zero()
-        body = mat_to_json(value)
+        body = None if zero else mat_to_json(value)
     elif hasattr(value, "is_zero"):
         zero = value.is_zero()
         body = [[list(m), str(c)] for m, c in value.terms]
@@ -275,12 +280,28 @@ def cmd_dtn(cfg) -> dict:
     }
 
 
+def _vertex_names(data: dict, key: str, names: set) -> list:
+    """data[key] as a list of vertex names of the complex; the first entry
+    that is not one is named, in input order."""
+    xs = data[key]
+    if not isinstance(xs, list):
+        raise CommandError(f"{key} must be a list of vertex names, "
+                           f"got {xs!r}")
+    for x in xs:
+        if isinstance(x, (list, dict)) or x not in names:
+            raise CommandError(f"{key} entry {x!r} is not a vertex of the "
+                               f"complex")
+    return xs
+
+
 def cmd_glue(cfg) -> dict:
     data = _load_input(cfg)
     whole = _scalar_theory(data["complex"])
-    cut = list(data["cut"])
-    lv, rv = set(data["left"]), set(data["right"])
     g = whole.graph
+    names = set(g.cells[0])
+    cut, left, right = (_vertex_names(data, key, names)
+                        for key in ("cut", "left", "right"))
+    lv, rv = set(left), set(right)
     e_left, e_right = [], []
     for e, faces in zip(g.cells[1], g.faces(1)):
         ends = {g.cells[0][i] for i, _ in faces}

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .numkit import Matrix, frac, invert, sparse_rank
+from .numkit import Matrix, frac, invert
 
 Monomial = tuple[int, ...]
 
@@ -88,7 +88,9 @@ class Polynomial:
             mono, sign = normalize_monomial(space, word)
             if mono is None or coeff == 0:
                 continue
-            acc[mono] = acc.get(mono, Fraction(0)) + sign * frac(coeff)
+            c = frac(coeff) if sign > 0 else -frac(coeff)
+            y = acc.get(mono)
+            acc[mono] = c if y is None else y + c
         cleaned = tuple(sorted((m, c) for m, c in acc.items() if c != 0))
         return Polynomial(space, cleaned)
 
@@ -192,22 +194,23 @@ class GradedSymplecticSpace:
         n = self.base.dim
         if self.omega.shape != (n, n):
             raise ValueError("omega shape mismatch")
+        deg = [d for _, d in self.base.labels]
         rows = self.omega.data
         for a, row in enumerate(rows):
             for b, x in row.items():
-                if self.base.degree(a) + self.base.degree(b) != self.form_degree:
+                if deg[a] + deg[b] != self.form_degree:
                     raise ValueError("omega pairs wrong degrees")
-                s = -1 if (self.base.parity(a) and self.base.parity(b)) else 1
-                if rows[b].get(a, 0) != -s * x:
+                odd = deg[a] % 2 and deg[b] % 2
+                if rows[b].get(a, 0) != (x if odd else -x):
                     raise ValueError("omega is not graded antisymmetric")
-        if sparse_rank(rows, n) < n:
+        lam = invert(self.omega)
+        if lam is None:
             raise ValueError("omega is degenerate")
+        object.__setattr__(self, "_bracket", lam)
 
     def bracket_matrix(self) -> Matrix:
-        """Lambda with {x_a, x_b} = Lambda[a, b], inverted on first use."""
-        if "_bracket_cache" not in vars(self):
-            object.__setattr__(self, "_bracket_cache", invert(self.omega))
-        return self._bracket_cache
+        """Lambda with {x_a, x_b} = Lambda[a, b], the inverse of omega."""
+        return self._bracket
 
 
 def poisson_bracket(f: Polynomial, g: Polynomial,

@@ -407,8 +407,21 @@ def solve_matrix(a: Matrix, b: Matrix,
 
 
 def invert(a: Matrix) -> Optional[Matrix]:
+    """The inverse of a square matrix, or None when it is singular. A
+    monomial matrix (one nonzero per row and per column) is read off as
+    inv[j][i] = 1 / a[i][j], ±1 entries reused; others go to `solve_matrix`."""
     if a.rows != a.cols:
         raise ValueError("only square matrices are invertible")
+    inv: list[dict[int, Fraction]] = [{} for _ in range(a.rows)]
+    for i, row in enumerate(a.data):
+        if len(row) != 1:
+            break
+        (j, x), = row.items()
+        if inv[j]:
+            break
+        inv[j] = {i: x if x == 1 or x == -1 else _ONE / x}
+    else:
+        return Matrix(a.rows, a.rows, inv)
     return solve_matrix(a, Matrix.identity(a.rows))
 
 

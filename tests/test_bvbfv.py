@@ -719,6 +719,41 @@ def test_moduli_ranks_match_subspace_oracle():
     assert min(seen.values()) >= 3, seen
 
 
+def test_moduli_on_rational_weights_match_subspace_oracle():
+    """grid(2, 2), torus(2, 2) and the holed annulus(3), ED and BF, with
+    rational face weights: the Hodge star puts non-integer entries in Q
+    for ED. The rows of pi are rescaled by random rationals too, which
+    moves no kernel, so the moduli stay those of the unscaled package."""
+    rng = random.Random(31)
+    seen = {"q": 0, "pi": 0}
+    for n, holes, periodic in ((2, [], False), (2, [], True),
+                               (3, [(1, 1)], False)):
+        for bf in (False, True):
+            weights = {("f", x, y): Fraction(rng.randint(1, 9),
+                                             rng.choice((2, 3)))
+                       for y in range(n) for x in range(n)
+                       if (x, y) not in holes}
+            p = build_ed_package(grid_complex(n, n, holes=holes,
+                                              periodic=periodic,
+                                              weights=weights), bf=bf)
+            pi = Matrix(p.pi.rows, p.pi.cols, [
+                {j: c * x for j, x in r.items()}
+                for r in p.pi.data
+                for c in [Fraction(rng.choice((-1, 1)) * rng.randint(1, 7),
+                                   rng.randint(2, 5))]])
+            scaled = dataclasses.replace(p, pi=pi)
+            got = moduli_of_vacua(p)
+            assert got == moduli_of_vacua(scaled) == oracle_moduli(scaled), \
+                (n, periodic, bf)
+            seen["q"] += any(x.denominator != 1
+                             for r in p.q_bulk.matrix.data
+                             for x in r.values())
+            seen["pi"] += any(x.denominator != 1
+                              for r in pi.data for x in r.values())
+    # the torus has no boundary, so its pi has no rows
+    assert seen == {"q": 3, "pi": 4}, seen
+
+
 def test_moduli_disk_trivial():
     for m in (grid_complex(1, 1), grid_complex(2, 2)):
         mod = moduli_of_vacua(build_ed_package(m))

@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from bvkit import cli
+from bvkit.numkit import Matrix
 from bvkit.theories import MechanicsFixture, mechanics_relation
 
 
@@ -434,19 +438,87 @@ def _run_input(tmp_path, command, data):
     return report
 
 
-def test_mutated_inputs_give_a_report_for_every_command(tmp_path):
+def _fuzz_cases(count):
+    """The first `count` seeded (command, input) cases of the fuzz test."""
     import random
 
     rng = random.Random(101)
     valid = _valid_inputs()
-    statuses = {s: 0 for s in cli.EXIT}
-    for command, data in valid.items():
-        assert _run_input(tmp_path, command, data)["status"] == "pass"
-    for _ in range(1000):
+    for _ in range(count):
         command = rng.choice(sorted(valid))
-        data = _mutated_input(rng, valid[command])
+        yield command, _mutated_input(rng, valid[command])
+
+
+def test_mutated_inputs_give_a_report_for_every_command(tmp_path):
+    statuses = {s: 0 for s in cli.EXIT}
+    for command, data in _valid_inputs().items():
+        assert _run_input(tmp_path, command, data)["status"] == "pass"
+    for command, data in _fuzz_cases(1000):
         statuses[_run_input(tmp_path, command, data)["status"]] += 1
     assert statuses["pass"] >= 50 and statuses["error"] >= 500, statuses
+
+
+def test_glue_errors_do_not_depend_on_the_string_hash_seed(tmp_path):
+    """Fuzz cases whose `cut`, `left` or `right` mix vertex names with
+    other values: each error report is the same in processes with
+    different string-hash seeds, and names the first bad entry."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    cases = dict(enumerate(_fuzz_cases(900)))
+    for k in (426, 639, 825, 899):
+        command, data = cases[k]
+        assert command == "glue"
+        path = tmp_path / f"case{k}.json"
+        path.write_text(json.dumps(data))
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            proc = subprocess.run(
+                [sys.executable, "-m", "bvkit.cli", "glue", "--input",
+                 str(path)], env=env, capture_output=True, text=True,
+                timeout=60)
+            assert proc.returncode == 2, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1], k
+        diagnostic = json.loads(outs[0])["payload"]["diagnostic"]
+        assert "is not a vertex of the complex" in diagnostic, diagnostic
+
+
+def test_glue_names_the_first_entry_that_is_not_a_vertex(tmp_path):
+    base = _valid_inputs()["glue"]
+    for key, value, named in (
+            ("left", ["v0", 0, "v9", []], "left entry 0 is"),
+            ("right", ["v2", "v3", "x", 1], "right entry 'x' is"),
+            ("cut", [["v2"]], "cut entry ['v2'] is"),
+            ("cut", "v2", "cut must be a list of vertex names, got 'v2'")):
+        report = _run_input(tmp_path, "glue", {**base, key: value})
+        assert report["status"] == "error"
+        assert report["payload"]["diagnostic"].startswith(named), key
+
+
+def test_sparse_mat_to_json_matches_the_dense_view():
+    import random
+
+    rng = random.Random(59)
+    shapes = [(0, 0), (0, 4), (4, 0), (3, 3)]
+    shapes += [(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(40)]
+    for rows, cols in shapes:
+        m = Matrix(rows, cols, [
+            {j: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9),
+                         rng.randint(1, 4))
+             for j in range(cols) if rng.random() < 0.3} for _ in range(rows)])
+        dense = [[str(x) for x in row] for row in m.entries]
+        assert cli.mat_to_json(m) == dense
+        assert cli.mat_to_json(Matrix.zeros(rows, cols)) == \
+            [["0"] * cols for _ in range(rows)]
+    assert cli.mat_to_json(Matrix(2, 2, [{0: Fraction(1, 2)}, {}])) == \
+        [["1/2", "0"], ["0", "0"]]
+
+
+def test_residual_of_a_zero_matrix_has_no_value():
+    assert cli.residual("r", Matrix.zeros(3, 2)) == \
+        {"name": "r", "zero": True, "value": None}
+    assert cli.residual("r", Matrix(1, 2, [{1: Fraction(-3)}])) == \
+        {"name": "r", "zero": False, "value": [["0", "-3"]]}
 
 
 def _tiny_complex(dims, cells, flags=()):

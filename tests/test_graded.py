@@ -176,6 +176,11 @@ def test_omega_validation_rejects_degenerate_forms():
         GradedSymplecticSpace(gv, om, 0)
     with pytest.raises(ValueError, match="degenerate"):
         GradedSymplecticSpace(gv, Matrix.zeros(4, 4), 0)
+    # one pair and two unpaired coordinates: one entry in each paired row
+    # and none in the others
+    pair = Matrix(4, 4, [{1: Fraction(1)}, {0: Fraction(-1)}, {}, {}])
+    with pytest.raises(ValueError, match="omega is degenerate"):
+        GradedSymplecticSpace(gv, pair, 0)
     odd = GradedVectorSpace.make([("b", -1), ("c", 1)])
     sp = GradedSymplecticSpace(odd, Matrix.from_rows([[0, 2], [2, 0]]), 0)
     assert sp.bracket_matrix() == Matrix.from_rows([["0", "1/2"],
