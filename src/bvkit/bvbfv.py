@@ -6,19 +6,17 @@ boundary function cohomology, and corner data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .collar import (
-    BoundaryPackage,
     FieldSpec,
     QuadraticLocalTheory,
     boundary_one_form,
     preboundary_reduce,
-    project_vector_field,
 )
 from .complexes import CellComplex, coboundary, hodge_weights
 from .graded import (
@@ -35,7 +33,7 @@ from .numkit import (
     sparse_rank,
     vec,
 )
-from .symplect import OneForm
+from .symplect import OneForm, Reduction
 
 __all__ = [
     "LinearCohomologicalField", "ConstraintSet", "BVBFVPackage",
@@ -256,8 +254,7 @@ class BVBFVPackage:
     alpha_boundary: OneForm
     q_boundary: LinearCohomologicalField
     s_boundary: Polynomial
-    pi: Matrix
-    boundary_package: BoundaryPackage = field(compare=False)
+    reduction: Reduction                 # its projection is pi
     # bulk antifield coordinates sitting on boundary cells; vacuum
     # classes are taken modulo these directions (the antifield sector
     # lives on the dual complex relative to the boundary)
@@ -301,14 +298,11 @@ def _infer_boundary_degrees(projection: Matrix,
     return degs
 
 
-def build_ed_package(m: CellComplex, d: int = 2,
-                     bf: bool = False) -> BVBFVPackage:
+def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
     """Assemble the gauge theory package on a two-dimensional complex:
     ghosts on vertices, gauge field on edges, a dual-face field B, and
     their antifields; `bf` drops the B^2 metric term."""
-    if d < 2:
-        raise ValueError("the B field needs dimension at least 2")
-    if m.dim != 2 or d != 2:
+    if m.dim != 2:
         raise ValueError("only two-dimensional bulk complexes are supported")
     if bf is False and (m.weights is None or not m.cubical):
         raise ValueError("the metric term needs a weighted cubical complex")
@@ -368,27 +362,25 @@ def build_ed_package(m: CellComplex, d: int = 2,
     # differentiated in S, at boundary cells; antifield rows stay bulk
     bd_fields = tuple(sorted([off_a + e for e in bd_e]
                              + [off_c + v for v in bd_v]))
-    pkg = preboundary_reduce(boundary_one_form(
+    red, alpha = preboundary_reduce(boundary_one_form(
         QuadraticLocalTheory(m, layout, hessian), bd_fields))
-    if not pkg.basic:
+    if alpha is None:
         raise ValueError("boundary one-form failed to descend")
-    pi = pkg.projection
-    bdegs = _infer_boundary_degrees(pi, gv)
-    blabels = [(f"y{i}", bdegs[i]) for i in range(pi.rows)]
+    bdegs = _infer_boundary_degrees(red.projection, gv)
+    blabels = [(f"y{i}", d) for i, d in enumerate(bdegs)]
     bgv = GradedVectorSpace.make(blabels)
     # the graded reading of the reduced two-form takes the opposite
     # orientation; this makes the quadratic boundary generator satisfy
     # the master identity in its standard shape
     boundary = GradedSymplecticSpace(
-        bgv, _graded_from_antisymmetric(pkg.boundary_space.omega.scale(-1),
-                                        bgv), 0)
-    q_b = project_vector_field(q_bulk.matrix, pkg)
-    q_boundary = LinearCohomologicalField(bgv, q_b)
+        bgv, _graded_from_antisymmetric(red.space.omega.scale(-1), bgv), 0)
+    q_boundary = LinearCohomologicalField(bgv,
+                                          red.descend_field(q_bulk.matrix))
     s_boundary = hamiltonian_of(q_boundary, boundary)
     bd_anti = tuple(sorted([off_ap + e for e in bd_e]
                            + [off_cp + v for v in bd_v]))
-    return BVBFVPackage(bulk, action, hessian, q_bulk, boundary, pkg.alpha,
-                        q_boundary, s_boundary, pi, pkg, bd_anti, bd_fields)
+    return BVBFVPackage(bulk, action, hessian, q_bulk, boundary, alpha,
+                        q_boundary, s_boundary, red, bd_anti, bd_fields)
 
 
 def _pullback(p: Polynomial, pi: Matrix,
@@ -438,7 +430,8 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
     omega = p.bulk.omega
     q = p.q_bulk.matrix
     g = p.action_hessian
-    pi, pi_t = p.pi, p.pi.transpose()
+    pi = p.reduction.projection
+    pi_t = pi.transpose()
     qt_omega = q.transpose() @ omega
     c_bd = p.alpha_boundary.coeff
     res = {}
@@ -455,7 +448,7 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
     res["master"] = qs - _pullback(rhs, pi, p.bulk.base)
 
     res["lie_derivative"] = (qt_omega + omega @ q) \
-        + pi_t @ p.boundary_package.boundary_space.omega @ pi
+        + pi_t @ p.reduction.space.omega @ pi
 
     passed = all(r.is_zero() for r in res.values())
     return CheckReport(res, passed)
@@ -482,7 +475,8 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
     gv = p.bulk.base
     qm = p.q_bulk.matrix.data
     bdeg = p.boundary.base
-    pi0 = [r for i, r in enumerate(p.pi.data) if bdeg.degree(i) == 0]
+    pi0 = [r for i, r in enumerate(p.reduction.projection.data)
+           if bdeg.degree(i) == 0]
     pi0_q = []
     for r in pi0:
         row: dict[int, Fraction] = {}
@@ -513,7 +507,8 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
 class CornerData:
     space: GradedVectorSpace
     q_corner: Matrix
-    package: BoundaryPackage
+    reduction: Reduction
+    alpha: Optional[OneForm]
 
 
 def corner_extend(sigma: CellComplex) -> CornerData:
@@ -522,24 +517,20 @@ def corner_extend(sigma: CellComplex) -> CornerData:
     corner cell survives and the corner field vanishes."""
     if sigma.dim < 1:
         raise ValueError("corners need a complex with edges")
-    if sigma.is_closed():
-        empty_pkg = preboundary_reduce(OneForm.zero(0))
-        return CornerData(GradedVectorSpace.make([]), Matrix.zeros(0, 0),
-                          empty_pkg)
     nv, ne = sigma.n_cells(0), sigma.n_cells(1)
     # ghosts on vertices, dual field on edges, paired by the divergence
     layout = (FieldSpec("c", 0, 1), FieldSpec("B", 1, 0))
     dd = sigma.boundary_op(1)
     action = Matrix.zeros(nv, nv).hstack(dd).vstack(
         dd.transpose().hstack(Matrix.zeros(ne, ne)))
-    pkg = preboundary_reduce(boundary_one_form(
+    red, alpha = preboundary_reduce(boundary_one_form(
         QuadraticLocalTheory(sigma, layout, action),
         sigma.boundary_indices(0)))
-    degs = _infer_boundary_degrees(pkg.projection,
+    degs = _infer_boundary_degrees(red.projection,
                                    _graded_fields(sigma, layout))
     gv = GradedVectorSpace.make([(f"z{i}", d) for i, d in enumerate(degs)])
-    q_corner = project_vector_field(Matrix.zeros(nv + ne, nv + ne), pkg)
-    return CornerData(gv, q_corner, pkg)
+    q_corner = red.descend_field(Matrix.zeros(nv + ne, nv + ne))
+    return CornerData(gv, q_corner, red, alpha)
 
 
 def boundary_bfv_reduction(sigma: CellComplex, d: int) -> dict[int, int]:

@@ -26,7 +26,6 @@ from .bvbfv import (
     moduli_of_vacua,
 )
 from .collar import (
-    BoundaryPackage,
     FieldSpec,
     QuadraticLocalTheory,
     boundary_one_form,
@@ -47,7 +46,7 @@ from .graded import (
 )
 from .numkit import Matrix, Subspace, frac, frac_reader
 from .relations import LinearRelation, compose
-from .symplect import OneForm, PresymplecticSpace
+from .symplect import OneForm, PresymplecticSpace, Reduction
 from .theories import (
     ScalarFieldTheory,
     dirac_counterexample,
@@ -117,18 +116,15 @@ def relation_to_json(rel: LinearRelation) -> dict:
     }
 
 
-def package_to_json(pkg: BoundaryPackage) -> dict:
-    out = {
-        "dim": pkg.boundary_space.dim,
-        "preboundary_dim": pkg.preboundary_dim,
-        "omega": mat_to_json(pkg.boundary_space.omega),
-        "projection": mat_to_json(pkg.projection),
-        "basic": pkg.basic,
-        "alpha": None,
+def package_to_json(red: Reduction, alpha: Optional[OneForm]) -> dict:
+    return {
+        "dim": red.space.dim,
+        "preboundary_dim": red.projection.cols,
+        "omega": mat_to_json(red.space.omega),
+        "projection": mat_to_json(red.projection),
+        "basic": alpha is not None,
+        "alpha": None if alpha is None else mat_to_json(alpha.coeff),
     }
-    if pkg.alpha is not None:
-        out["alpha"] = mat_to_json(pkg.alpha.coeff)
-    return out
 
 
 def residual(name: str, value) -> dict:
@@ -266,8 +262,8 @@ def cmd_reduce(cfg) -> dict:
     coeff = mat_from_json(data["alpha"], number)
     const = (tuple(_json_row(data["const"], "const", number))
              if "const" in data else None)
-    pkg = preboundary_reduce(OneForm(coeff.rows, coeff, const))
-    return {"payload": package_to_json(pkg), "residuals": []}
+    return {"payload": package_to_json(*preboundary_reduce(
+        OneForm(coeff.rows, coeff, const))), "residuals": []}
 
 
 def cmd_dtn(cfg) -> dict:
@@ -348,8 +344,8 @@ def cmd_collar(cfg) -> dict:
         layout.append(FieldSpec(f["name"], cell_dim, _integer(f, "degree")))
     t = QuadraticLocalTheory(cx, tuple(layout),
                              mat_from_json(data["action"], frac_reader()))
-    pkg = preboundary_reduce(boundary_one_form(t))
-    return {"payload": package_to_json(pkg), "residuals": []}
+    return {"payload": package_to_json(*preboundary_reduce(
+        boundary_one_form(t))), "residuals": []}
 
 
 def cmd_bfv_resolve(cfg) -> dict:
@@ -397,7 +393,7 @@ def cmd_corner(cfg) -> dict:
     cd = corner_extend(_complex_of(_load_input(cfg)))
     return {
         "payload": {"labels": [[n, d] for n, d in cd.space.labels],
-                    "basic": cd.package.basic},
+                    "basic": cd.alpha is not None},
         "residuals": [residual("corner_field_square", cd.q_corner)],
     }
 

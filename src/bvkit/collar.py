@@ -1,6 +1,6 @@
 """From a quadratic local action on a collar to boundary data: extract
-the boundary one-form of the variational split, reduce by the kernel of
-its exterior derivative, and push vector fields through the reduction.
+the boundary one-form of the variational split and reduce by the kernel
+of its exterior derivative.
 
 The variational split reads off rows of the Hessian: with S(x) = half
 x^T G x and G symmetric, dS(x)[dx] = sum_a (Gx)_a dx_a; rows indexed by
@@ -15,20 +15,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import CellComplex
-from .numkit import Matrix, Subspace, kernel
+from .numkit import Matrix
 from .symplect import (
     NotBasic,
     OneForm,
     PresymplecticSpace,
+    Reduction,
     presymplectic_reduce,
 )
 
 
 class NonlocalAction(ValueError):
-    pass
-
-
-class NotProjectable(ValueError):
     pass
 
 
@@ -189,49 +186,11 @@ def el_form(t: QuadraticLocalTheory,
                          for a in range(n)])
 
 
-@dataclass(frozen=True)
-class BoundaryPackage:
-    boundary_space: PresymplecticSpace
-    alpha: Optional[OneForm]
-    projection: Matrix
-    pivots: tuple[int, ...]
-
-    @property
-    def basic(self) -> bool:
-        return self.alpha is not None
-
-    @property
-    def preboundary_dim(self) -> int:
-        return self.projection.cols
-
-    def kernel_subspace(self) -> Subspace:
-        return kernel(self.projection)
-
-
-def preboundary_reduce(a: OneForm) -> BoundaryPackage:
-    """Reduce the preboundary two-form d(a) by its kernel and push a
-    down when it is basic."""
+def preboundary_reduce(a: OneForm) -> tuple[Reduction, Optional[OneForm]]:
+    """Reduce the preboundary two-form d(a) by its kernel, and push a
+    down when it is basic (None otherwise)."""
     red = presymplectic_reduce(PresymplecticSpace(a.ambient_dim, a.d()))
     try:
-        alpha = red.descend(a)
+        return red, red.descend(a)
     except NotBasic:
-        alpha = None
-    return BoundaryPackage(red.space, alpha, red.projection, red.pivots)
-
-
-def project_vector_field(q: Matrix, pkg: BoundaryPackage) -> Matrix:
-    """Descend a linear vector field through the reduction: the unique
-    Q with Q @ projection = projection @ q, when q preserves the kernel.
-
-    The projection is in RREF, so the pivot selector S is a right inverse
-    and Q = projection @ q @ S is projection @ q read at the pivot
-    columns. With E = S @ projection, I - E maps onto the kernel, so q
-    preserves it exactly when Q @ projection = projection @ q."""
-    p = pkg.projection
-    if q.shape != (p.cols, p.cols):
-        raise ValueError("vector field size mismatch")
-    pq = p @ q
-    out = pq.submatrix(range(pq.rows), pkg.pivots)
-    if out @ p != pq:
-        raise NotProjectable("field does not preserve the kernel")
-    return out
+        return red, None

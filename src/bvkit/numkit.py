@@ -389,16 +389,13 @@ def kernel(m: Matrix) -> "Subspace":
     return Subspace.from_span(m.cols, list(basis.values()))
 
 
-def solve_matrix(a: Matrix, b: Matrix,
-                 require_unique: bool = False) -> Optional[Matrix]:
-    """Solve a @ X = b columnwise; None if any column is inconsistent
-    (or, with require_unique, if a has a nontrivial kernel)."""
+def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
+    """Solve a @ X = b columnwise, free variables set to zero; None if any
+    column is inconsistent."""
     if b.rows != a.rows:
         raise ValueError("rhs row count mismatch")
     rows, pivots = _rref_rows(a.hstack(b).data, a.cols + b.cols)
     if any(p >= a.cols for p in pivots):
-        return None
-    if require_unique and len(pivots) < a.cols:
         return None
     x: list[dict[int, Fraction]] = [{} for _ in range(a.cols)]
     for p, row in zip(pivots, rows):

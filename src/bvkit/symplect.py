@@ -176,6 +176,23 @@ class Reduction:
             raise NotBasic("one-form is not horizontal on the kernel")
         return OneForm(self.space.dim, coeff_red, const_red)
 
+    def descend_field(self, q: Matrix) -> Matrix:
+        """The vector field on the reduced space that the linear field q
+        descends to: the unique Q with Q @ projection = projection @ q.
+
+        Q = projection @ q @ S is projection @ q read at the pivots, and
+        q preserves the kernel exactly when Q @ projection = projection @ q.
+        Raises NotProjectable otherwise.
+        """
+        p = self.projection
+        if q.shape != (p.cols, p.cols):
+            raise ValueError("vector field size mismatch")
+        pq = p @ q
+        out = pq.submatrix(range(pq.rows), self.pivots)
+        if out @ p != pq:
+            raise NotProjectable("field does not preserve the kernel")
+        return out
+
 
 class PullbackMismatch(ValueError):
     pass
@@ -255,15 +272,8 @@ class NotBasic(Exception):
     """
 
 
-def reduce_one_form(v: PresymplecticSpace, a: OneForm) -> OneForm:
-    """Push a one-form with d(a) = omega down the kernel reduction.
-
-    Raises NotBasic when a fails horizontality (coeff@k != 0 or const.k != 0)
-    or invariance (k^T coeff != 0) along a kernel vector k.
-    """
-    if a.d() != v.omega:
-        raise ValueError("one-form is not a primitive of omega")
-    return presymplectic_reduce(v).descend(a)
+class NotProjectable(ValueError):
+    pass
 
 
 def twisted_product(source: PresymplecticSpace,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .collar import BoundaryPackage, preboundary_reduce
+from .collar import preboundary_reduce
 from .complexes import CellComplex, coboundary, hodge_weights
 from .numkit import (
     Matrix,
@@ -29,6 +29,7 @@ from .symplect import (
     ClassificationResult,
     OneForm,
     PresymplecticSpace,
+    Reduction,
     d_of_coeff,
 )
 
@@ -133,18 +134,13 @@ def _pairing_coeff(n: int) -> Matrix:
                   + [{} for _ in range(n)])
 
 
-def scalar_phase_space(n_points: int) -> PresymplecticSpace:
-    """Boundary phase space: coordinates (phi_1..m, chi_1..m) with the
-    pairing of each momentum chi with its field value phi."""
-    return PresymplecticSpace(2 * n_points,
-                              d_of_coeff(_pairing_coeff(n_points)))
-
-
 def evolution_relation_scalar(t: ScalarFieldTheory,
                               in_vertices: Sequence[str],
                               out_vertices: Sequence[str]) -> LinearRelation:
-    """Boundary relation of the harmonic theory: the incoming normal
-    difference is sign-reversed so the relation composes under gluing."""
+    """Boundary relation of the harmonic theory on the Darboux spaces
+    (phi_1..m, chi_1..m), each momentum chi paired with its field value
+    phi: the incoming normal difference is sign-reversed so the relation
+    composes under gluing."""
     in_v, out_v = list(in_vertices), list(out_vertices)
     if set(in_v) & set(out_v):
         raise ValueError("in and out vertices must be disjoint")
@@ -160,7 +156,8 @@ def evolution_relation_scalar(t: ScalarFieldTheory,
         src = tuple(phi[:m_in]) + tuple(-x for x in chi[:m_in])
         tgt = tuple(phi[m_in:]) + tuple(chi[m_in:])
         span.append(src + tgt)
-    return LinearRelation(scalar_phase_space(m_in), scalar_phase_space(m_out),
+    return LinearRelation(PresymplecticSpace.standard(m_in),
+                          PresymplecticSpace.standard(m_out),
                           Subspace.from_span(2 * m, span))
 
 
@@ -356,19 +353,20 @@ def ed_boundary_space(sigma: CellComplex) -> tuple[PresymplecticSpace, OneForm]:
     return PresymplecticSpace(2 * n, d_of_coeff(coeff)), OneForm(2 * n, coeff)
 
 
-def classical_boundary_ed(sigma: CellComplex) -> tuple[BoundaryPackage,
-                                                       Subspace, Subspace]:
+def classical_boundary_ed(sigma: CellComplex) -> tuple[
+        Reduction, Optional[OneForm], Subspace, Subspace]:
     """Cauchy data of electrodynamics: pairs (A, B) with B closed as a
-    dual form; the characteristic directions are the gauge shifts of A."""
-    space, alpha = ed_boundary_space(sigma)
-    pkg = preboundary_reduce(alpha)
+    dual form; the characteristic directions are the gauge shifts of A.
+    They come with the reduction of alpha and its descent, as from
+    `preboundary_reduce`."""
+    red, alpha = preboundary_reduce(ed_boundary_space(sigma)[1])
     n = sigma.n_cells(1)
     d_dual = sigma.boundary_op(1)  # closedness of B in the dual complex
     c_b = kernel(d_dual)
     c = Subspace.from_span(2 * n, [{i: 1} for i in range(n)] + [
         {n + j: x for j, x in b.items()} for b in c_b.basis])
     char = Subspace.from_span(2 * n, coboundary(sigma, 0).transpose().data)
-    return pkg, c, char
+    return red, alpha, c, char
 
 
 def classical_boundary_bf(sigma: CellComplex) -> tuple[Subspace, Subspace]:

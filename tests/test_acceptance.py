@@ -44,7 +44,7 @@ from bvkit.graded import (
 )
 from bvkit.numkit import Matrix, Subspace, invert, vec
 from bvkit.relations import LinearRelation, compose, graph, identity_relation
-from bvkit.symplect import NotBasic, PresymplecticSpace, reduce_one_form
+from bvkit.symplect import NotBasic, PresymplecticSpace, presymplectic_reduce
 from bvkit.theories import (
     MechanicsFixture,
     ScalarFieldTheory,
@@ -208,17 +208,17 @@ def test_criterion_3_variational_split():
     lap = d0.transpose() @ hodge_star(cx, 1) @ d0
     t = QuadraticLocalTheory(cx, (FieldSpec("phi", 0),), lap)
     alpha = boundary_one_form(t)
-    pkg = preboundary_reduce(alpha)
-    assert pkg.basic
+    red, alpha_red = preboundary_reduce(alpha)
+    assert alpha_red is not None
     n = t.n_vars
     for _ in range(20):
         x = vec([rng.randint(-5, 5) for _ in range(n)])
         dx = vec([rng.randint(-5, 5) for _ in range(n)])
         ds = dot(t.action.apply(x), dx)
         el = ds - alpha.evaluate(x, dx)
-        red = pkg.alpha.evaluate(pkg.projection.apply(x),
-                                 pkg.projection.apply(dx))
-        assert ds - el - red == 0
+        pulled = alpha_red.evaluate(red.projection.apply(x),
+                                    red.projection.apply(dx))
+        assert ds - el - pulled == 0
     # gauge theories: zero the boundary-sourced rows independently and
     # check the reduced one-form restores them exactly
     for bf in (False, True):
@@ -233,7 +233,8 @@ def test_criterion_3_variational_split():
             dx = vec([rng.randint(-5, 5) for _ in range(n)])
             ds = dot(p.action_hessian.apply(x), dx)
             el = dot(el_rows.apply(x), dx)
-            red = p.alpha_boundary.evaluate(p.pi.apply(x), p.pi.apply(dx))
+            pi = p.reduction.projection
+            red = p.alpha_boundary.evaluate(pi.apply(x), pi.apply(dx))
             assert ds - el - red == 0
 
 
@@ -267,7 +268,7 @@ def test_criterion_4_mechanics():
                           g.target_projection, red)
     assert out.body == identity_relation(red).body
     with pytest.raises(NotBasic):
-        reduce_one_form(g.space, g.alpha)
+        presymplectic_reduce(g.space).descend(g.alpha)
 
 
 def test_criterion_5_dirac_counterexample():
@@ -342,13 +343,15 @@ def _mutated_package(rng, p):
         bulk = GradedSymplecticSpace(p.bulk.base, Matrix.from_rows(rows),
                                      p.bulk.form_degree)
         return dataclasses.replace(p, bulk=bulk)
+    pi = p.reduction.projection
     while True:
-        i, j = rng.randrange(p.pi.rows), rng.randrange(n)
-        if p.pi[i, j] != 0:
+        i, j = rng.randrange(pi.rows), rng.randrange(n)
+        if pi[i, j] != 0:
             break
-    rows = [list(r) for r in p.pi.entries]
+    rows = [list(r) for r in pi.entries]
     rows[i][j] = -rows[i][j]
-    return dataclasses.replace(p, pi=Matrix.from_rows(rows))
+    return dataclasses.replace(p, reduction=dataclasses.replace(
+        p.reduction, projection=Matrix.from_rows(rows)))
 
 
 def test_criterion_7_structure_checker():

@@ -23,7 +23,7 @@ from bvkit.bvbfv import (
     hamiltonian_of,
     moduli_of_vacua,
 )
-from bvkit.collar import NotProjectable, prism, project_vector_field
+from bvkit.collar import prism
 from bvkit.complexes import (
     annulus_complex,
     circle_complex,
@@ -50,7 +50,7 @@ from bvkit.numkit import (
     unit_vec,
     vec,
 )
-from bvkit.symplect import NotBasic, OneForm, Reduction
+from bvkit.symplect import NotBasic, NotProjectable, OneForm
 from test_graded import (
     derivation_apply,
     monomials,
@@ -639,14 +639,16 @@ def test_mutation_sensitivity():
                                          p.bulk.form_degree)
             mut = dataclasses.replace(p, bulk=bulk)
         else:
+            pi = p.reduction.projection
             while True:
-                i = rng.randrange(p.pi.rows)
+                i = rng.randrange(pi.rows)
                 j = rng.randrange(n)
-                if p.pi[i, j] != 0:
+                if pi[i, j] != 0:
                     break
-            rows = [list(r) for r in p.pi.entries]
+            rows = [list(r) for r in pi.entries]
             rows[i][j] = -rows[i][j]
-            mut = dataclasses.replace(p, pi=Matrix.from_rows(rows))
+            mut = dataclasses.replace(p, reduction=dataclasses.replace(
+                p.reduction, projection=Matrix.from_rows(rows)))
         if not check_bvbfv(mut).passed:
             caught += 1
     assert caught == 10
@@ -659,7 +661,8 @@ def oracle_moduli(p):
     n = gv.dim
     q = p.q_bulk.matrix
     bdeg = p.boundary.base
-    pi0 = [list(p.pi.row(i)) for i in range(p.pi.rows) if bdeg.degree(i) == 0]
+    pi = p.reduction.projection
+    pi0 = [list(pi.row(i)) for i in range(pi.rows) if bdeg.degree(i) == 0]
     pi0 = Matrix.from_rows(pi0) if pi0 else Matrix.zeros(0, n)
     trace = Matrix.from_rows([unit_vec(n, i) for i in p.boundary_fields]) \
         if p.boundary_fields else Matrix.zeros(0, n)
@@ -736,12 +739,14 @@ def test_moduli_on_rational_weights_match_subspace_oracle():
             p = build_ed_package(grid_complex(n, n, holes=holes,
                                               periodic=periodic,
                                               weights=weights), bf=bf)
-            pi = Matrix(p.pi.rows, p.pi.cols, [
+            proj = p.reduction.projection
+            pi = Matrix(proj.rows, proj.cols, [
                 {j: c * x for j, x in r.items()}
-                for r in p.pi.data
+                for r in proj.data
                 for c in [Fraction(rng.choice((-1, 1)) * rng.randint(1, 7),
                                    rng.randint(2, 5))]])
-            scaled = dataclasses.replace(p, pi=pi)
+            scaled = dataclasses.replace(p, reduction=dataclasses.replace(
+                p.reduction, projection=pi))
             got = moduli_of_vacua(p)
             assert got == moduli_of_vacua(scaled) == oracle_moduli(scaled), \
                 (n, periodic, bf)
@@ -846,19 +851,19 @@ def test_hamiltonian_of_refuses_a_changed_field_at_size():
         hamiltonian_of(changed_boundary_field(p), p.boundary)
 
 
-def kernel_slot(pkg):
+def kernel_slot(red):
     """(first pivot row, first non-pivot column) of the reduction: an
     entry there reaches along the kernel."""
-    return pkg.pivots[0], next(j for j in range(pkg.preboundary_dim)
-                               if j not in pkg.pivots)
+    return red.pivots[0], next(j for j in range(red.projection.cols)
+                               if j not in red.pivots)
 
 
 def test_descend_refuses_a_kernel_direction_at_size():
-    pkg = annulus5_package().boundary_package
-    red = Reduction(pkg.boundary_space, pkg.projection, pkg.pivots)
-    coeff = pkg.projection.transpose() @ pkg.alpha.coeff @ pkg.projection
-    assert red.descend(OneForm(coeff.rows, coeff)) == pkg.alpha
-    i, k = kernel_slot(pkg)
+    p = annulus5_package()
+    red, alpha = p.reduction, p.alpha_boundary
+    coeff = red.projection.transpose() @ alpha.coeff @ red.projection
+    assert red.descend(OneForm(coeff.rows, coeff)) == alpha
+    i, k = kernel_slot(red)
     rows = [list(r) for r in coeff.entries]
     rows[i][k] += 1
     with pytest.raises(NotBasic):
@@ -867,13 +872,13 @@ def test_descend_refuses_a_kernel_direction_at_size():
 
 def test_project_vector_field_refuses_a_kernel_breaking_entry_at_size():
     p = annulus5_package()
-    pkg = p.boundary_package
-    assert project_vector_field(p.q_bulk.matrix, pkg) == p.q_boundary.matrix
-    i, k = kernel_slot(pkg)
+    red = p.reduction
+    assert red.descend_field(p.q_bulk.matrix) == p.q_boundary.matrix
+    i, k = kernel_slot(red)
     rows = [list(r) for r in p.q_bulk.matrix.entries]
     rows[i][k] += 1
     with pytest.raises(NotProjectable):
-        project_vector_field(Matrix.from_rows(rows), pkg)
+        red.descend_field(Matrix.from_rows(rows))
 
 
 def test_corner_interval():
@@ -881,7 +886,7 @@ def test_corner_interval():
     degs = sorted(d for _, d in cd.space.labels)
     assert degs == [0, 0, 1, 1]
     assert cd.q_corner.is_zero()
-    assert cd.package.basic
+    assert cd.alpha is not None
 
 
 def test_corner_cylinder():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bvkit import cli
+from bvkit.complexes import circle_complex, disjoint_union, torus_complex
 from bvkit.numkit import Matrix
 from bvkit.theories import MechanicsFixture, mechanics_relation
 
@@ -137,6 +138,18 @@ def test_corner_path(tmp_path):
     code, rep, _ = run_cli(tmp_path, ["corner"], fix)
     assert code == 0
     assert sorted(d for _, d in rep["payload"]["labels"]) == [0, 0, 1, 1]
+
+
+@pytest.mark.parametrize("cx", [
+    circle_complex(4), torus_complex(2, 2),
+    disjoint_union(circle_complex(3, "a"), circle_complex(3, "b"))],
+    ids=["circle4", "torus22", "two-circles"])
+def test_corner_of_a_closed_complex_is_empty(tmp_path, cx):
+    code, rep, _ = run_cli(tmp_path, ["corner"], cx.to_dict())
+    assert code == 0
+    assert rep["payload"] == {"basic": True, "labels": []}
+    assert rep["residuals"] == [{"name": "corner_field_square",
+                                 "value": None, "zero": True}]
 
 
 def test_fixture_bytes_stable(tmp_path):

@@ -7,13 +7,11 @@ from bvkit.collar import (
     CollarModel,
     FieldSpec,
     NonlocalAction,
-    NotProjectable,
     QuadraticLocalTheory,
     boundary_one_form,
     el_form,
     preboundary_reduce,
     prism,
-    project_vector_field,
 )
 from bvkit.complexes import (
     circle_complex,
@@ -23,6 +21,7 @@ from bvkit.complexes import (
     validate,
 )
 from bvkit.numkit import Matrix, kernel, vec
+from bvkit.symplect import NotProjectable
 from test_numkit import from_dense, section_of
 
 
@@ -89,35 +88,34 @@ def test_zero_action_gives_zero_boundary_form():
                              Matrix.zeros(3, 3))
     a = boundary_one_form(t)
     assert a.coeff.is_zero()
-    pkg = preboundary_reduce(a)
-    assert pkg.boundary_space.dim == 0
+    red, _ = preboundary_reduce(a)
+    assert red.space.dim == 0
 
 
 def test_scalar_collar_reduces_to_darboux_pair():
     _, t = scalar_theory_on_collar(2)
-    pkg = preboundary_reduce(boundary_one_form(t))
-    assert pkg.boundary_space.dim == 2
-    assert pkg.basic
-    assert pkg.alpha is not None
-    assert pkg.alpha.d() == pkg.boundary_space.omega
-    assert pkg.boundary_space.is_nondegenerate()
+    red, alpha = preboundary_reduce(boundary_one_form(t))
+    assert red.space.dim == 2
+    assert alpha is not None
+    assert alpha.d() == red.space.omega
+    assert red.space.is_nondegenerate()
 
 
 def test_layer_independence():
     _, t2 = scalar_theory_on_collar(2)
     _, t4 = scalar_theory_on_collar(4)
-    p2 = preboundary_reduce(boundary_one_form(t2))
-    p4 = preboundary_reduce(boundary_one_form(t4))
-    assert p2.boundary_space.dim == p4.boundary_space.dim
-    assert p2.basic == p4.basic
+    r2, a2 = preboundary_reduce(boundary_one_form(t2))
+    r4, a4 = preboundary_reduce(boundary_one_form(t4))
+    assert r2.space.dim == r4.space.dim
+    assert (a2 is None) == (a4 is None)
 
 
 def test_reduction_idempotent():
     _, t = scalar_theory_on_collar(2)
-    pkg = preboundary_reduce(boundary_one_form(t))
-    again = preboundary_reduce(pkg.alpha)
-    assert again.boundary_space == pkg.boundary_space
-    assert again.projection == Matrix.identity(pkg.boundary_space.dim)
+    red, alpha = preboundary_reduce(boundary_one_form(t))
+    again, _ = preboundary_reduce(alpha)
+    assert again.space == red.space
+    assert again.projection == Matrix.identity(red.space.dim)
 
 
 def test_nonlocal_action_detected():
@@ -166,36 +164,36 @@ def test_symmetry_check_matches_transpose_rule():
 
 def test_project_zero_field():
     _, t = scalar_theory_on_collar(2)
-    pkg = preboundary_reduce(boundary_one_form(t))
-    out = project_vector_field(Matrix.zeros(3, 3), pkg)
+    red, _ = preboundary_reduce(boundary_one_form(t))
+    out = red.descend_field(Matrix.zeros(3, 3))
     assert out.is_zero()
 
 
 def test_project_kernel_rescaling_gives_zero():
     _, t = scalar_theory_on_collar(2)
-    pkg = preboundary_reduce(boundary_one_form(t))
-    ker = pkg.kernel_subspace()
+    red, _ = preboundary_reduce(boundary_one_form(t))
+    ker = kernel(red.projection)
     assert ker.dim == 1
     k = ker.matrix().row(0)
     # rank-one field v -> (k . v) k lands in the kernel
     q = Matrix.from_rows([[k[i] * k[j] for j in range(3)] for i in range(3)])
-    out = project_vector_field(q, pkg)
+    out = red.descend_field(q)
     assert out.is_zero()
 
 
 def test_project_rejects_kernel_breaking_field():
     _, t = scalar_theory_on_collar(2)
-    pkg = preboundary_reduce(boundary_one_form(t))
+    red, _ = preboundary_reduce(boundary_one_form(t))
     q = Matrix.from_rows([[0, 0, 0], [0, 0, 0], [1, 0, 0]]).transpose()
     with pytest.raises(NotProjectable):
-        project_vector_field(q, pkg)
+        red.descend_field(q)
 
 
 def test_projected_square_zero_descends():
     rng = random.Random(9)
     _, t = scalar_theory_on_collar(2)
-    pkg = preboundary_reduce(boundary_one_form(t))
-    ker = pkg.kernel_subspace()
+    red, _ = preboundary_reduce(boundary_one_form(t))
+    ker = kernel(red.projection)
     k = ker.matrix().row(0)
     # nilpotent field mapping everything into the kernel line
     for _ in range(5):
@@ -204,27 +202,27 @@ def test_projected_square_zero_descends():
                               for i in range(3)])
         if not (q @ q).is_zero():
             continue
-        out = project_vector_field(q, pkg)
+        out = red.descend_field(q)
         assert (out @ out).is_zero()
 
 
-def preserves_kernel_vectorwise(q, pkg):
+def preserves_kernel_vectorwise(q, red):
     """Reference rule: q descends when it maps each kernel basis vector
     of the projection back into the kernel."""
-    ker = pkg.kernel_subspace()
+    ker = kernel(red.projection)
     return all(ker.contains(q.apply(k)) for k in ker.matrix().entries)
 
 
 def test_project_vector_field_matches_kernel_vector_rule():
     rng = random.Random(43)
-    pkgs = [preboundary_reduce(boundary_one_form(
-        scalar_theory_on_collar(layers, base)[1]))
+    reds = [preboundary_reduce(boundary_one_form(
+        scalar_theory_on_collar(layers, base)[1]))[0]
         for layers, base in ((2, None), (3, None), (4, None),
                              (2, path_complex(2)), (2, circle_complex(3)))]
     seen = set()
     for trial in range(60):
-        pkg = pkgs[trial % len(pkgs)]
-        p = pkg.projection
+        red = reds[trial % len(reds)]
+        p = red.projection
         n = p.cols
 
         def rand():
@@ -236,12 +234,12 @@ def test_project_vector_field_matches_kernel_vector_rule():
             # q0 E + (I - E) q1 with E = S p maps the kernel into itself
             e = section_of(p) @ p
             q = q @ e + (Matrix.identity(n) - e) @ rand()
-        expected = preserves_kernel_vectorwise(q, pkg)
+        expected = preserves_kernel_vectorwise(q, red)
         seen.add(expected)
         if expected:
-            out = project_vector_field(q, pkg)
+            out = red.descend_field(q)
             assert out @ p == p @ q
         else:
             with pytest.raises(NotProjectable):
-                project_vector_field(q, pkg)
+                red.descend_field(q)
     assert seen == {True, False}

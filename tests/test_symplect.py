@@ -1,6 +1,8 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ from bvkit.numkit import (
 from bvkit.symplect import (
     NotBasic,
     NotCoisotropic,
+    NotProjectable,
     OneForm,
     PresymplecticSpace,
     classify,
@@ -25,10 +28,9 @@ from bvkit.symplect import (
     d_of_coeff,
     gotay_embed,
     presymplectic_reduce,
-    reduce_one_form,
     twisted_product,
 )
-from bvkit.collar import NotProjectable, preboundary_reduce, project_vector_field
+from bvkit.collar import preboundary_reduce
 from test_numkit import from_dense, intersect, quotient, section_of, sum_spaces
 
 
@@ -291,13 +293,13 @@ def test_reduce_at_pivots_matches_quotient_section_oracle():
         # omega = U - U^T for its strict upper triangle U, so d(-U) = omega
         upper = Matrix.from_rows([[omega[i, j] if j > i else 0
                                    for j in range(n)] for i in range(n)])
-        pkg = preboundary_reduce(OneForm(n, -upper))
+        pkg, _ = preboundary_reduce(OneForm(n, -upper))
         assert pkg.projection == proj and pkg.pivots == red.pivots
         e = sec @ proj
         keeps = (random_block(rng, n, n) @ e
                  + (Matrix.identity(n) - e) @ random_block(rng, n, n))
         for q in (random_block(rng, n, n), keeps):
-            got = outcome(project_vector_field, q, pkg)
+            got = outcome(pkg.descend_field, q)
             assert got == outcome(oracle_project, proj, sec, q)
             kinds["project"].add(type(got).__name__)
     assert {(n, k) for n in range(9) for k in range(0, n + 1, 2)} <= ranks
@@ -385,7 +387,7 @@ def test_reduce_one_form_basic_case():
     w = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     v = PresymplecticSpace(3, d_of_coeff(w))
     a = OneForm(3, w)
-    red = reduce_one_form(v, a)
+    red = presymplectic_reduce(v).descend(a)
     assert red.ambient_dim == 2
     assert d_of_coeff(red.coeff) == presymplectic_reduce(v).space.omega
 
@@ -397,7 +399,7 @@ def test_reduce_one_form_rejects_linear_kernel_dependence():
     v = PresymplecticSpace(3, d_of_coeff(w))
     assert v.kernel_subspace().contains(unit_vec(3, 2))
     with pytest.raises(NotBasic):
-        reduce_one_form(v, OneForm(3, w))
+        presymplectic_reduce(v).descend(OneForm(3, w))
 
 
 def test_reduce_one_form_rejects_constant_along_kernel():
@@ -405,13 +407,7 @@ def test_reduce_one_form_rejects_constant_along_kernel():
     v = PresymplecticSpace(3, d_of_coeff(w))
     a = OneForm(3, w, vec([0, 0, 1]))
     with pytest.raises(NotBasic):
-        reduce_one_form(v, a)
-
-
-def test_reduce_one_form_requires_primitive():
-    v = PresymplecticSpace.standard(1)
-    with pytest.raises(ValueError):
-        reduce_one_form(v, OneForm.zero(2))
+        presymplectic_reduce(v).descend(a)
 
 
 def basic_by_kernel_vectors(v, a):
@@ -447,13 +443,13 @@ def test_reduce_one_form_matches_kernel_vector_rule():
         expected = basic_by_kernel_vectors(v, a)
         seen.add((expected, v.kernel_subspace().dim > 0))
         if expected:
-            red = reduce_one_form(v, a)
-            p = presymplectic_reduce(v).projection
+            reduction = presymplectic_reduce(v)
+            red, p = reduction.descend(a), reduction.projection
             assert p.transpose() @ red.coeff @ p == w
             assert p.transpose().apply(red.const) == a.const
         else:
             with pytest.raises(NotBasic):
-                reduce_one_form(v, a)
+                presymplectic_reduce(v).descend(a)
     assert {(True, True), (False, True)} <= seen
 
 
@@ -469,3 +465,15 @@ def test_twisted_product_flips_source_sign():
     t = twisted_product(v, v)
     assert t.pairing(unit_vec(4, 1), unit_vec(4, 0)) == -1
     assert t.pairing(unit_vec(4, 3), unit_vec(4, 2)) == 1
+
+
+def test_only_symplect_reads_pivots():
+    """The RREF pivot columns are how a `Reduction` descends one-forms and
+    vector fields; in src/ no module but `symplect` reads `.pivots`."""
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Attribute) and node.attr == "pivots"]
+    assert found and all(f.startswith("symplect.py:") for f in found), found

@@ -23,7 +23,6 @@ from bvkit.symplect import (
     NotBasic,
     classify,
     presymplectic_reduce,
-    reduce_one_form,
 )
 from bvkit.theories import (
     MechanicsFixture,
@@ -400,7 +399,7 @@ def test_geodesic_reduced_relation_is_identity():
 def test_geodesic_alpha_not_basic():
     g = geodesic_fixture()
     with pytest.raises(NotBasic):
-        reduce_one_form(g.space, g.alpha)
+        presymplectic_reduce(g.space).descend(g.alpha)
 
 
 def test_dirac_counterexample_orders():
@@ -423,22 +422,22 @@ def test_dirac_order_one_dimensions():
 
 
 def test_ed_boundary_circle():
-    pkg, c, char = classical_boundary_ed(circle_complex(5))
-    assert pkg.basic
-    assert pkg.boundary_space.is_nondegenerate()
-    assert classify(pkg.boundary_space, c).is_coisotropic
-    assert char.contains_subspace(omega_complement(pkg.boundary_space, c))
-    assert omega_complement(pkg.boundary_space, c) == char
+    red, alpha, c, char = classical_boundary_ed(circle_complex(5))
+    assert alpha is not None
+    assert red.space.is_nondegenerate()
+    assert classify(red.space, c).is_coisotropic
+    assert char.contains_subspace(omega_complement(red.space, c))
+    assert omega_complement(red.space, c) == char
     # B closed on one circle: one constant
     assert c.dim == 5 + 1
 
 
 def test_ed_boundary_two_circles():
     two = disjoint_union(circle_complex(4, "a"), circle_complex(3, "b"))
-    pkg, c, char = classical_boundary_ed(two)
+    red, _, c, char = classical_boundary_ed(two)
     n = 7
     assert c.dim == n + 2  # one B constant per component
-    assert classify(pkg.boundary_space, c).is_coisotropic
+    assert classify(red.space, c).is_coisotropic
 
 
 def test_bf_boundary_circle_reduction_dims():
