@@ -53,7 +53,6 @@ from .theories import (
     dtn,
     glue_scalar,
     on_shell_action,
-    subgraph_theory,
 )
 
 __all__ = ["main", "run"]
@@ -293,23 +292,10 @@ def _vertex_names(data: dict, key: str, names: set) -> list:
 def cmd_glue(cfg) -> dict:
     data = _load_input(cfg)
     whole = _scalar_theory(data["complex"])
-    g = whole.graph
-    names = set(g.cells[0])
+    names = set(whole.vertex_names)
     cut, left, right = (_vertex_names(data, key, names)
                         for key in ("cut", "left", "right"))
-    lv, rv = set(left), set(right)
-    e_left, e_right = [], []
-    for e, faces in zip(g.cells[1], g.faces(1)):
-        ends = {g.cells[0][i] for i, _ in faces}
-        (e_left if ends <= lv else e_right).append(e)
-    wb = set(whole.boundary_names())
-    t_left = subgraph_theory(whole, sorted(lv),
-                             sorted(set(cut) | (wb & (lv - set(cut)))),
-                             edges=e_left)
-    t_right = subgraph_theory(whole, sorted(rv),
-                              sorted(set(cut) | (wb & (rv - set(cut)))),
-                              edges=e_right)
-    rep = glue_scalar(whole, cut, t_left, t_right)
+    rep = glue_scalar(whole, cut, left, right)
     mismatch = 0 if rep.exact else 1
     return {
         "payload": {"exact": rep.exact, "lagrangian": rep.lagrangian,

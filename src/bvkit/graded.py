@@ -42,9 +42,6 @@ class GradedVectorSpace:
     def parity(self, i: int) -> int:
         return self.labels[i][1] % 2
 
-    def name(self, i: int) -> str:
-        return self.labels[i][0]
-
     def components(self) -> dict[int, int]:
         out: dict[int, int] = {}
         for _, d in self.labels:
@@ -144,37 +141,29 @@ class Polynomial:
         return max((len(m) for m, _ in self.terms), default=0)
 
 
-def left_derivative(p: Polynomial, gen: int) -> Polynomial:
-    """d/dx_gen acting from the left (signs from factors passed over)."""
+def _derivative(p: Polynomial, gen: int, left: bool) -> Polynomial:
+    """d/dx_gen: an odd x_gen passes the factors before it (from the left)
+    or after it (from the right), with a sign for each odd one."""
     space = p.space
     terms = []
     for mono, coeff in p.terms:
         for pos, g in enumerate(mono):
-            if g != gen:
-                continue
-            sign = 1
-            if space.parity(gen):
-                passed = sum(space.parity(mono[t]) for t in range(pos))
-                sign = -1 if passed % 2 else 1
-            terms.append((mono[:pos] + mono[pos + 1:], sign * coeff))
+            if g == gen:
+                passed = mono[:pos] if left else mono[pos + 1:]
+                odd = space.parity(gen) and sum(map(space.parity, passed)) % 2
+                terms.append((mono[:pos] + mono[pos + 1:],
+                              -coeff if odd else coeff))
     return Polynomial.build(space, terms)
+
+
+def left_derivative(p: Polynomial, gen: int) -> Polynomial:
+    """d/dx_gen acting from the left (signs from factors passed over)."""
+    return _derivative(p, gen, left=True)
 
 
 def right_derivative(p: Polynomial, gen: int) -> Polynomial:
     """d/dx_gen acting from the right."""
-    space = p.space
-    terms = []
-    for mono, coeff in p.terms:
-        for pos, g in enumerate(mono):
-            if g != gen:
-                continue
-            sign = 1
-            if space.parity(gen):
-                passed = sum(space.parity(mono[t])
-                             for t in range(pos + 1, len(mono)))
-                sign = -1 if passed % 2 else 1
-            terms.append((mono[:pos] + mono[pos + 1:], sign * coeff))
-    return Polynomial.build(space, terms)
+    return _derivative(p, gen, left=False)
 
 
 @dataclass(frozen=True)

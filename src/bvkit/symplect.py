@@ -89,10 +89,6 @@ class OneForm:
         elif len(self.const) != self.ambient_dim:
             raise ValueError("const length mismatch")
 
-    @staticmethod
-    def zero(n: int) -> "OneForm":
-        return OneForm(n, Matrix.zeros(n, n))
-
     def at(self, x) -> Vector:
         """Covector of alpha at the point x."""
         return tuple(a + c for a, c in zip(self.coeff.apply(x), self.const))

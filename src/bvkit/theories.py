@@ -63,37 +63,31 @@ class ScalarFieldTheory:
     def interior_names(self) -> list[str]:
         return [self.graph.cells[0][i] for i in self.graph.interior_indices(0)]
 
-    def laplacian(self) -> list[dict[int, Fraction]]:
-        """d0^T W d0 as one {vertex: value} row per vertex, without zero
-        entries, assembled edge by edge from the face lists: an edge of
-        weight w with faces (a, x_a) adds w x_a x_b at (a, b). Entries
-        add up as integer (numerator, denominator) pairs over the lcm of
-        their denominators; each becomes one Fraction at the end."""
-        acc: list[dict[int, tuple[int, int]]] = [
-            {} for _ in range(self.graph.n_cells(0))]
-        for w, faces in zip(hodge_weights(self.graph, 1), self.graph.faces(1)):
-            terms = [(a, x.numerator, x.denominator) for a, x in faces]
-            for a, na, da in terms:
-                row = acc[a]
-                na *= w.numerator
-                da *= w.denominator
-                for b, nb, db in terms:
-                    n, d = na * nb, da * db
-                    old = row.get(b)
-                    if old is None:
-                        row[b] = (n, d)
-                    elif old[1] == d:
-                        row[b] = (old[0] + n, d)
-                    else:
-                        g = math.gcd(old[1], d)
-                        row[b] = (old[0] * (d // g) + n * (old[1] // g),
-                                  old[1] // g * d)
-        return [{b: Fraction(n, d) for b, (n, d) in row.items() if n}
-                for row in acc]
+    def laplacian(self) -> tuple[int, list[dict[int, int]]]:
+        """(D, R) with R / D == d0^T W d0: R is one {vertex: value} row of
+        nonzero integers per vertex, and D the lcm of the edge weights'
+        denominators times the square of the lcm of the incidence
+        coefficients' denominators. Assembled edge by edge from the face
+        lists: an edge of weight w with faces (a, x_a) adds D w x_a x_b at
+        (a, b)."""
+        weights, faces = hodge_weights(self.graph, 1), self.graph.faces(1)
+        dw = math.lcm(*(w.denominator for w in weights))
+        dx = math.lcm(*(x.denominator for f in faces for _, x in f))
+        rows: list[dict[int, int]] = [{} for _ in range(self.graph.n_cells(0))]
+        for w, f in zip(weights, faces):
+            c = w.numerator * (dw // w.denominator)
+            terms = [(a, x.numerator * (dx // x.denominator)) for a, x in f]
+            for a, xa in terms:
+                row, cxa = rows[a], c * xa
+                for b, xb in terms:
+                    row[b] = row.get(b, 0) + cxa * xb
+        return dw * dx * dx, [{b: x for b, x in row.items() if x}
+                              for row in rows]
 
     def energy(self, phi: Sequence[Fraction]) -> Fraction:
+        d, rows = self.laplacian()
         return dot(phi, [sum((x * phi[b] for b, x in row.items()), Fraction(0))
-                         for row in self.laplacian()]) / 2
+                         for row in rows]) / (2 * d)
 
 
 @dataclass(frozen=True)
@@ -108,15 +102,18 @@ def dtn(t: ScalarFieldTheory,
         order: Optional[Sequence[str]] = None) -> DtNOperator:
     """Schur complement of the weighted Laplacian onto the boundary block,
     by Kron reduction of the interior vertices."""
-    boundary = list(order) if order is not None else t.boundary_names()
-    if set(boundary) != set(t.boundary_names()):
-        raise ValueError("order must enumerate the boundary vertices")
+    boundary = t.boundary_names()
+    if order is not None:
+        if sorted(order) != sorted(boundary):
+            raise ValueError("order must enumerate the boundary vertices")
+        boundary = list(order)
     index = {v: i for i, v in enumerate(t.vertex_names)}
-    s = schur_complement(t.laplacian(), [index[v] for v in boundary],
+    d, rows = t.laplacian()
+    s = schur_complement(rows, [index[v] for v in boundary],
                          [index[v] for v in t.interior_names()])
     if s is None:
         raise SingularInterior("interior Laplacian block is singular")
-    return DtNOperator(tuple(boundary), s)
+    return DtNOperator(tuple(boundary), s.scale(Fraction(1, d)))
 
 
 def on_shell_action(t: ScalarFieldTheory, boundary_values: dict) -> Fraction:
@@ -149,13 +146,15 @@ def evolution_relation_scalar(t: ScalarFieldTheory,
     op = dtn(t, order=in_v + out_v)
     m_in, m_out = len(in_v), len(out_v)
     m = m_in + m_out
+    # coordinates (phi_in, chi_in, phi_out, chi_out): the j-th spanning
+    # vector has phi = e_j and chi = column j of Lambda, which is its row j
+    # as Lambda is symmetric
     span = []
-    for j in range(m):
-        phi = unit_vec(m, j)
-        chi = op.matrix.col(j)
-        src = tuple(phi[:m_in]) + tuple(-x for x in chi[:m_in])
-        tgt = tuple(phi[m_in:]) + tuple(chi[m_in:])
-        span.append(src + tgt)
+    for j, row in enumerate(op.matrix.data):
+        v = {j if j < m_in else m_in + j: 1}
+        v.update((m_in + i, -x) if i < m_in else (m + i, x)
+                 for i, x in row.items())
+        span.append(v)
     return LinearRelation(PresymplecticSpace.standard(m_in),
                           PresymplecticSpace.standard(m_out),
                           Subspace.from_span(2 * m, span))
@@ -177,20 +176,15 @@ def with_boundary_vertices(cx: CellComplex,
 
 def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
                     boundary: Sequence[str],
-                    edges: Optional[Sequence[str]] = None) -> ScalarFieldTheory:
-    """The induced theory on a vertex subset; by default every edge with
-    both endpoints inside is kept, or pass the edge names explicitly.
-    Face lists are the parent's, re-indexed to the kept vertices."""
+                    edges: Sequence[str]) -> ScalarFieldTheory:
+    """The theory on a vertex subset and the named edges. Face lists are
+    the parent's, re-indexed to the kept vertices; ends outside the subset
+    are dropped."""
     g = t.graph
-    vset = set(vertices)
+    vset, eset = set(vertices), set(edges)
     v_idx = [i for i, n in enumerate(g.cells[0]) if n in vset]
     parent_faces = g.faces(1)
-    if edges is not None:
-        eset = set(edges)
-        e_idx = [j for j in range(g.n_cells(1)) if g.cells[1][j] in eset]
-    else:
-        e_idx = [j for j, faces in enumerate(parent_faces)
-                 if all(g.cells[0][i] in vset for i, _ in faces)]
+    e_idx = [j for j in range(g.n_cells(1)) if g.cells[1][j] in eset]
     pos = {i: k for k, i in enumerate(v_idx)}
     faces = tuple(tuple((pos[i], x) for i, x in parent_faces[j] if i in pos)
                   for j in e_idx)
@@ -207,37 +201,42 @@ def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
 @dataclass(frozen=True)
 class GluingReport:
     composite: LinearRelation
-    whole: LinearRelation
     exact: bool
     lagrangian: bool
 
 
 def glue_scalar(t_whole: ScalarFieldTheory, cut: Sequence[str],
-                t_left: ScalarFieldTheory,
-                t_right: ScalarFieldTheory) -> GluingReport:
-    """Compose the two halves' evolution relations across the cut and
-    compare with the undivided theory's relation, exactly."""
-    cut = list(cut)
-    lv, rv = set(t_left.vertex_names), set(t_right.vertex_names)
-    wv = set(t_whole.vertex_names)
-    if lv | rv != wv or lv & rv != set(cut):
+                left: Sequence[str], right: Sequence[str]) -> GluingReport:
+    """Cut the graph into two halves along `cut`, compose their evolution
+    relations across it and compare with the undivided theory's relation,
+    exactly.
+
+    `left` and `right` are the halves' vertices; they meet in the cut.
+    An edge goes left if all its ends are left vertices, and otherwise
+    right, where all its ends must be right vertices. Each half's boundary
+    is its cut and whole-boundary vertices."""
+    cset, lv, rv = set(cut), set(left), set(right)
+    if lv | rv != set(t_whole.vertex_names) or lv & rv != cset:
         raise PartitionMismatch("parts do not partition the graph along the cut")
-    if not set(cut) <= set(t_left.boundary_names()) & set(t_right.boundary_names()):
-        raise PartitionMismatch("cut vertices must be boundary in both parts")
-    n_edges = (t_left.graph.n_cells(1) + t_right.graph.n_cells(1))
-    if n_edges != t_whole.graph.n_cells(1):
-        raise PartitionMismatch("edges are not partitioned by the cut")
     wb = set(t_whole.boundary_names())
-    in_v = sorted(wb & (lv - set(cut)))
-    out_v = sorted(wb & (rv - set(cut)))
-    if set(in_v) | set(out_v) != wb or (wb & set(cut)):
+    if wb & cset:
         raise PartitionMismatch("whole boundary must split off the cut")
-    l_rel = evolution_relation_scalar(t_left, in_v, cut)
-    r_rel = evolution_relation_scalar(t_right, cut, out_v)
-    composite = compose(l_rel, r_rel)
+    in_v, out_v = sorted(wb & lv), sorted(wb & rv)
+    g = t_whole.graph
+    e_left, e_right = [], []
+    for e, faces in zip(g.cells[1], g.faces(1)):
+        ends = {g.cells[0][i] for i, _ in faces}
+        if not (ends <= lv or ends <= rv):
+            raise PartitionMismatch(f"edge {e!r} crosses the cut")
+        (e_left if ends <= lv else e_right).append(e)
+    t_left = subgraph_theory(t_whole, sorted(lv), sorted(cset | set(in_v)),
+                             e_left)
+    t_right = subgraph_theory(t_whole, sorted(rv), sorted(cset | set(out_v)),
+                              e_right)
+    composite = compose(evolution_relation_scalar(t_left, in_v, cut),
+                        evolution_relation_scalar(t_right, cut, out_v))
     whole = evolution_relation_scalar(t_whole, in_v, out_v)
-    return GluingReport(composite, whole,
-                        exact=composite.body == whole.body,
+    return GluingReport(composite, exact=composite.body == whole.body,
                         lagrangian=composite.is_canonical())
 
 

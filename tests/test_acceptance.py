@@ -191,7 +191,7 @@ def test_criterion_2_dtn_and_gluing():
     sizes.append((95, 95, 5))  # one instance near the 200-vertex cap
     for nl, nr, nc in sizes:
         t, cut, t_l, t_r = partitioned_theory(rng, nl, nr, nc)
-        rep = glue_scalar(t, cut, t_l, t_r)
+        rep = glue_scalar(t, cut, t_l.vertex_names, t_r.vertex_names)
         assert rep.exact
         assert rep.lagrangian
     assert time.monotonic() - start < 30

@@ -508,6 +508,29 @@ def test_glue_names_the_first_entry_that_is_not_a_vertex(tmp_path):
         assert report["payload"]["diagnostic"].startswith(named), key
 
 
+def test_glue_refuses_an_edge_that_crosses_the_cut(tmp_path):
+    """A chord from a left-only to a right-only vertex belongs to neither
+    half: malformed input naming the edge, not a failed gluing."""
+    data = _valid_inputs()["glue"]
+    cx = data["complex"]
+    cx["cells"][1].append("chord")
+    cx["boundary"].append({"cell": "chord", "faces": [["v1", "-1"],
+                                                      ["v3", "1"]]})
+    cx["weights"][1].append("1")
+    code, rep, _ = run_cli(tmp_path, ["glue"], data)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["payload"]["diagnostic"] == (
+        "PartitionMismatch: edge 'chord' crosses the cut")
+
+
+def test_glue_refuses_a_cut_that_repeats_a_vertex(tmp_path):
+    data = {**_valid_inputs()["glue"], "cut": ["v2", "v2"]}
+    code, rep, _ = run_cli(tmp_path, ["glue"], data)
+    assert code == 2 and rep["status"] == "error"
+    assert rep["payload"]["diagnostic"] == (
+        "ValueError: order must enumerate the boundary vertices")
+
+
 def test_sparse_mat_to_json_matches_the_dense_view():
     import random
 

@@ -407,7 +407,9 @@ def test_face_lists_of_subgraphs_and_boundary_choices_match_dense_scan():
         vs = rng.sample(names, rng.randint(0, n))
         bd = rng.sample(vs, rng.randint(0, len(vs)))
         picked = rng.sample(data["cells"][1], rng.randint(0, len(edges)))
-        for es in (None, picked):
+        induced = [e for e, (a, b) in zip(enames, edges)
+                   if a in vs and b in vs]
+        for es in (induced, picked):
             sub = subgraph_theory(ScalarFieldTheory(cx), vs, bd, edges=es)
             g = sub.graph
             v_idx = [i for i, nm in enumerate(names) if nm in g.cells[0]]

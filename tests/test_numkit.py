@@ -900,7 +900,8 @@ def test_schur_singular_dropped_block_is_none():
 def test_schur_complement_with_zero_diagonal_interior():
     # interior block [[0, 1], [1, 0]]: invertible, but no diagonal pivot
     t = ScalarFieldTheory(path_complex(4, weights=[1, -1, 1]))
-    lap = t.laplacian()
+    d, lap = t.laplacian()
+    assert d == 1
     assert [{j: x for j, x in lap[i].items() if j in (1, 2)}
             for i in (1, 2)] == [{2: 1}, {1: 1}]
     assert dtn(t).matrix == Matrix.from_rows([[1, -1], [-1, 1]])

@@ -1,7 +1,9 @@
+import ast
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +42,6 @@ from bvkit.theories import (
     on_shell_action,
     oscillator_flow,
     reduce_relation,
-    subgraph_theory,
     with_boundary_vertices,
 )
 from test_acceptance import partitioned_theory
@@ -101,6 +102,15 @@ def test_dtn_singular_interior():
         dtn(t)
 
 
+def test_dtn_refuses_an_order_that_repeats_a_vertex():
+    t = ScalarFieldTheory(path_complex(3))
+    for order in (["v0", "v2", "v2"], ["v0", "v0", "v2"], ["v2"]):
+        with pytest.raises(ValueError,
+                           match="order must enumerate the boundary vertices"):
+            dtn(t, order=order)
+    assert dtn(t, order=["v2", "v0"]).vertices == ("v2", "v0")
+
+
 def test_dtn_symmetric_psd_constant_kernel():
     rng = random.Random(21)
     for _ in range(10):
@@ -150,10 +160,10 @@ def test_laplacian_matches_dense_formula():
     for t in theories:
         d0 = coboundary(t.graph, 0)
         dense = d0.transpose() @ hodge_star(t.graph, 1) @ d0
-        lap = t.laplacian()
-        assert lap == [{j: x for j, x in enumerate(r) if x}
-                       for r in dense.entries]
-        assert all(type(x) is Fraction for row in lap for x in row.values())
+        d, rows = t.laplacian()
+        assert [{j: Fraction(x, d) for j, x in r.items()} for r in rows] == [
+            {j: x for j, x in enumerate(r) if x} for r in dense.entries]
+        assert all(type(x) is int for row in rows for x in row.values())
         faces = t.graph.faces(1)
         seen["parallel"] += len(set(faces)) < len(faces)
         seen["non_unit"] += any(abs(x) != 1 for f in faces for _, x in f)
@@ -214,18 +224,14 @@ def test_evolution_relation_random_lagrangian():
 
 def test_glue_path5_at_center():
     t5 = ScalarFieldTheory(path_complex(5))
-    left = subgraph_theory(t5, ["v0", "v1", "v2"], ["v0", "v2"])
-    right = subgraph_theory(t5, ["v2", "v3", "v4"], ["v2", "v4"])
-    rep = glue_scalar(t5, ["v2"], left, right)
+    rep = glue_scalar(t5, ["v2"], ["v0", "v1", "v2"], ["v2", "v3", "v4"])
     assert rep.exact and rep.lagrangian
 
 
 def test_glue_cut_adjacent_to_boundary():
     # one side has no interior vertices at all
     t5 = ScalarFieldTheory(path_complex(5))
-    left = subgraph_theory(t5, ["v0", "v1"], ["v0", "v1"])
-    right = subgraph_theory(t5, ["v1", "v2", "v3", "v4"], ["v1", "v4"])
-    rep = glue_scalar(t5, ["v1"], left, right)
+    rep = glue_scalar(t5, ["v1"], ["v0", "v1"], ["v1", "v2", "v3", "v4"])
     assert rep.exact
 
 
@@ -238,13 +244,7 @@ def test_glue_grid_middle_column():
     lv = [n for n in g.cells[0] if int(n[1:].split("_")[0]) <= 2]
     rv = [n for n in g.cells[0] if int(n[1:].split("_")[0]) >= 2]
     # vertical edges on the cut column go with the left half
-    ledges = [n for n in g.cells[1]
-              if (n.startswith("h") and int(n[1:].split("_")[0]) < 2)
-              or (n.startswith("w") and int(n[1:].split("_")[0]) <= 2)]
-    redges = [n for n in g.cells[1] if n not in set(ledges)]
-    left = subgraph_theory(t, lv, left_bd + cut, edges=ledges)
-    right = subgraph_theory(t, rv, right_bd + cut, edges=redges)
-    rep = glue_scalar(t, cut, left, right)
+    rep = glue_scalar(t, cut, lv, rv)
     assert rep.exact and rep.lagrangian
 
 
@@ -275,13 +275,13 @@ def test_glue_matches_crabtree_haynsworth():
 def test_glue_490_vertices():
     start = time.monotonic()
     t, cut, t_l, t_r = partitioned_theory(random.Random(490), 240, 240, 10)
-    rep = glue_scalar(t, cut, t_l, t_r)
+    rep = glue_scalar(t, cut, t_l.vertex_names, t_r.vertex_names)
     assert rep.exact and rep.lagrangian
     assert time.monotonic() - start < 10
 
 
 def test_glue_grid_21_left_to_right():
-    # the CLI's edge split: an edge goes left iff both its ends do
+    # an edge goes left iff both its ends do
     start = time.monotonic()
     g = grid_complex(21, 21)
     column = {n: int(n[1:].split("_")[0]) for n in g.cells[0]}
@@ -291,22 +291,39 @@ def test_glue_grid_21_left_to_right():
     cut = [n for n in g.cells[0] if column[n] == 10]
     lv = {n for n in g.cells[0] if column[n] <= 10}
     rv = {n for n in g.cells[0] if column[n] >= 10}
-    ledges = [e for e, faces in zip(g.cells[1], g.faces(1))
-              if {g.cells[0][i] for i, _ in faces} <= lv]
-    redges = sorted(set(g.cells[1]) - set(ledges))
-    left = subgraph_theory(t, sorted(lv), left_bd + cut, edges=ledges)
-    right = subgraph_theory(t, sorted(rv), right_bd + cut, edges=redges)
-    rep = glue_scalar(t, cut, left, right)
+    rep = glue_scalar(t, cut, lv, rv)
     assert rep.exact and rep.lagrangian
     assert time.monotonic() - start < 10
 
 
 def test_glue_rejects_bad_partition():
     t5 = ScalarFieldTheory(path_complex(5))
-    left = subgraph_theory(t5, ["v0", "v1"], ["v0", "v1"])
-    right = subgraph_theory(t5, ["v2", "v3", "v4"], ["v2", "v4"])
     with pytest.raises(PartitionMismatch):
-        glue_scalar(t5, ["v1"], left, right)
+        glue_scalar(t5, ["v1"], ["v0", "v1"], ["v2", "v3", "v4"])
+
+
+def test_glue_refuses_an_edge_that_crosses_the_cut():
+    t = with_boundary_vertices(circle_complex(6), ["v0", "v3"])
+    with pytest.raises(PartitionMismatch, match="edge 'e5' crosses the cut"):
+        glue_scalar(t, ["v1", "v4"], ["v0", "v1", "v4"],
+                    ["v1", "v2", "v3", "v4", "v5"])
+
+
+def test_only_glue_scalar_cuts_a_graph():
+    """The cut rule has one home: in src/, only `theories.glue_scalar`
+    calls `subgraph_theory`."""
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            found += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and "subgraph_theory" in (
+                          getattr(node.func, "id", None),
+                          getattr(node.func, "attr", None))]
+    assert found == ["theories.py:glue_scalar"] * 2
 
 
 def test_on_shell_action_constant_data_is_zero():
@@ -324,7 +341,7 @@ def harmonic_extension(t, boundary_values):
     boundary data, by a dense solve of the interior Laplacian block."""
     names = list(t.vertex_names)
     i_idx = t.graph.interior_indices(0)
-    lap = t.laplacian()
+    lap = t.laplacian()[1]  # D L solves to the same phi as L
     phi = [Fraction(0)] * len(names)
     for v, x in boundary_values.items():
         phi[names.index(v)] = Fraction(x)
