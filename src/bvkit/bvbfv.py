@@ -27,6 +27,7 @@ from .graded import (
 )
 from .numkit import (
     Matrix,
+    Number,
     _int_row,
     _pivot_columns,
     block_diag,
@@ -76,7 +77,7 @@ class LinearCohomologicalField:
         if not (self.matrix @ self.matrix).is_zero():
             raise ValueError("field must square to zero")
 
-    def _words(self, m: Monomial) -> Iterator[tuple[Monomial, Fraction]]:
+    def _words(self, m: Monomial) -> Iterator[tuple[Monomial, Number]]:
         """Q(m) as unnormalized words: Q is linear and odd, so the
         generator at each position is replaced by each Q[a, b] x_b, with
         sign (-1)^(odd generators before it)."""
@@ -97,7 +98,7 @@ class ConstraintSet:
     symplectic space."""
 
     ambient: GradedSymplecticSpace
-    constraints: tuple[tuple[Fraction, ...], ...]
+    constraints: tuple[tuple[Number, ...], ...]
 
     def __post_init__(self):
         if self.ambient.form_degree != 0:
@@ -124,8 +125,8 @@ def bfv_resolve(c: ConstraintSet) -> tuple[GradedSymplecticSpace, Polynomial,
     labels += [(f"gh_b{i}", -1) for i in range(k)]
     labels += [(f"gh_c{i}", 1) for i in range(k)]
     gv = GradedVectorSpace.make(labels)
-    pair = Matrix(2 * k, 2 * k, [{k + i: Fraction(1)} for i in range(k)]
-                  + [{i: Fraction(1)} for i in range(k)])
+    pair = Matrix(2 * k, 2 * k, [{k + i: 1} for i in range(k)]
+                  + [{i: 1} for i in range(k)])
     ext = GradedSymplecticSpace(gv, block_diag(c.ambient.omega, pair), 0)
     s = Polynomial.build(gv, [
         ((n + k + i, a), c.constraints[i][a])
@@ -143,7 +144,7 @@ def _bracket_matrix_of(s: Polynomial, space: GradedSymplecticSpace) -> Matrix:
     """
     gv = space.base
     lam = space.bracket_matrix()
-    q: list[dict[int, Fraction]] = [{} for _ in range(gv.dim)]
+    q: list[dict[int, Number]] = [{} for _ in range(gv.dim)]
     for mono, t in s.terms:
         if len(mono) != 2:
             raise ValueError("generator is not quadratic")
@@ -219,13 +220,13 @@ def bfv_cohomology(q: LinearCohomologicalField, truncation: int,
     return out
 
 
-def _linear_cohomology(rows: Sequence[dict[int, Fraction]],
+def _linear_cohomology(rows: Sequence[dict[int, Number]],
                        degrees: Sequence[int]) -> dict[int, int]:
     """{g: h_g}, the cohomology per degree of a differential on
     coordinates of the given degrees, where row a has its entries only in
     degree degrees[a] + 1: h_g = n_g - rank D_g - rank D_(g-1), with D_g
     the rows of degree g."""
-    by_degree: dict[int, list[dict[int, Fraction]]] = {}
+    by_degree: dict[int, list[dict[int, Number]]] = {}
     for row, g in zip(rows, degrees):
         by_degree.setdefault(g, []).append(row)
     ranks = {g: sparse_rank(rs, len(degrees)) for g, rs in by_degree.items()}
@@ -270,7 +271,7 @@ def _graded_from_antisymmetric(plain: Matrix,
     """Reinterpret a plainly antisymmetric coefficient matrix in the
     graded convention: entries above the diagonal are kept, the mirror
     entry follows graded antisymmetry (symmetric on odd-odd pairs)."""
-    out: list[dict[int, Fraction]] = [{} for _ in range(plain.rows)]
+    out: list[dict[int, Number]] = [{} for _ in range(plain.rows)]
     for a, row in enumerate(plain.data):
         for b, x in row.items():
             if b > a:
@@ -325,16 +326,16 @@ def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
     # S = B.dA + (half) B*B + A+.(dc) (factors ordered as written), and Q;
     # antifield rows of Q conjugate to boundary cells are dropped so that
     # the boundary term survives in the variational split
-    omega: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    g: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    q: list[dict[int, Fraction]] = [{} for _ in range(n)]
+    omega: list[dict[int, Number]] = [{} for _ in range(n)]
+    g: list[dict[int, Number]] = [{} for _ in range(n)]
+    q: list[dict[int, Number]] = [{} for _ in range(n)]
     terms = []
     for field, anti, count, sign in ((off_a, off_ap, ne, 1),
                                      (off_b, off_bp, nf, -1),
                                      (off_c, off_cp, nv, -1)):
         for i in range(count):
-            omega[field + i][anti + i] = Fraction(sign)
-            omega[anti + i][field + i] = Fraction(-sign)
+            omega[field + i][anti + i] = sign
+            omega[anti + i][field + i] = -sign
     for e, row in enumerate(d0.data):
         for v, x in row.items():
             g[off_ap + e][off_c + v] = g[off_c + v][off_ap + e] = x
@@ -352,7 +353,7 @@ def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
     for f, w in enumerate(star):
         if w:
             g[off_b + f][off_b + f] = q[off_bp + f][off_b + f] = w
-            terms.append(((off_b + f, off_b + f), w / 2))
+            terms.append(((off_b + f, off_b + f), Fraction(w, 2)))
     bulk = GradedSymplecticSpace(gv, Matrix(n, n, omega), -1)
     hessian = Matrix(n, n, g)
     action = Polynomial.build(gv, terms)
@@ -389,7 +390,7 @@ def _pullback(p: Polynomial, pi: Matrix,
     bulk coordinates."""
     images = [Polynomial.build(bulk, [((j,), x) for j, x in row.items()])
               for row in pi.data]
-    out_terms: list[tuple[Monomial, Fraction]] = []
+    out_terms: list[tuple[Monomial, Number]] = []
     for mono, coeff in p.terms:
         prod = Polynomial.constant(bulk, coeff)
         for i in mono:
@@ -479,7 +480,7 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
            if bdeg.degree(i) == 0]
     pi0_q = []
     for r in pi0:
-        row: dict[int, Fraction] = {}
+        row: dict[int, Number] = {}
         for a, c in r.items():
             for b, x in qm[a].items():
                 row[b] = row.get(b, 0) + c * x
@@ -551,7 +552,7 @@ def boundary_bfv_reduction(sigma: CellComplex, d: int) -> dict[int, int]:
     off_c, off_a, off_b, off_ap = 0, nv, nv + ne, nv + 2 * ne
     degs = [1] * nv + [0] * ne + [0] * ne + [-1] * nv
     # Q(A_e) = sum_v d0[e, v] c_v and Q(A+_v) = sum_e dd[v, e] B_e
-    q: list[dict[int, Fraction]] = [{} for _ in degs]
+    q: list[dict[int, Number]] = [{} for _ in degs]
     for e, faces in enumerate(sigma.faces(1)):
         for v, x in faces:
             q[off_a + e][off_c + v] = x

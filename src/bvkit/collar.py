@@ -11,11 +11,10 @@ field equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .complexes import CellComplex
-from .numkit import Matrix
+from .numkit import Matrix, Vector
 from .symplect import (
     NotBasic,
     OneForm,
@@ -73,7 +72,7 @@ class QuadraticLocalTheory:
             off += self.complex.n_cells(f.cell_dim)
         return sorted(out)
 
-    def variation(self, x) -> tuple[Fraction, ...]:
+    def variation(self, x) -> Vector:
         """Covector of dS at x: dS(x)[dx] = variation(x) . dx."""
         return self.action.apply(x)
 
@@ -103,14 +102,13 @@ def prism(base: CellComplex, layers: int) -> CellComplex:
     # t * n0 + c and the copy of edge c in layer t at n_ve + t * n1 + c
     base_faces = base.faces(1)
     n_ve = len(ve_names)
-    one = Fraction(1)
-    ve_faces = tuple(((t * n0 + c, -one), ((t + 1) * n0 + c, one))
+    ve_faces = tuple(((t * n0 + c, -1), ((t + 1) * n0 + c, 1))
                      for t in range(layers) for c in range(n0))
     e_faces = tuple(tuple((t * n0 + r, x) for r, x in f)
                     for t in range(nt) for f in base_faces)
     sq_faces = tuple(tuple((t * n0 + r, x) for r, x in f)
-                     + ((n_ve + t * n1 + c, one),
-                        (n_ve + (t + 1) * n1 + c, -one))
+                     + ((n_ve + t * n1 + c, 1),
+                        (n_ve + (t + 1) * n1 + c, -1))
                      for t in range(layers) for c, f in enumerate(base_faces))
 
     def layer_of_v(i):

@@ -10,10 +10,17 @@ from its lexicographically smaller endpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .numkit import Matrix, Vector, _rref_rows, frac, frac_reader, kernel
+from .numkit import (
+    Matrix,
+    Number,
+    Vector,
+    _rref_rows,
+    frac,
+    frac_reader,
+    kernel,
+)
 
 
 class NotCubical(ValueError):
@@ -21,15 +28,13 @@ class NotCubical(ValueError):
 
 
 # (face index, incidence coefficient) pairs of one cell, by face index
-Faces = tuple[tuple[int, Fraction], ...]
-
-_ONE = Fraction(1)
+Faces = tuple[tuple[int, Number], ...]
 
 
-def _summed_faces(terms: Iterable[tuple[int, Fraction]]) -> Faces:
+def _summed_faces(terms: Iterable[tuple[int, Number]]) -> Faces:
     """One cell's face list from (face index, coefficient) terms: terms
     on the same face add up, and faces whose terms cancel are dropped."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Number] = {}
     for i, x in terms:
         acc[i] = acc.get(i, 0) + x
     return tuple((i, x) for i, x in sorted(acc.items()) if x)
@@ -47,7 +52,7 @@ class CellComplex:
     cells: tuple[tuple[str, ...], ...]
     face_lists: tuple[tuple[Faces, ...], ...]
     boundary_flags: tuple[tuple[bool, ...], ...]
-    weights: Optional[tuple[tuple[Fraction, ...], ...]] = None
+    weights: Optional[tuple[tuple[Number, ...], ...]] = None
     cubical: bool = False
 
     def __post_init__(self):
@@ -126,6 +131,9 @@ class CellComplex:
     @staticmethod
     def from_dict(data: dict) -> "CellComplex":
         cells = tuple(tuple(c) for c in data["cells"])
+        for name in (x for cs in cells for x in cs):
+            if type(name) is not str:
+                raise ValueError(f"cell names must be strings, got {name!r}")
         dim = data["dims"]
         index = [{name: i for i, name in enumerate(cs)} for cs in cells]
         face_map = {entry["cell"]: entry["faces"] for entry in data["boundary"]}
@@ -213,14 +221,14 @@ def cohomology(k: CellComplex, degree: int,
     reps = []
     for q in pivots:
         if q >= image.cols:
-            full = [Fraction(0)] * n
+            full = [0] * n
             for pos, x in cocycles.basis[q - image.cols].items():
                 full[at[pos]] = x
             reps.append(tuple(full))
     return CohomologyReport(degree, relative, len(reps), tuple(reps))
 
 
-def hodge_weights(k: CellComplex, degree: int) -> tuple[Fraction, ...]:
+def hodge_weights(k: CellComplex, degree: int) -> tuple[Number, ...]:
     """The per-cell weights on the diagonal of the Hodge star."""
     if not k.cubical or k.weights is None:
         raise NotCubical("hodge star needs a weighted cubical complex")
@@ -235,7 +243,7 @@ def hodge_star(k: CellComplex, degree: int) -> Matrix:
 
 def _edge(tail: int, head: int) -> Faces:
     """Face list of an edge pointing from vertex `tail` to vertex `head`."""
-    return _summed_faces(((tail, -_ONE), (head, _ONE)))
+    return _summed_faces(((tail, -1), (head, 1)))
 
 
 def path_complex(n_vertices: int, weights: Optional[Sequence] = None,
@@ -248,7 +256,7 @@ def path_complex(n_vertices: int, weights: Optional[Sequence] = None,
     vflags = tuple(i in set(boundary) for i in range(n_vertices))
     if weights is None:
         weights = [1] * len(es)
-    w = ((_ONE,) * n_vertices, tuple(frac(x) for x in weights))
+    w = ((1,) * n_vertices, tuple(frac(x) for x in weights))
     edges = tuple(_edge(i, i + 1) for i in range(len(es)))
     return CellComplex((vs, es), (edges,), (vflags, (False,) * len(es)), w,
                        cubical=True)
@@ -260,7 +268,7 @@ def circle_complex(n: int, tag: str = "") -> CellComplex:
     es = tuple(f"{tag}e{i}" for i in range(n))
     edges = tuple(_edge(i, (i + 1) % n) for i in range(n))
     return CellComplex((vs, es), (edges,), ((False,) * n, (False,) * n),
-                       ((_ONE,) * n, (_ONE,) * n), cubical=True)
+                       ((1,) * n, (1,) * n), cubical=True)
 
 
 def disjoint_union(a: CellComplex, b: CellComplex) -> CellComplex:
@@ -331,7 +339,7 @@ def grid_complex(nx: int, ny: int,
         left = eidx[("w", wrap(i, j))]
         right = eidx[("w", wrap(i + 1, j))]
         square_faces.append(_summed_faces(
-            ((bottom, _ONE), (right, _ONE), (top, -_ONE), (left, -_ONE))))
+            ((bottom, 1), (right, 1), (top, -1), (left, -1))))
         for e in (bottom, top, left, right):
             edge_use[e] += 1
 
@@ -348,7 +356,7 @@ def grid_complex(nx: int, ny: int,
              tuple(f"f{i}_{j}" for (i, j) in squares))
     flags = (tuple(vflags), eflags, (False,) * len(squares))
 
-    def wlookup(kind, key, default=_ONE):
+    def wlookup(kind, key, default=1):
         if weights is None:
             return default
         return frac(weights.get((kind,) + key, default))
@@ -392,8 +400,8 @@ def triangulated_grid_complex(nx: int, ny: int,
         right = eidx[f"w{i + 1}_{j}"]
         diag = n_old + c
         tri_faces += [
-            _summed_faces(((bottom, _ONE), (right, _ONE), (diag, -_ONE))),
-            _summed_faces(((diag, _ONE), (top, -_ONE), (left, -_ONE)))]
+            _summed_faces(((bottom, 1), (right, 1), (diag, -1))),
+            _summed_faces(((diag, 1), (top, -1), (left, -1)))]
         tris += [f"t{i}_{j}a", f"t{i}_{j}b"]
     eflags = tuple(base.boundary_flags[1]) + (False,) * len(squares)
     cells = (base.cells[0],

@@ -10,10 +10,9 @@ the left unless named otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional
 
-from .numkit import Matrix, frac, invert
+from .numkit import Matrix, Number, frac, invert
 
 Monomial = tuple[int, ...]
 
@@ -75,12 +74,12 @@ def normalize_monomial(space: GradedVectorSpace,
 @dataclass(frozen=True)
 class Polynomial:
     space: GradedVectorSpace
-    terms: tuple[tuple[Monomial, Fraction], ...]
+    terms: tuple[tuple[Monomial, Number], ...]
 
     @staticmethod
     def build(space: GradedVectorSpace,
-              terms: Iterable[tuple[Iterable[int], Fraction]]) -> "Polynomial":
-        acc: dict[Monomial, Fraction] = {}
+              terms: Iterable[tuple[Iterable[int], Number]]) -> "Polynomial":
+        acc: dict[Monomial, Number] = {}
         for word, coeff in terms:
             mono, sign = normalize_monomial(space, word)
             if mono is None or coeff == 0:
@@ -101,7 +100,7 @@ class Polynomial:
 
     @staticmethod
     def generator(space: GradedVectorSpace, i: int) -> "Polynomial":
-        return Polynomial.build(space, [((i,), Fraction(1))])
+        return Polynomial.build(space, [((i,), 1)])
 
     def is_zero(self) -> bool:
         return not self.terms

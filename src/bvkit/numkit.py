@@ -1,15 +1,23 @@
 """Exact rational linear algebra: sparse matrices, subspaces, kernels and
 a Schur complement, all reduced by one sparse elimination step.
 
-All arithmetic is over the rationals (`fractions.Fraction`), so every
-identity checked elsewhere in the package holds exactly, not up to
-rounding. Values are immutable after construction.
+All arithmetic is over the rationals, so every identity checked
+elsewhere in the package holds exactly, not up to rounding. The number
+rule: an entry is an exact rational, made as an `int` when it is
+integral and as a `fractions.Fraction` otherwise. The readers (`frac`,
+`frac_reader`, `vec`, `Matrix.from_rows`), the readouts of the
+elimination and the builders all follow it, so the integer matrices of
+the package's models run on plain ints. A sum or product of Fractions
+may still be an integral Fraction; it compares, hashes and prints like
+the int. The one trap is `/`: an int over an int is a float, so a true
+division whose operands can both be ints builds a Fraction instead
+(`Fraction(a, b)`). Values are immutable after construction.
 
 The elimination itself (`_eliminate`, under `rref`, `sparse_rank` and
 `schur_complement`) is fraction-free: each row is a dict of its nonzero
 integer entries with one positive denominator, and a step combines two
 rows by integer multiples and divides the result by its content (Bareiss,
-Math. Comp. 1968). Fractions are made only when a result is read out.
+Math. Comp. 1968). A quotient is made only when a result is read out.
 """
 
 from __future__ import annotations
@@ -18,37 +26,44 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
-Vector = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+Number = Union[int, Fraction]
+Vector = tuple[Number, ...]
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like "3/4", and Fractions to Fraction.
-    Booleans are refused, though Fraction() would read them as 1 and 0."""
-    if isinstance(x, Fraction):
+def frac(x) -> Number:
+    """Read an int, a string like "3/4" or a Fraction as an exact entry:
+    an int when it is integral, a Fraction otherwise. Booleans are
+    refused, though Fraction() would read them as 1 and 0."""
+    if type(x) is int:
         return x
     if type(x) is bool:
         raise TypeError(f"a boolean is not a number: {x!r}")
-    return Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def frac_reader():
     """A `frac` that parses each distinct string once. Make one per input
     document, so that its memo lives only while the document is read."""
-    parsed: dict[str, Fraction] = {}
+    parsed: dict[str, Number] = {}
 
-    def read(x) -> Fraction:
+    def read(x) -> Number:
         if type(x) is not str:
             return frac(x)
         y = parsed.get(x)
         if y is None:
-            y = parsed[x] = Fraction(x)
+            y = parsed[x] = frac(x)
         return y
     return read
+
+
+def _quotient(x: int, a: int) -> Number:
+    """x / a for ints, a != 0, by the number rule."""
+    q, r = divmod(x, a)
+    return Fraction(x, a) if r else q
 
 
 def vec(entries: Iterable) -> Vector:
@@ -56,20 +71,22 @@ def vec(entries: Iterable) -> Vector:
 
 
 def zero_vec(n: int) -> Vector:
-    return (Fraction(0),) * n
+    return (0,) * n
 
 
 def unit_vec(n: int, i: int) -> Vector:
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v) if a and b), _ZERO)
+def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
+    return sum(a * b for a, b in zip(u, v) if a and b)
 
 
 class Matrix:
     """Sparse rational matrix: `data[i]` is row i as a dict {column:
-    value} of its nonzero Fractions. No operation stores a zero, so two
+    value} of its nonzero entries, ints or Fractions by the number rule
+    of this module, so `/` of two entries may be a float; divide with
+    `Fraction(a, b)`. No operation stores a zero, so two
     matrices are equal exactly when their shapes and row dicts are, and
     every operation touches only nonzeros. Row dicts may be shared
     between matrices and are never modified after construction.
@@ -78,7 +95,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "data", "_entries")
 
     def __init__(self, rows: int, cols: int,
-                 data: Sequence[dict[int, Fraction]]):
+                 data: Sequence[dict[int, Number]]):
         self.rows, self.cols, self.data = rows, cols, tuple(data)
         self._entries: Optional[tuple[Vector, ...]] = None
 
@@ -99,7 +116,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [{i: _ONE} for i in range(n)])
+        return Matrix(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def diagonal(diag: Sequence) -> "Matrix":
@@ -113,20 +130,20 @@ class Matrix:
             self._entries = tuple(map(self.row, range(self.rows)))
         return self._entries
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
-        return self.data[ij[0]].get(ij[1], _ZERO)
+    def __getitem__(self, ij: tuple[int, int]) -> Number:
+        return self.data[ij[0]].get(ij[1], 0)
 
     def row(self, i: int) -> Vector:
-        out = [_ZERO] * self.cols
+        out = [0] * self.cols
         for j, x in self.data[i].items():
             out[j] = x
         return tuple(out)
 
     def col(self, j: int) -> Vector:
-        return tuple(r.get(j, _ZERO) for r in self.data)
+        return tuple(r.get(j, 0) for r in self.data)
 
     def transpose(self) -> "Matrix":
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.cols)]
+        out: list[dict[int, Number]] = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.data):
             for j, x in r.items():
                 out[j][i] = x
@@ -139,7 +156,7 @@ class Matrix:
             if rb:
                 ra = dict(ra)
                 for j, x in rb.items():
-                    y = ra.pop(j, _ZERO) + x
+                    y = ra.pop(j, 0) + x
                     if y:
                         ra[j] = y
             out.append(ra)
@@ -163,7 +180,7 @@ class Matrix:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         out = []
         for r in self.data:
-            acc: dict[int, Fraction] = {}
+            acc: dict[int, Number] = {}
             for k, a in r.items():
                 for j, b in other.data[k].items():
                     y = acc.get(j)
@@ -171,10 +188,10 @@ class Matrix:
             out.append({j: x for j, x in acc.items() if x})
         return Matrix(self.rows, other.cols, out)
 
-    def apply(self, v: Sequence[Fraction]) -> Vector:
+    def apply(self, v: Sequence[Number]) -> Vector:
         if self.cols != len(v):
             raise ValueError("vector length mismatch")
-        return tuple(sum((x * v[j] for j, x in r.items() if v[j]), _ZERO)
+        return tuple(sum(x * v[j] for j, x in r.items() if v[j])
                      for r in self.data)
 
     @property
@@ -228,7 +245,7 @@ class Matrix:
 
 
 def block_diag(*blocks: Matrix) -> Matrix:
-    out: list[dict[int, Fraction]] = []
+    out: list[dict[int, Number]] = []
     c0 = 0
     for b in blocks:
         out += ({j + c0: x for j, x in r.items()} for r in b.data)
@@ -236,7 +253,7 @@ def block_diag(*blocks: Matrix) -> Matrix:
     return Matrix(len(out), c0, out)
 
 
-def _int_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
+def _int_row(row: dict[int, Number]) -> tuple[dict[int, int], int]:
     """(R, d) with R / d == `row`, a dict of nonzero values: d is the lcm
     of their denominators, so gcd(d, content(R)) == 1. Ints and Fractions
     both have `.numerator` and `.denominator`."""
@@ -244,7 +261,7 @@ def _int_row(row: dict[int, Fraction]) -> tuple[dict[int, int], int]:
     return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
 
 
-def _int_rows(rows: Iterable[dict[int, Fraction]]
+def _int_rows(rows: Iterable[dict[int, Number]]
               ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
     """`_int_row` of each row, keyed by position: (rows, denominators)."""
     work: dict[int, dict[int, int]] = {}
@@ -334,9 +351,9 @@ def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
     return pivots
 
 
-def _rref_rows(rows: Iterable[dict[int, Fraction]], n_cols: int
-               ) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """The nonzero RREF rows as {col: Fraction} dicts and their strictly
+def _rref_rows(rows: Iterable[dict[int, Number]], n_cols: int
+               ) -> tuple[list[dict[int, Number]], list[int]]:
+    """The nonzero RREF rows as {col: value} dicts and their strictly
     increasing pivot columns, for rows given as dicts of nonzero ints or
     Fractions in range(n_cols), which are not modified. `_pivot_columns`
     reduces; each pivot row is divided by its pivot entry only here."""
@@ -346,7 +363,7 @@ def _rref_rows(rows: Iterable[dict[int, Fraction]], n_cols: int
     for q, p in pivots:
         row = work[p]
         a = row[q]
-        out.append({j: Fraction(x, a) for j, x in row.items()})
+        out.append({j: _quotient(x, a) for j, x in row.items()})
     return out, [q for q, _ in pivots]
 
 
@@ -358,12 +375,12 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     if not m.rows:
         return m, []
     rows, pivots = _rref_rows(m.data, m.cols)
-    dense = [[row.get(j, _ZERO) for j in range(m.cols)] for row in rows]
-    dense += [[_ZERO] * m.cols] * (m.rows - len(rows))
+    dense = [[row.get(j, 0) for j in range(m.cols)] for row in rows]
+    dense += [[0] * m.cols] * (m.rows - len(rows))
     return Matrix.from_rows(dense), pivots
 
 
-def sparse_rank(rows: Iterable[dict[int, Fraction]], n_cols: int) -> int:
+def sparse_rank(rows: Iterable[dict[int, Number]], n_cols: int) -> int:
     """Exact rank of the matrix whose rows are given as {col: value}
     dicts (ints or Fractions) with columns in range(n_cols); the dicts
     are not modified."""
@@ -379,7 +396,7 @@ def rank(m: Matrix) -> int:
 def kernel(m: Matrix) -> "Subspace":
     """Exact nullspace {v : m @ v = 0} as a canonical Subspace."""
     rows, pivots = _rref_rows(m.data, m.cols)
-    basis = {f: {f: _ONE} for f in range(m.cols)}
+    basis = {f: {f: 1} for f in range(m.cols)}
     for p in pivots:
         del basis[p]
     for p, row in zip(pivots, rows):
@@ -397,7 +414,7 @@ def solve_matrix(a: Matrix, b: Matrix) -> Optional[Matrix]:
     rows, pivots = _rref_rows(a.hstack(b).data, a.cols + b.cols)
     if any(p >= a.cols for p in pivots):
         return None
-    x: list[dict[int, Fraction]] = [{} for _ in range(a.cols)]
+    x: list[dict[int, Number]] = [{} for _ in range(a.cols)]
     for p, row in zip(pivots, rows):
         x[p] = {j - a.cols: v for j, v in row.items() if j >= a.cols}
     return Matrix(a.cols, b.cols, x)
@@ -409,33 +426,35 @@ def invert(a: Matrix) -> Optional[Matrix]:
     inv[j][i] = 1 / a[i][j], ±1 entries reused; others go to `solve_matrix`."""
     if a.rows != a.cols:
         raise ValueError("only square matrices are invertible")
-    inv: list[dict[int, Fraction]] = [{} for _ in range(a.rows)]
+    inv: list[dict[int, Number]] = [{} for _ in range(a.rows)]
     for i, row in enumerate(a.data):
         if len(row) != 1:
             break
         (j, x), = row.items()
         if inv[j]:
             break
-        inv[j] = {i: x if x == 1 or x == -1 else _ONE / x}
+        inv[j] = {i: x if x == 1 or x == -1 else frac(Fraction(1, x))}
     else:
         return Matrix(a.rows, a.rows, inv)
     return solve_matrix(a, Matrix.identity(a.rows))
 
 
-def schur_complement(rows: Sequence[dict[int, Fraction]],
+def schur_complement(d: int, rows: Sequence[dict[int, int]],
                      keep: Sequence[int],
                      drop: Sequence[int]) -> Optional[Matrix]:
     """a[keep,keep] - a[keep,drop] a[drop,drop]^-1 a[drop,keep] in `keep`
-    order, or None when a[drop,drop] is singular, for the square matrix a
-    whose rows are given as {col: value} dicts (ints or Fractions); only
-    rows and columns in keep and drop are read, and the dicts are not
-    modified.
+    order, or None when a[drop,drop] is singular, for the square matrix
+    a = R / d given by one positive denominator d and the rows of R as
+    {col: int} dicts; only rows and columns in keep and drop are read,
+    and the dicts are not modified.
 
     Sparse exact elimination of the dropped indices one pivot at a time
-    (Kron reduction when `a` is a graph Laplacian). Rows are integer
-    dicts of their nonzero entries with one denominator each, and each
-    column keeps the set of rows it meets, so only nonzeros are touched
-    and fill-in follows the sparsity pattern.
+    (Kron reduction when `a` is a graph Laplacian). Each row is worked as
+    an integer dict of its nonzero entries with a denominator of its own,
+    starting from R's rows over 1, and each column keeps the set of rows
+    it meets, so only nonzeros are touched and fill-in follows the
+    sparsity pattern. Row i ends as R'_i / d_i and is read out once,
+    over d * d_i.
     The pivot is the nonzero dropped diagonal entry whose row has the
     fewest nonzeros (ties to the lowest index), popped from a heap of
     (row length, index) entries: every row an elimination step touches
@@ -447,11 +466,10 @@ def schur_complement(rows: Sequence[dict[int, Fraction]],
     """
     idx = list(keep) + list(drop)
     work: dict[int, dict[int, int]] = {}
-    dens: dict[int, int] = {}
+    dens = dict.fromkeys(idx, 1)
     cols: dict[int, set[int]] = {j: set() for j in idx}
     for i in idx:
-        work[i], dens[i] = _int_row({j: x for j, x in rows[i].items()
-                                     if x and j in cols})
+        work[i] = {j: x for j, x in rows[i].items() if x and j in cols}
         for j in work[i]:
             cols[j].add(i)
     drop_rows, drop_cols = set(drop), set(drop)
@@ -485,14 +503,14 @@ def schur_complement(rows: Sequence[dict[int, Fraction]],
                 heappush(heap, (len(work[i]), i))
     pos = {j: k for k, j in enumerate(keep)}
     return Matrix(len(keep), len(keep), [
-        {pos[j]: Fraction(x, dens[i]) for j, x in work[i].items()}
+        {pos[j]: _quotient(x, d * dens[i]) for j, x in work[i].items()}
         for i in keep])
 
 
 @dataclass(frozen=True)
 class Subspace:
     """Subspace of Q^n presented by its RREF row basis: the nonzero RREF
-    rows as {col: Fraction} dicts of their nonzeros, each row's pivot its
+    rows as {col: value} dicts of their nonzeros, each row's pivot its
     smallest column.
 
     The canonical RREF presentation makes equality of subspaces equality
@@ -500,7 +518,7 @@ class Subspace:
     """
 
     ambient_dim: int
-    basis: tuple[dict[int, Fraction], ...]
+    basis: tuple[dict[int, Number], ...]
 
     @staticmethod
     def from_span(ambient_dim: int, vectors: Sequence) -> "Subspace":
@@ -527,7 +545,7 @@ class Subspace:
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
         return Subspace(ambient_dim,
-                        tuple({i: _ONE} for i in range(ambient_dim)))
+                        tuple({i: 1} for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
@@ -551,7 +569,7 @@ class Subspace:
             c = w.get(min(b))
             if c:
                 for j, x in b.items():
-                    w[j] = w.get(j, _ZERO) - c * x
+                    w[j] = w.get(j, 0) - c * x
         return not any(w.values())
 
     def contains_subspace(self, other: "Subspace") -> bool:

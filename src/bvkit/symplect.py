@@ -11,11 +11,11 @@ Every module that differentiates a one-form imports `d_of_coeff`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from math import lcm
 
 from .numkit import (
     Matrix,
+    Number,
     Subspace,
     Vector,
     _int_row,
@@ -52,14 +52,14 @@ class PresymplecticSpace:
         """Darboux space with omega(p_i, q_i) = 1, coordinates (q1..qn, p1..pn)."""
         n = 2 * n_pairs
         return PresymplecticSpace(n, Matrix(n, n, [
-            {n_pairs + i: Fraction(-1)} for i in range(n_pairs)] + [
-            {i: Fraction(1)} for i in range(n_pairs)]))
+            {n_pairs + i: -1} for i in range(n_pairs)] + [
+            {i: 1} for i in range(n_pairs)]))
 
     @staticmethod
     def trivial(dim: int) -> "PresymplecticSpace":
         return PresymplecticSpace(dim, Matrix.zeros(dim, dim))
 
-    def pairing(self, u, v) -> Fraction:
+    def pairing(self, u, v) -> Number:
         return dot(u, self.omega.apply(v))
 
     def kernel_subspace(self) -> Subspace:
@@ -93,7 +93,7 @@ class OneForm:
         """Covector of alpha at the point x."""
         return tuple(a + c for a, c in zip(self.coeff.apply(x), self.const))
 
-    def evaluate(self, x, dx) -> Fraction:
+    def evaluate(self, x, dx) -> Number:
         return dot(self.at(x), dx)
 
     def d(self) -> Matrix:
@@ -250,7 +250,7 @@ def gotay_embed(c: PresymplecticSpace) -> GotayEmbedding:
     # the basis is in RREF already: each row's smallest column is its pivot
     pivots = [min(b) for b in ker.basis]
     # selector P with P[i, pivots[i]] = 1; K in RREF makes P k_j = e_j
-    sel = Matrix(k, n, [{p: Fraction(1)} for p in pivots])
+    sel = Matrix(k, n, [{p: 1} for p in pivots])
     top = c.omega.hstack(sel.transpose())
     bottom = (-sel).hstack(Matrix.zeros(k, k))
     omega_f = top.vstack(bottom)

@@ -16,9 +16,11 @@ from .collar import preboundary_reduce
 from .complexes import CellComplex, coboundary, hodge_weights
 from .numkit import (
     Matrix,
+    Number,
     Subspace,
     block_diag,
     dot,
+    frac,
     kernel,
     schur_complement,
     unit_vec,
@@ -84,10 +86,10 @@ class ScalarFieldTheory:
         return dw * dx * dx, [{b: x for b, x in row.items() if x}
                               for row in rows]
 
-    def energy(self, phi: Sequence[Fraction]) -> Fraction:
+    def energy(self, phi: Sequence[Number]) -> Number:
         d, rows = self.laplacian()
-        return dot(phi, [sum((x * phi[b] for b, x in row.items()), Fraction(0))
-                         for row in rows]) / (2 * d)
+        r_phi = [sum(x * phi[b] for b, x in row.items()) for row in rows]
+        return frac(Fraction(dot(phi, r_phi), 2 * d))
 
 
 @dataclass(frozen=True)
@@ -108,26 +110,25 @@ def dtn(t: ScalarFieldTheory,
             raise ValueError("order must enumerate the boundary vertices")
         boundary = list(order)
     index = {v: i for i, v in enumerate(t.vertex_names)}
-    d, rows = t.laplacian()
-    s = schur_complement(rows, [index[v] for v in boundary],
+    s = schur_complement(*t.laplacian(), [index[v] for v in boundary],
                          [index[v] for v in t.interior_names()])
     if s is None:
         raise SingularInterior("interior Laplacian block is singular")
-    return DtNOperator(tuple(boundary), s.scale(Fraction(1, d)))
+    return DtNOperator(tuple(boundary), s)
 
 
-def on_shell_action(t: ScalarFieldTheory, boundary_values: dict) -> Fraction:
+def on_shell_action(t: ScalarFieldTheory, boundary_values: dict) -> Number:
     """Value of the action on the solution with the given boundary data:
     ½ phi^T Lambda phi through the boundary-reduced operator."""
     op = dtn(t)
     phi = vec([boundary_values[v] for v in op.vertices])
-    return dot(phi, op.matrix.apply(phi)) / 2
+    return frac(Fraction(dot(phi, op.matrix.apply(phi)), 2))
 
 
 def _pairing_coeff(n: int) -> Matrix:
     """Coefficient matrix of alpha = sum_i x_(n+i) d(x_i) on Q^(2n): each
     of the last n coordinates is the momentum of one of the first n."""
-    return Matrix(2 * n, 2 * n, [{n + i: Fraction(1)} for i in range(n)]
+    return Matrix(2 * n, 2 * n, [{n + i: 1} for i in range(n)]
                   + [{} for _ in range(n)])
 
 
@@ -168,8 +169,8 @@ def with_boundary_vertices(cx: CellComplex,
     cells = (cx.cells[0], cx.cells[1])
     flags = (tuple(n in bset for n in cells[0]), (False,) * len(cells[1]))
     w = cx.weights
-    weights = ((Fraction(1),) * len(cells[0]),
-               w[1] if w is not None else (Fraction(1),) * len(cells[1]))
+    weights = ((1,) * len(cells[0]),
+               w[1] if w is not None else (1,) * len(cells[1]))
     return ScalarFieldTheory(CellComplex(cells, (cx.faces(1),), flags,
                                          weights, cubical=True))
 
@@ -193,7 +194,7 @@ def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
     bset = set(boundary)
     flags = (tuple(n in bset for n in cells[0]), (False,) * len(e_idx))
     w1 = hodge_weights(g, 1)
-    w = ((Fraction(1),) * len(v_idx), tuple(w1[j] for j in e_idx))
+    w = ((1,) * len(v_idx), tuple(w1[j] for j in e_idx))
     return ScalarFieldTheory(CellComplex(cells, (faces,), flags, w,
                                          cubical=True))
 
@@ -289,15 +290,15 @@ class GeodesicFixture:
     target_projection: Matrix
 
 
-def geodesic_fixture(step: Fraction = Fraction(1)) -> GeodesicFixture:
+def geodesic_fixture(step: Number = 1) -> GeodesicFixture:
     n = 6
     # alpha's linear part: dth coefficient on dq2
-    coeff = Matrix(n, n, [{}, {2: Fraction(1)}, {}, {}, {}, {}])
+    coeff = Matrix(n, n, [{}, {2: 1}, {}, {}, {}, {}])
     const = unit_vec(n, 0)    # velocity times dq picks up d(q1) at the basepoint
     space = PresymplecticSpace(n, d_of_coeff(coeff))
     alpha = OneForm(n, coeff, const)
 
-    lam = Fraction(step)
+    lam = frac(step)
     span = []
     for i in (0, 3, 4, 5):
         span.append(unit_vec(2 * n, i))

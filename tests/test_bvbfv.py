@@ -419,7 +419,7 @@ def oracle_hamiltonian_of(q, space):
     for a in range(n):
         for b in range(n):
             koszul = -1 if (gv.parity(a) and gv.parity(b)) else 1
-            sym = (m[a, b] + koszul * m[b, a]) / 2
+            sym = Fraction(m[a, b] + koszul * m[b, a], 2)
             if sym != 0:
                 terms.append(((a, b), sym))
     s = Polynomial.build(gv, terms)

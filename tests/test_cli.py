@@ -9,9 +9,19 @@ from pathlib import Path
 import pytest
 
 from bvkit import cli
-from bvkit.complexes import circle_complex, disjoint_union, torus_complex
+from bvkit.complexes import (
+    circle_complex,
+    disjoint_union,
+    grid_complex,
+    path_complex,
+    torus_complex,
+)
 from bvkit.numkit import Matrix
-from bvkit.theories import MechanicsFixture, mechanics_relation
+from bvkit.theories import (
+    MechanicsFixture,
+    mechanics_relation,
+    with_boundary_vertices,
+)
 
 
 def run_cli(tmp_path, args, payload=None):
@@ -406,6 +416,119 @@ def _valid_inputs():
     }
 
 
+def _rational_inputs():
+    """One --input payload per command that reads one, with rational
+    entries: weights, relation and form entries, constraints, boundary
+    values, and ED on grid(3, 3) with face weights such as 2/3."""
+    path3 = path_complex(3, weights=["2/3", "5/2"]).to_dict()
+    path5 = path_complex(5, weights=["2/3", "1/2", "3", "7/4"]).to_dict()
+    ed = grid_complex(3, 3, weights={("f", i, j): Fraction(2 + i, 3 + j)
+                                     for i in range(3)
+                                     for j in range(3)}).to_dict()
+    plane = {"omega": [["0", "1/2"], ["-1/2", "0"]]}
+    particle = cli.relation_to_json(mechanics_relation(
+        MechanicsFixture("free_particle", mass=Fraction(3))))
+    circle = circle_complex(4).to_dict()
+    for entry in circle["boundary"]:
+        entry["faces"] = [[v, x + "/2"] for v, x in entry["faces"]]
+    return {
+        "check-relation": {"source": plane, "target": plane,
+                           "body": [["1", "0", "1/2", "0"],
+                                    ["0", "1", "0", "2"]]},
+        "compose": {"first": particle, "second": particle},
+        "reduce": {"alpha": [["0", "0", "0"], ["1/2", "0", "0"],
+                             ["0", "2/3", "0"]], "const": ["0", "1/3", "0"]},
+        "dtn": path3,
+        "glue": {"complex": path5, "cut": ["v2"],
+                 "left": ["v0", "v1", "v2"], "right": ["v2", "v3", "v4"]},
+        "hj-action": {"complex": path5,
+                      "boundary_values": {"v0": "1/3", "v4": "-2"}},
+        "collar": {"complex": path3,
+                   "fields": [{"name": "phi", "cell_dim": 0, "degree": 0}],
+                   "action": [["2/3", "-2/3", "0"], ["-2/3", "19/6", "-5/2"],
+                              ["0", "-5/2", "5/2"]]},
+        "bfv-resolve": {"n_pairs": 2,
+                        "constraints": [["0", "1/2", "1/3", "0"]]},
+        "bfv-cohomology": {"n_pairs": 2,
+                           "constraints": [["0", "0", "1/2", "2/3"]],
+                           "truncation": 2},
+        "bv-check": {"complex": ed},
+        "moduli": {"complex": ed},
+        "corner": path3,
+        "boundary-bfv": {"complex": circle, "d": 2},
+    }
+
+
+def _integral_inputs():
+    """`_valid_inputs` with ED on grid(3, 3) and an hj-action whose
+    quadratic form is an integer, so that its halving is the int / int
+    case."""
+    ed = {"complex": grid_complex(3, 3).to_dict()}
+    return {**_valid_inputs(), "bv-check": ed, "moduli": ed,
+            "hj-action": {"complex": cli.FIXTURES["interval"](None),
+                          "boundary_values": {"v0": "3", "v1": "-2"}}}
+
+
+# report fields that hold names, not numbers
+NAME_FIELDS = {"command", "status", "diagnostic", "labels", "vertices",
+               "name"}
+
+
+def _number_leaves(x, key=None):
+    """The string and float leaves of a report outside its name fields."""
+    if key in NAME_FIELDS:
+        return
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _number_leaves(v, k)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _number_leaves(v, key)
+    elif isinstance(x, (str, float)):
+        yield x
+
+
+@pytest.mark.parametrize("inputs", [_integral_inputs, _rational_inputs])
+def test_no_float_reaches_a_report(tmp_path, inputs):
+    """Every --input command on integral and on rational inputs passes,
+    and every number its report writes is an exact "p" or "p/q" string:
+    entries are ints or Fractions, and an int / int float would show as
+    "0.5" or "1e-05"."""
+    cases = inputs()
+    assert set(cases) == set(cli.COMMANDS) - {"fixtures"}
+    numbers = []
+    for command, data in cases.items():
+        code, rep, _ = run_cli(tmp_path, [command], data)
+        assert code == 0, (command, rep["payload"])
+        for x in _number_leaves(rep):
+            assert type(x) is str and re.fullmatch(r"-?\d+(/\d+)?", x), (
+                command, x)
+            numbers.append(Fraction(x))
+    assert len(numbers) > 50
+    assert any(x.denominator > 1 for x in numbers)
+
+
+@pytest.mark.parametrize("nx, ny, action", [(3, 2, "121/18"),
+                                            (5, 5, "121/15"),
+                                            (10, 4, "121/36")])
+def test_hj_action_grid_closed_form(tmp_path, nx, ny, action):
+    """grid(nx, ny), unit weights, the left column at a = 3 and the right
+    column at b = -2/3 as its only boundary: the harmonic field is linear
+    along each row, so the on-shell action is (ny + 1)(a - b)^2 / (2 nx)."""
+    left = [f"v0_{j}" for j in range(ny + 1)]
+    right = [f"v{nx}_{j}" for j in range(ny + 1)]
+    cx = with_boundary_vertices(grid_complex(nx, ny), left + right)
+    values = {**dict.fromkeys(left, "3"), **dict.fromkeys(right, "-2/3")}
+    code, rep, _ = run_cli(tmp_path, ["hj-action"],
+                           {"complex": cx.graph.to_dict(),
+                            "boundary_values": values})
+    assert code == 0
+    a, b = Fraction(3), Fraction(-2, 3)
+    assert Fraction(rep["payload"]["action"]) == (
+        (ny + 1) * (a - b) ** 2 / (2 * nx))
+    assert rep["payload"]["action"] == action
+
+
 SMALL_VALUES = [0, 1, 2, -1, 3, 0.5, "1", "-1", "1/2", "1/0", "x", "",
                 "v0", True, False, None, [], {}, [0], ["v0"]]
 
@@ -471,13 +594,29 @@ def test_mutated_inputs_give_a_report_for_every_command(tmp_path):
     assert statuses["pass"] >= 50 and statuses["error"] >= 500, statuses
 
 
+def _path5_with_an_integer_name():
+    """The glue input on path5 with vertex v1 renamed to the integer 1."""
+    data = _valid_inputs()["glue"]
+    cx = data["complex"]
+    cx["cells"][0] = [1 if v == "v1" else v for v in cx["cells"][0]]
+    for entry in cx["boundary"]:
+        entry["faces"] = [[1 if v == "v1" else v, x]
+                          for v, x in entry["faces"]]
+    return {**data, "left": ["v0", 1, "v2"]}
+
+
 def test_glue_errors_do_not_depend_on_the_string_hash_seed(tmp_path):
     """Fuzz cases whose `cut`, `left` or `right` mix vertex names with
-    other values: each error report is the same in processes with
-    different string-hash seeds, and names the first bad entry."""
+    other values, and a complex with an integer vertex name: each error
+    report is the same in processes with different string-hash seeds,
+    and names the first bad entry."""
     src = str(Path(cli.__file__).resolve().parents[1])
     cases = dict(enumerate(_fuzz_cases(900)))
-    for k in (426, 639, 825, 899):
+    named = dict.fromkeys((426, 639, 825, 899),
+                          "is not a vertex of the complex")
+    cases["int_name"] = ("glue", _path5_with_an_integer_name())
+    named["int_name"] = "cell names must be strings, got 1"
+    for k, expected in named.items():
         command, data = cases[k]
         assert command == "glue"
         path = tmp_path / f"case{k}.json"
@@ -493,7 +632,7 @@ def test_glue_errors_do_not_depend_on_the_string_hash_seed(tmp_path):
             outs.append(proc.stdout)
         assert outs[0] == outs[1], k
         diagnostic = json.loads(outs[0])["payload"]["diagnostic"]
-        assert "is not a vertex of the complex" in diagnostic, diagnostic
+        assert expected in diagnostic, diagnostic
 
 
 def test_glue_names_the_first_entry_that_is_not_a_vertex(tmp_path):

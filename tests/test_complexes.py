@@ -583,7 +583,7 @@ def grows_span_cohomology(cx, degree, relative=False):
                 w = [y - c * x if x else y for y, x in zip(w, row)]
         p = next((j for j, x in enumerate(w) if x), None)
         if p is not None:
-            pivots.append((p, [x / w[p] for x in w]))
+            pivots.append((p, [Fraction(x, w[p]) for x in w]))
         return p is not None
 
     if degree > 0:

@@ -12,6 +12,8 @@ from bvkit.numkit import (
     Matrix,
     Subspace,
     dot,
+    frac,
+    frac_reader,
     invert,
     kernel,
     rank,
@@ -74,7 +76,7 @@ def dense_rref(m):
         if pivot_row is None:
             continue
         a[pr], a[pivot_row] = a[pivot_row], a[pr]
-        inv = 1 / a[pr][pc]
+        inv = Fraction(1, a[pr][pc])
         a[pr] = [x * inv for x in a[pr]]
         for i in range(m.rows):
             if i != pr and a[i][pc] != 0:
@@ -265,7 +267,13 @@ def assert_matches(s, d):
     assert s.data == tuple({j: x for j, x in enumerate(r) if x}
                            for r in d.entries)
     assert s.entries == d.entries
-    assert all(type(x) is Fraction for r in s.entries for x in r)
+    assert all(type(x) in (int, Fraction) for r in s.entries for x in r)
+
+
+def follows_number_rule(xs):
+    """Every value is an int when integral and a Fraction otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction)
+               for x in xs)
 
 
 def test_sparse_matrix_matches_dense_oracle():
@@ -288,6 +296,7 @@ def test_sparse_matrix_matches_dense_oracle():
         d = DenseMatrix(rows, cols, a)
         s = Matrix.from_rows(a) if rows else Matrix.zeros(0, cols)
         assert_matches(s, d)
+        assert follows_number_rule(x for r in s.entries for x in r)
         return s, d
 
     for _ in range(600):
@@ -579,7 +588,7 @@ def test_schur_complement_matches_dense_formula():
         rng.shuffle(drop)
         rows = sparse_rows(a)
         before = [dict(r) for r in rows]
-        got = schur_complement(rows, keep, drop)
+        got = schur_complement(*int_form(rows), keep, drop)
         assert got == dense_schur(a, keep, drop)
         assert rows == before
         outcomes[got is None] += 1
@@ -617,6 +626,16 @@ def sparse_rows(m):
     return [{j: x for j, x in enumerate(r) if x} for r in m.entries]
 
 
+def int_form(rows):
+    """(D, R) with R / D == rows, the form `schur_complement` takes: D is
+    the lcm of the entries' denominators and R the integer rows."""
+    from math import lcm
+
+    d = lcm(1, *(x.denominator for r in rows for x in r.values()))
+    return d, [{j: x.numerator * (d // x.denominator) for j, x in r.items()}
+               for r in rows]
+
+
 def check_kernel(m, keep=None, drop=None):
     """rref, sparse_rank and (when keep/drop are given) schur_complement of
     m against the dense Fraction oracles; the row dicts given to
@@ -628,8 +647,11 @@ def check_kernel(m, keep=None, drop=None):
     assert rows == before
     if keep is None:
         return None
-    got = schur_complement(rows, keep, drop)
+    d, ints = int_form(rows)
+    before_ints = [dict(r) for r in ints]
+    got = schur_complement(d, ints, keep, drop)
     assert got == dense_schur(m, keep, drop)
+    assert ints == before_ints
     assert rows == before
     return got
 
@@ -769,9 +791,10 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
     cases = [wide_matrix(rng, 5, 5, bits=20) for _ in range(5)]
     cases += [hilbert(6), -low_rank(rng, 6, 6, 3)]
     rows = [sparse_rows(m) for m in cases]
+    ints = [int_form(r) for r in rows]
     want = [(rref(m), sparse_rank(r, m.cols),
-             schur_complement(r, [0, 1], [2, 3, 4]))
-            for m, r in zip(cases, rows)]
+             schur_complement(*i, [0, 1], [2, 3, 4]))
+            for m, r, i in zip(cases, rows, ints)]
 
     def refuse(*args):
         raise AssertionError("Fraction arithmetic in the elimination")
@@ -780,8 +803,8 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
                  "__rmul__", "__truediv__", "__rtruediv__", "__neg__"):
         monkeypatch.setattr(Fraction, name, refuse)
     got = [(rref(m), sparse_rank(r, m.cols),
-            schur_complement(r, [0, 1], [2, 3, 4]))
-           for m, r in zip(cases, rows)]
+            schur_complement(*i, [0, 1], [2, 3, 4]))
+           for m, r, i in zip(cases, rows, ints)]
     monkeypatch.undo()
     assert got == want
 
@@ -835,7 +858,7 @@ def schur_pivots(monkeypatch, rows, keep, drop):
         eliminate(work, dens, cols, p, q)
 
     monkeypatch.setattr(numkit, "_eliminate", record)
-    got = schur_complement(rows, keep, drop)
+    got = schur_complement(*int_form(rows), keep, drop)
     monkeypatch.undo()
     return got, taken
 
@@ -893,7 +916,7 @@ def test_schur_singular_dropped_block_is_none():
     for rows in ([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 2: 5}],
                  [{0: 2, 2: 1}, {2: 3}, {0: 1, 1: 1, 2: 1}]):
         before = [dict(r) for r in rows]
-        assert schur_complement(rows, [2], [0, 1]) is None
+        assert schur_complement(1, rows, [2], [0, 1]) is None
         assert rows == before
 
 
@@ -1265,6 +1288,50 @@ def test_only_rank_reads_the_dense_rref():
                       and "rref" in (getattr(node.func, "id", None),
                                      getattr(node.func, "attr", None))]
     assert found == ["numkit.py:rank"]
+
+
+def test_true_divisions_in_src_are_listed():
+    """Entries are ints when integral, and an int over an int under `/`
+    is a float, so each true division in src/ is listed here: exact ones
+    build a Fraction operand, float ones are the oscillator's."""
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            found += [f"{path.name}:{fn.name}:{ast.unparse(node)}"
+                      for node in ast.walk(fn)
+                      if isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.Div)]
+    assert found == [
+        "theories.py:mechanics_relation:dt / Fraction(f.mass)",
+        "theories.py:oscillator_flow:k / m",
+        "theories.py:oscillator_flow:math.sin(w * dt) / (m * w)",
+    ]
+
+
+def test_readers_and_readouts_follow_the_number_rule():
+    """frac, vec, from_rows, the RREF readout and the Schur readout make
+    ints when integral and Fractions otherwise; booleans are refused."""
+    read = frac_reader()
+    values = [read(x) for x in ("2", "-4/2", "1/3", 3, Fraction(6, 3),
+                                Fraction(-1, 2), 0.5, 2.0)]
+    assert values == [2, -2, Fraction(1, 3), 3, 2, Fraction(-1, 2),
+                      Fraction(1, 2), 2]
+    assert follows_number_rule(values)
+    assert follows_number_rule(vec(["4/2", Fraction(1, 2), 7]))
+    with pytest.raises(TypeError):
+        frac(True)
+    m = Matrix.from_rows([[2, Fraction(4, 2), "1/2"], [0, 6, Fraction(3)]])
+    assert follows_number_rule(x for r in m.data for x in r.values())
+    red, _ = rref(m)
+    assert follows_number_rule(x for r in red.data for x in r.values())
+    assert {type(x) for r in red.data for x in r.values()} == {int, Fraction}
+    s = schur_complement(2, [{0: 4, 1: 2}, {0: 2, 1: 6}], [0], [1])
+    assert s.data == ({0: Fraction(5, 3)},)
+    s = schur_complement(1, [{0: 5, 1: 2}, {0: 2, 1: 1}], [0], [1])
+    assert s.data == ({0: 1},) and type(s[0, 0]) is int
 
 
 def test_subspace_ambient_mismatch_raises():

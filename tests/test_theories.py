@@ -46,6 +46,7 @@ from bvkit.theories import (
 )
 from test_acceptance import partitioned_theory
 from test_complexes import dense_edge_boundary, dense_faces
+from test_numkit import int_form
 from test_symplect import omega_complement
 
 
@@ -265,8 +266,8 @@ def test_glue_matches_crabtree_haynsworth():
             for i, u in enumerate(op.vertices):
                 for j, v in enumerate(op.vertices):
                     total[pos[u]][pos[v]] += op.matrix[i, j]
-        glued = schur_complement([{j: x for j, x in enumerate(r) if x}
-                                  for r in total],
+        glued = schur_complement(*int_form([{j: x for j, x in enumerate(r)
+                                             if x} for r in total]),
                                  [pos[v] for v in in_v + out_v],
                                  [pos[v] for v in cut])
         assert glued == dtn(t, order=in_v + out_v).matrix
