@@ -6,8 +6,10 @@ boundary function cohomology, and corner data.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from math import comb
 from typing import Iterable, Iterator, Optional, Sequence
@@ -234,17 +236,6 @@ def _linear_cohomology(rows: Sequence[dict[int, Number]],
             for g in sorted(by_degree)}
 
 
-def _rank_on(rows: Iterable[dict[int, int]], cols: Sequence[int]) -> int:
-    """Exact rank of sparse integer rows {col: nonzero int} restricted to
-    the columns `cols`, eliminated with unit denominators."""
-    index = {j: i for i, j in enumerate(cols)}
-    keys = index.keys()
-    work = dict(enumerate({index[j]: r[j] for j in hit}
-                          for r in rows if (hit := r.keys() & keys)))
-    return len(_pivot_columns(work, dict.fromkeys(work, 1), len(index),
-                              reduced=False))
-
-
 @dataclass(frozen=True)
 class BVBFVPackage:
     bulk: GradedSymplecticSpace          # odd form of degree -1
@@ -290,13 +281,10 @@ def _graded_fields(m: CellComplex,
 
 def _infer_boundary_degrees(projection: Matrix,
                             bulk: GradedVectorSpace) -> list[int]:
-    degs = []
-    for row in projection.data:
-        support = {bulk.degree(j) for j in row}
-        if len(support) != 1:
-            raise ValueError("reduced coordinate mixes degrees")
-        degs.append(next(iter(support)))
-    return degs
+    degs = [{bulk.degree(j) for j in row} for row in projection.data]
+    if any(len(s) != 1 for s in degs):
+        raise ValueError("reduced coordinate mixes degrees")
+    return [s.pop() for s in degs]
 
 
 def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
@@ -471,36 +459,46 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
     in rel_d, every dimension is a sum of exact ranks:
     dim(locus_d + rel_d) = |I_d| - rk M[:, I_d] + rk M[:, rel_d] and
     dim(q gauge_(d+1) + rel_d) = |rel_d| + rk [W; P q][:, I_(d+1)]
-    - rk W[:, I_(d+1)].
+    - rk W[:, I_(d+1)]. Each nonzero row lies in one degree (row a of q
+    in deg(a) + 1, pi_0 in 0, pi_0 q in 1, a trace in its own), so the
+    rows on I_e are those in degree e, and each distinct set of them is
+    ranked once: on a closed complex [W; P q] on I_(d+1) is M on it.
     """
-    gv = p.bulk.base
-    qm = p.q_bulk.matrix.data
-    bdeg = p.boundary.base
-    pi0 = [r for i, r in enumerate(p.reduction.projection.data)
-           if bdeg.degree(i) == 0]
-    pi0_q = []
-    for r in pi0:
-        row: dict[int, Number] = {}
-        for a, c in r.items():
-            for b, x in qm[a].items():
-                row[b] = row.get(b, 0) + c * x
-        pi0_q.append({b: x for b, x in row.items() if x})
-    # each row scaled to integers once; scaling a row changes no rank
-    q = [_int_row(r)[0] for r in qm]
-    pi0 = [_int_row(r)[0] for r in pi0]
-    pi0_q = [_int_row(r)[0] for r in pi0_q]
-    trace = [{i: 1} for i in p.boundary_fields]
-    m_rows = q + pi0 + trace
-    w_rows = pi0_q + [q[i] for i in p.boundary_fields] + trace
+    gv, n = p.bulk.base, p.bulk.base.dim
+    pi0 = [r for r, (_, e) in zip(p.reduction.projection.data,
+                                  p.boundary.base.labels) if e == 0]
+    k = len(pi0)
+    pi0_q = (Matrix(k, n, pi0) @ p.q_bulk.matrix).data
+    # each row scaled to integers once (scaling a row changes no rank):
+    # q's rows at their coordinates, then pi_0, pi_0 q and the traces
+    rows = [_int_row(r)[0] if r else r
+            for r in (*p.q_bulk.matrix.data, *pi0, *pi0_q)]
+    rows += [{i: 1} for i in p.boundary_fields]
+    lies_in: defaultdict[int, set[int]] = defaultdict(set)
+    for at, e in enumerate([d + 1 for _, d in gv.labels] + [0] * k + [1] * k
+                           + [gv.degree(i) for i in p.boundary_fields]):
+        if rows[at]:
+            lies_in[e].add(at)
+    pi0_at, pi0_q_at = set(range(n, n + k)), set(range(n + k, n + 2 * k))
+    fields = set(p.boundary_fields)
+
+    @cache
+    def rank(at: frozenset[int]) -> int:
+        work = {i: dict(rows[i]) for i in at}   # integer rows: unit dens
+        return len(_pivot_columns(work, dict.fromkeys(work, 1), n,
+                                  reduced=False)) if work else 0
+
     out = {}
-    for d in sorted(gv.components()):
-        here, above = gv.indices_of_degree(d), gv.indices_of_degree(d + 1)
-        rel = [i for i in p.boundary_antifields if gv.degree(i) == d]
-        # only the rows of q in degree d have entries in degree d + 1
-        pq = [q[a] for a in here if a not in rel]
-        out[d] = (len(here) - _rank_on(m_rows, here)
-                  + _rank_on(m_rows, rel) - len(rel)
-                  - _rank_on(w_rows + pq, above) + _rank_on(w_rows, above))
+    for d, n_d in sorted(gv.components().items()):
+        rel = {i for i in p.boundary_antifields if gv.degree(i) == d}
+        m_d = frozenset(lies_in[d] - pi0_q_at)
+        up = lies_in[d + 1] - pi0_at
+        on_rel = [r for i in m_d
+                  if (r := {j: x for j, x in rows[i].items() if j in rel})]
+        out[d] = (n_d - rank(m_d) - len(rel)
+                  + (sparse_rank(on_rel, n) if on_rel else 0)
+                  - rank(frozenset(up - (rel - fields)))
+                  + rank(frozenset(i for i in up if i in fields or i >= n)))
     return out
 
 
@@ -540,7 +538,11 @@ def boundary_bfv_reduction(sigma: CellComplex, d: int) -> dict[int, int]:
 
     The differential on linear functionals is the transpose of Q, so its
     rank out of degree g is the rank of the rows of Q in degree g on the
-    columns of degree g + 1.
+    columns of degree g + 1. At d = 3 this is electrodynamics' boundary
+    field (A and E on edges, c and c+ on vertices): b_0 classes in degrees
+    +-1 and 2(n_1 - n_0 + b_0) in degree 0, a count that grows with the
+    cells, as Maxwell theory in 2 + 1 dimensions has local degrees of
+    freedom.
     """
     if not sigma.is_closed():
         raise ValueError("sigma must be closed")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import Optional
 
 from .bvbfv import (
@@ -144,7 +145,7 @@ def _load_input(cfg) -> dict:
         raise CommandError("this command requires --input")
     try:
         with open(cfg.input) as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=Fraction)
     except OSError as e:
         raise CommandError(f"cannot read input: {e}")
     except json.JSONDecodeError as e:

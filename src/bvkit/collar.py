@@ -64,11 +64,9 @@ class QuadraticLocalTheory:
 
     def boundary_vars(self) -> list[int]:
         """Variables sitting on boundary-flagged cells."""
-        out = []
-        off = 0
+        out, off = [], 0
         for f in self.field_layout:
-            for i in self.complex.boundary_indices(f.cell_dim):
-                out.append(off + i)
+            out += (off + i for i in self.complex.boundary_indices(f.cell_dim))
             off += self.complex.n_cells(f.cell_dim)
         return sorted(out)
 
@@ -111,11 +109,8 @@ def prism(base: CellComplex, layers: int) -> CellComplex:
                         (n_ve + (t + 1) * n1 + c, -1))
                      for t in range(layers) for c, f in enumerate(base_faces))
 
-    def layer_of_v(i):
-        return i // n0
-
-    vflags = tuple(layer_of_v(i) == 0
-                   or base.boundary_flags[0][i % n0] for i in range(len(v_names)))
+    vflags = tuple(i < n0 or base.boundary_flags[0][i % n0]
+                   for i in range(len(v_names)))
     veflags = tuple(base.boundary_flags[0][i % n0]
                     for i in range(len(ve_names)))
     eflags = tuple((i // n1 == 0) if n1 else False for i in range(len(e_names)))
@@ -159,10 +154,8 @@ def boundary_one_form(t: QuadraticLocalTheory,
                       boundary_vars: Optional[Sequence[int]] = None) -> OneForm:
     """Boundary residue of dS: the rows of the action matrix indexed by
     boundary variables, as a one-form in the variations."""
-    if boundary_vars is None:
-        boundary_vars = t.boundary_vars()
     n = t.n_vars
-    bset = set(boundary_vars)
+    bset = set(t.boundary_vars() if boundary_vars is None else boundary_vars)
     rows = t.action.data
     if t.stencil is not None:
         for a in range(n):
@@ -176,9 +169,7 @@ def boundary_one_form(t: QuadraticLocalTheory,
 def el_form(t: QuadraticLocalTheory,
             boundary_vars: Optional[Sequence[int]] = None) -> Matrix:
     """Interior rows of dS: the discrete field equations."""
-    if boundary_vars is None:
-        boundary_vars = t.boundary_vars()
-    bset = set(boundary_vars)
+    bset = set(t.boundary_vars() if boundary_vars is None else boundary_vars)
     n = t.n_vars
     return Matrix(n, n, [{} if a in bset else t.action.data[a]
                          for a in range(n)])
@@ -186,7 +177,13 @@ def el_form(t: QuadraticLocalTheory,
 
 def preboundary_reduce(a: OneForm) -> tuple[Reduction, Optional[OneForm]]:
     """Reduce the preboundary two-form d(a) by its kernel, and push a
-    down when it is basic (None otherwise)."""
+    down when it is basic (None otherwise). A zero form, the boundary
+    form of every closed complex, reduces to the 0-dimensional space and
+    descends to the zero form there, read off with no elimination."""
+    if a.coeff.is_zero() and not any(a.const):
+        return (Reduction(PresymplecticSpace.trivial(0),
+                          Matrix.zeros(0, a.ambient_dim), ()),
+                OneForm(0, Matrix.zeros(0, 0), ()))
     red = presymplectic_reduce(PresymplecticSpace(a.ambient_dim, a.d()))
     try:
         return red, red.descend(a)

@@ -6,6 +6,7 @@ from functools import cache
 
 import pytest
 
+from bvkit import bvbfv, numkit
 from bvkit.bvbfv import (
     ConstraintSet,
     DependentConstraints,
@@ -759,6 +760,30 @@ def test_moduli_on_rational_weights_match_subspace_oracle():
     assert seen == {"q": 3, "pi": 4}, seen
 
 
+@pytest.mark.parametrize("cx, bf, calls", [
+    (torus_complex(2, 2), True, 3), (torus_complex(3, 3), True, 3),
+    (grid_complex(2, 2), False, 7), (annulus_complex(3), False, 6)],
+    ids=["torus22-bf", "torus33-bf", "grid22-ed", "annulus3-ed"])
+def test_moduli_ranks_each_row_set_once(monkeypatch, cx, bf, calls):
+    """Every elimination goes through `numkit._pivot_columns`. A rank per
+    restriction is four per degree, 16 on each of these packages; with
+    the rows grouped by the degree they meet, an empty row set needs
+    none and each distinct one is ranked once (on a closed complex,
+    [W; P q] on one degree is M on it)."""
+    p = build_ed_package(cx, bf=bf)
+    want = oracle_moduli(p)
+    original = numkit._pivot_columns
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(args[2])
+        return original(*args, **kwargs)
+    for module in (numkit, bvbfv):
+        monkeypatch.setattr(module, "_pivot_columns", counted, raising=False)
+    assert moduli_of_vacua(p) == want
+    assert len(seen) == calls, seen
+
+
 def test_moduli_disk_trivial():
     for m in (grid_complex(1, 1), grid_complex(2, 2)):
         mod = moduli_of_vacua(build_ed_package(m))
@@ -782,7 +807,7 @@ def test_moduli_closed_torus_bf():
 
 def test_moduli_annulus_ladder():
     start = time.monotonic()
-    for n in (5, 7, 9, 11):
+    for n in (5, 7, 9, 11, 21):
         mod = moduli_of_vacua(build_ed_package(annulus_complex(n)))
         assert {d: v for d, v in mod.items() if v} == {0: 1, -1: 1}
     assert time.monotonic() - start < 10
@@ -801,6 +826,10 @@ def test_moduli_closed_torus_bf_ladder():
     check_all(p)
     mod = moduli_of_vacua(p)
     assert {d: v for d, v in mod.items() if v} == {1: 1, 0: 3, -1: 3, -2: 1}
+    for n in (20, 30):
+        mod = moduli_of_vacua(build_ed_package(torus_complex(n, n), bf=True))
+        assert {d: v for d, v in mod.items() if v} == {1: 1, 0: 3, -1: 3,
+                                                       -2: 1}
     assert time.monotonic() - start < 10
 
 
@@ -897,6 +926,18 @@ def test_corner_cylinder():
     assert cd.q_corner.is_zero()
 
 
+@pytest.mark.parametrize("n", [3, 7, 12])
+@pytest.mark.parametrize("k", [1, 3])
+def test_corner_cylinder_ladder(n, k):
+    """prism(circle(n), k): one (ghost, field) pair per vertex of the
+    corner circle, whatever the height, and a zero corner field."""
+    cd = corner_extend(prism(circle_complex(n), k))
+    degs = [d for _, d in cd.space.labels]
+    assert len(degs) == 2 * n and degs.count(1) == n and degs.count(0) == n
+    assert cd.q_corner.is_zero()
+    assert cd.alpha is not None
+
+
 def test_boundary_bfv_circle():
     out = boundary_bfv_reduction(circle_complex(5), 2)
     assert out == {1: 1, 0: 2, -1: 1}
@@ -911,6 +952,20 @@ def test_boundary_bfv_two_circles():
 def test_boundary_bfv_torus():
     out = boundary_bfv_reduction(torus_complex(3, 3), 3)
     assert out[1] == 1 and out[-1] == 1
+
+
+@pytest.mark.parametrize("sigma, b0, middle", [
+    (torus_complex(2, 2), 1, 10), (torus_complex(3, 3), 1, 20),
+    (torus_complex(4, 4), 1, 34), (torus_complex(2, 5), 1, 22),
+    (disjoint_union(torus_complex(2, 2), torus_complex(3, 3)), 2, 30)],
+    ids=["torus22", "torus33", "torus44", "torus25", "two-tori"])
+def test_boundary_bfv_of_electrodynamics_counts_cells(sigma, b0, middle):
+    """At d = 3 the boundary field is electrodynamics' on Sigma (A and E
+    on edges, c and c+ on vertices): b0 classes in degrees +-1 and
+    2(n1 - n0 + b0) in degree 0, which grows with the cells, as Maxwell
+    theory in 2 + 1 dimensions has local degrees of freedom."""
+    assert middle == 2 * (sigma.n_cells(1) - sigma.n_cells(0) + b0)
+    assert boundary_bfv_reduction(sigma, 3) == {-1: b0, 0: middle, 1: b0}
 
 
 def oracle_boundary_bfv(sigma):

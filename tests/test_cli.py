@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from bvkit import cli
+from bvkit.collar import prism
 from bvkit.complexes import (
     circle_complex,
     disjoint_union,
@@ -148,6 +149,18 @@ def test_corner_path(tmp_path):
     code, rep, _ = run_cli(tmp_path, ["corner"], fix)
     assert code == 0
     assert sorted(d for _, d in rep["payload"]["labels"]) == [0, 0, 1, 1]
+
+
+def test_corner_of_a_tall_cylinder(tmp_path):
+    """prism(circle(7), 3): one (ghost, field) pair per corner vertex."""
+    code, rep, _ = run_cli(tmp_path, ["corner"],
+                           prism(circle_complex(7), 3).to_dict())
+    assert code == 0
+    degs = [d for _, d in rep["payload"]["labels"]]
+    assert len(degs) == 14 and degs.count(1) == 7 and degs.count(0) == 7
+    assert rep["payload"]["basic"] is True
+    assert rep["residuals"] == [{"name": "corner_field_square",
+                                 "value": None, "zero": True}]
 
 
 @pytest.mark.parametrize("cx", [
@@ -529,7 +542,25 @@ def test_hj_action_grid_closed_form(tmp_path, nx, ny, action):
     assert rep["payload"]["action"] == action
 
 
-SMALL_VALUES = [0, 1, 2, -1, 3, 0.5, "1", "-1", "1/2", "1/0", "x", "",
+@pytest.mark.parametrize("weight, value", [("0.1", "0.1"), ("1e-1", "0.1"),
+                                           ("0.1", "1.0E-1")])
+def test_json_decimals_are_read_as_written(tmp_path, weight, value):
+    """One edge of weight 1/10 with its ends at 1/10 and 0: the action is
+    (1/2)(1/10)(1/10)^2 = 1/2000, not the value of the binary doubles."""
+    path = tmp_path / "input.json"
+    path.write_text(
+        '{"complex": {"dims": 1, "cells": [["v0", "v1"], ["e0"]],'
+        ' "boundary": [{"cell": "e0", "faces": [["v0", -1], ["v1", 1]]}],'
+        ' "boundary_flags": ["v0", "v1"], "cubical": true,'
+        f' "weights": [[1, 1], [{weight}]]}},'
+        f' "boundary_values": {{"v0": {value}, "v1": 0}}}}')
+    out = tmp_path / "report.json"
+    code = cli.main(["hj-action", "--input", str(path), "--output", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["payload"]["action"] == "1/2000"
+
+
+SMALL_VALUES =[0, 1, 2, -1, 3, 0.5, "1", "-1", "1/2", "1/0", "x", "",
                 "v0", True, False, None, [], {}, [0], ["v0"]]
 
 

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from bvkit import collar as collar_module
+from bvkit.bvbfv import build_ed_package
 from bvkit.collar import (
     CollarModel,
     FieldSpec,
@@ -18,10 +20,17 @@ from bvkit.complexes import (
     coboundary,
     hodge_star,
     path_complex,
+    torus_complex,
     validate,
 )
 from bvkit.numkit import Matrix, kernel, vec
-from bvkit.symplect import NotProjectable
+from bvkit.symplect import (
+    NotBasic,
+    NotProjectable,
+    OneForm,
+    PresymplecticSpace,
+    presymplectic_reduce,
+)
 from test_numkit import from_dense, section_of
 
 
@@ -89,6 +98,65 @@ def test_zero_action_gives_zero_boundary_form():
     a = boundary_one_form(t)
     assert a.coeff.is_zero()
     red, _ = preboundary_reduce(a)
+    assert red.space.dim == 0
+
+
+def reduce_by_elimination(a):
+    """The general path: reduce d(a) by one RREF, then descend a."""
+    red = presymplectic_reduce(PresymplecticSpace(a.ambient_dim, a.d()))
+    try:
+        return red, red.descend(a)
+    except NotBasic:
+        return red, None
+
+
+def counted_reductions(monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v.dim)
+        return presymplectic_reduce(v)
+    monkeypatch.setattr(collar_module, "presymplectic_reduce", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 32])
+def test_zero_form_reduction_is_read_off(monkeypatch, n):
+    """A zero one-form reduces to the 0-dimensional space and descends to
+    the zero form on it, the objects the general path builds, with no
+    elimination."""
+    a = OneForm(n, Matrix.zeros(n, n))
+    want_red, want_alpha = reduce_by_elimination(a)
+    calls = counted_reductions(monkeypatch)
+    red, alpha = preboundary_reduce(a)
+    assert calls == []
+    assert red == want_red and red.pivots == want_red.pivots == ()
+    assert alpha == want_alpha == OneForm(0, Matrix.zeros(0, 0))
+
+
+def test_closed_torus_package_keeps_the_eliminated_reduction():
+    """The boundary form of a closed complex is zero: the torus package's
+    reduction and descended form are those of the general path."""
+    p = build_ed_package(torus_complex(2, 2), bf=True)
+    n = p.bulk.base.dim
+    assert n == 32
+    want_red, want_alpha = reduce_by_elimination(
+        OneForm(n, Matrix.zeros(n, n)))
+    assert p.reduction == want_red and p.reduction.pivots == ()
+    assert p.alpha_boundary == want_alpha
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_zero_coefficients_with_a_constant_take_the_general_path(
+        monkeypatch, n):
+    """A nonzero constant is not horizontal on the all-kernel reduction,
+    so the form still reduces by elimination and does not descend."""
+    a = OneForm(n, Matrix.zeros(n, n), (0,) * (n - 1) + (2,))
+    calls = counted_reductions(monkeypatch)
+    red, alpha = preboundary_reduce(a)
+    assert calls == [n]
+    assert alpha is None
+    assert red == reduce_by_elimination(a)[0]
     assert red.space.dim == 0
 
 
