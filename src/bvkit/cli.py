@@ -140,12 +140,38 @@ def residual(name: str, value) -> dict:
     return {"name": name, "zero": zero, "value": None if zero else body}
 
 
+class _Decimal(Fraction):
+    """A JSON number with a fraction or exponent part: its exact value,
+    with the text as written for its repr, so that a diagnostic names
+    `0.5` as the input had it. `frac` reads it as a plain entry. An
+    exponent beyond 9999 is refused: its power of ten is built in full,
+    and at 1e10000000 that alone takes seconds."""
+
+    __slots__ = ("_text",)
+
+    def __new__(cls, text: str):
+        exponent = text.lower().partition("e")[2]
+        if len(exponent.lstrip("+-").lstrip("0")) > 4:
+            raise CommandError(f"JSON number {text} has an exponent beyond "
+                               f"9999")
+        self = super().__new__(cls, text)
+        self._text = text
+        return self
+
+    def __repr__(self) -> str:
+        return self._text
+
+
+# a type error about such a value still names its type `Fraction`
+_Decimal.__name__ = _Decimal.__qualname__ = "Fraction"
+
+
 def _load_input(cfg) -> dict:
     if not cfg.input:
         raise CommandError("this command requires --input")
     try:
         with open(cfg.input) as fh:
-            data = json.load(fh, parse_float=Fraction)
+            data = json.load(fh, parse_float=_Decimal)
     except OSError as e:
         raise CommandError(f"cannot read input: {e}")
     except json.JSONDecodeError as e:
@@ -312,7 +338,17 @@ def cmd_hj_action(cfg) -> dict:
     if not isinstance(given, dict):
         raise CommandError(
             f"boundary_values must be a JSON object, got {given!r}")
-    values = {k: frac(v) for k, v in given.items()}
+    values = {}
+    for k, v in given.items():
+        try:
+            values[k] = frac(v)
+        except (ArithmeticError, TypeError, ValueError):
+            raise CommandError(f"boundary value of {k!r} must be a number, "
+                               f"got {v!r}")
+    for v in t.boundary_names():
+        if v not in values:
+            raise CommandError(f"boundary_values gives no value for "
+                               f"boundary vertex {v!r}")
     return {
         "payload": {"action": str(on_shell_action(t, values))},
         "residuals": [],

@@ -320,8 +320,10 @@ def _eliminate(rows: dict[int, dict[int, int]], dens: dict[int, int],
 
 
 def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
-                   n_cols: int, reduced: bool) -> list[tuple[int, int]]:
-    """Eliminate the columns of sparse integer `rows` in increasing order
+                   n_cols: int, reduced: bool,
+                   start: int = 0) -> list[tuple[int, int]]:
+    """Eliminate the columns start, ..., n_cols - 1 of sparse integer
+    `rows`, whose columns all lie in range(n_cols), in increasing order
     and return the (column, row) pivots.
 
     Each column pivots on the not-yet-pivot row that meets it with the
@@ -329,7 +331,8 @@ def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
     from every other row. With `reduced`, pivot rows are kept, so each
     ends as a multiple of its row in the reduced row-echelon form; without
     it, each pivot row is dropped once its column is cleared, which is all
-    a rank needs.
+    a rank needs, and the rows left span the vectors of the row space
+    that vanish on the eliminated columns.
     """
     cols: dict[int, set[int]] = {j: set() for j in range(n_cols)}
     for i, row in rows.items():
@@ -337,7 +340,7 @@ def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
             cols[j].add(i)
     free = {i for i, row in rows.items() if row}
     pivots: list[tuple[int, int]] = []
-    for q in range(n_cols):
+    for q in range(start, n_cols):
         live = cols[q] & free
         if not live:
             continue
@@ -355,13 +358,19 @@ def _rref_rows(rows: Iterable[dict[int, Number]], n_cols: int
                ) -> tuple[list[dict[int, Number]], list[int]]:
     """The nonzero RREF rows as {col: value} dicts and their strictly
     increasing pivot columns, for rows given as dicts of nonzero ints or
-    Fractions in range(n_cols), which are not modified. `_pivot_columns`
-    reduces; each pivot row is divided by its pivot entry only here."""
-    work, dens = _int_rows(rows)
-    pivots = _pivot_columns(work, dens, n_cols, reduced=True)
+    Fractions in range(n_cols), which are not modified."""
+    return _rref_int_rows(*_int_rows(rows), n_cols)
+
+
+def _rref_int_rows(rows: dict[int, dict[int, int]], dens: dict[int, int],
+                   n_cols: int) -> tuple[list[dict[int, Number]], list[int]]:
+    """`_rref_rows` of the rows R_i / d_i, given as `_eliminate` works
+    them and reduced in place. `_pivot_columns` reduces; each pivot row is
+    divided by its pivot entry only here."""
+    pivots = _pivot_columns(rows, dens, n_cols, reduced=True)
     out = []
     for q, p in pivots:
-        row = work[p]
+        row = rows[p]
         a = row[q]
         out.append({j: _quotient(x, a) for j, x in row.items()})
     return out, [q for q, _ in pivots]
@@ -446,15 +455,31 @@ def schur_complement(d: int, rows: Sequence[dict[int, int]],
     order, or None when a[drop,drop] is singular, for the square matrix
     a = R / d given by one positive denominator d and the rows of R as
     {col: int} dicts; only rows and columns in keep and drop are read,
-    and the dicts are not modified.
+    and the dicts are not modified. The readout of `_schur_int_rows`:
+    each of its rows is read out once."""
+    kept = _schur_int_rows(d, rows, keep, drop)
+    if kept is None:
+        return None
+    pos = {j: k for k, j in enumerate(keep)}
+    return Matrix(len(keep), len(keep), [
+        {pos[j]: _quotient(x, dk) for j, x in row.items()}
+        for row, dk in kept])
+
+
+def _schur_int_rows(d: int, rows: Sequence[dict[int, int]],
+                    keep: Sequence[int], drop: Sequence[int]
+                    ) -> Optional[list[tuple[dict[int, int], int]]]:
+    """The integer core of `schur_complement`: its k-th row as (R'_k,
+    d_k), the row R'_k / d_k keyed by the indices in `keep`, with
+    d_k = d times the row's own denominator; None when a[drop,drop] is
+    singular.
 
     Sparse exact elimination of the dropped indices one pivot at a time
     (Kron reduction when `a` is a graph Laplacian). Each row is worked as
     an integer dict of its nonzero entries with a denominator of its own,
     starting from R's rows over 1, and each column keeps the set of rows
     it meets, so only nonzeros are touched and fill-in follows the
-    sparsity pattern. Row i ends as R'_i / d_i and is read out once,
-    over d * d_i.
+    sparsity pattern.
     The pivot is the nonzero dropped diagonal entry whose row has the
     fewest nonzeros (ties to the lowest index), popped from a heap of
     (row length, index) entries: every row an elimination step touches
@@ -501,10 +526,7 @@ def schur_complement(d: int, rows: Sequence[dict[int, int]],
         for i in touched:
             if is_diagonal_pivot(i):
                 heappush(heap, (len(work[i]), i))
-    pos = {j: k for k, j in enumerate(keep)}
-    return Matrix(len(keep), len(keep), [
-        {pos[j]: _quotient(x, d * dens[i]) for j, x in work[i].items()}
-        for i in keep])
+    return [(work[i], d * dens[i]) for i in keep]
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numkit import Matrix, Subspace, unit_vec
+from .numkit import (
+    Matrix,
+    Subspace,
+    _int_rows,
+    _pivot_columns,
+    _rref_int_rows,
+    unit_vec,
+)
 from .symplect import (
     ClassificationResult,
     PresymplecticSpace,
@@ -73,26 +80,28 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     """Set-theoretic composite second after first.
 
     Pairs (x, z) such that (x, y) in first and (y, z) in second for some y
-    in the shared middle space. With the middle coordinates first, the
-    rows (y, x, 0) of first and (-y, 0, z) of second span the sums whose
-    middle parts are y - y'; their RREF rows with no middle part span
-    exactly the pairs (x, z), and read without it they are that
-    composite's RREF basis already.
+    in the shared middle space. With the middle coordinates last, the
+    rows (x, 0, y) of first and (0, z, -y) of second span the sums whose
+    middle parts are y - y'. Eliminating the middle columns forward, each
+    pivot row dropped once its column is cleared, leaves rows that span
+    exactly the pairs (x, z); only those are reduced, and their RREF is
+    the composite's basis.
     """
     if first.target != second.source:
         raise MiddleMismatch("target of first must equal source of second")
     ns = first.source.dim
     nm = first.target.dim
     nt = second.target.dim
-    span = [{j - ns if j >= ns else j + nm: x for j, x in b.items()}
+    span = [{j if j < ns else j + nt: x for j, x in b.items()}
             for b in first.body.basis]
-    span += [dict((j, -x) if j < nm else (j + ns, x) for j, x in b.items())
+    span += [dict((j + ns + nt, -x) if j < nm else (j - nm + ns, x)
+                  for j, x in b.items())
              for b in second.body.basis]
-    joint = Subspace.from_span(nm + ns + nt, span)
-    body = tuple({j - nm: x for j, x in b.items()}
-                 for b in joint.basis if min(b) >= nm)
+    work, dens = _int_rows(span)
+    _pivot_columns(work, dens, ns + nt + nm, reduced=False, start=ns + nt)
+    body = _rref_int_rows(work, dens, ns + nt)[0]
     return LinearRelation(first.source, second.target,
-                          Subspace(ns + nt, body))
+                          Subspace(ns + nt, tuple(body)))
 
 
 def project_relation(rel: LinearRelation, side: str) -> Subspace:

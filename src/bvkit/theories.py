@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .collar import preboundary_reduce
 from .complexes import CellComplex, coboundary, hodge_weights
@@ -18,6 +18,8 @@ from .numkit import (
     Matrix,
     Number,
     Subspace,
+    _rref_int_rows,
+    _schur_int_rows,
     block_diag,
     dot,
     frac,
@@ -65,25 +67,33 @@ class ScalarFieldTheory:
     def interior_names(self) -> list[str]:
         return [self.graph.cells[0][i] for i in self.graph.interior_indices(0)]
 
-    def laplacian(self) -> tuple[int, list[dict[int, int]]]:
+    def laplacian(self, edges: Optional[Iterable[int]] = None
+                  ) -> tuple[int, list[dict[int, int]]]:
         """(D, R) with R / D == d0^T W d0: R is one {vertex: value} row of
         nonzero integers per vertex, and D the lcm of the edge weights'
         denominators times the square of the lcm of the incidence
         coefficients' denominators. Assembled edge by edge from the face
         lists: an edge of weight w with faces (a, x_a) adds D w x_a x_b at
-        (a, b)."""
+        (a, b). With `edges`, a list of edge indices, only those edges are
+        assembled, still over the whole graph's D and vertex indices."""
         weights, faces = hodge_weights(self.graph, 1), self.graph.faces(1)
-        dw = math.lcm(*(w.denominator for w in weights))
-        dx = math.lcm(*(x.denominator for f in faces for _, x in f))
+        dw = math.lcm(*[w.denominator for w in weights])
+        xs = [x for f in faces for _, x in f]
+        dx = math.lcm(*[x.denominator for x in xs])
+        # integral coefficients are used as they are
+        as_is = dx == 1 and all(type(x) is int for x in xs)
         rows: list[dict[int, int]] = [{} for _ in range(self.graph.n_cells(0))]
-        for w, f in zip(weights, faces):
+        for e in range(len(faces)) if edges is None else edges:
+            w = weights[e]
             c = w.numerator * (dw // w.denominator)
-            terms = [(a, x.numerator * (dx // x.denominator)) for a, x in f]
+            terms = faces[e] if as_is else [
+                (a, x.numerator * (dx // x.denominator)) for a, x in faces[e]]
             for a, xa in terms:
                 row, cxa = rows[a], c * xa
                 for b, xb in terms:
                     row[b] = row.get(b, 0) + cxa * xb
-        return dw * dx * dx, [{b: x for b, x in row.items() if x}
+        return dw * dx * dx, [row if all(row.values()) else
+                              {b: x for b, x in row.items() if x}
                               for row in rows]
 
     def energy(self, phi: Sequence[Number]) -> Number:
@@ -144,21 +154,45 @@ def evolution_relation_scalar(t: ScalarFieldTheory,
         raise ValueError("in and out vertices must be disjoint")
     if set(in_v) | set(out_v) != set(t.boundary_names()):
         raise ValueError("in and out must cover the boundary")
-    op = dtn(t, order=in_v + out_v)
-    m_in, m_out = len(in_v), len(out_v)
-    m = m_in + m_out
-    # coordinates (phi_in, chi_in, phi_out, chi_out): the j-th spanning
-    # vector has phi = e_j and chi = column j of Lambda, which is its row j
-    # as Lambda is symmetric
-    span = []
-    for j, row in enumerate(op.matrix.data):
-        v = {j if j < m_in else m_in + j: 1}
-        v.update((m_in + i, -x) if i < m_in else (m + i, x)
-                 for i, x in row.items())
-        span.append(v)
+    index = {v: i for i, v in enumerate(t.vertex_names)}
+    return _kron_relation(*t.laplacian(), [index[v] for v in in_v],
+                          [index[v] for v in out_v],
+                          [index[v] for v in t.interior_names()])
+
+
+def _kron_relation(d: int, rows: list[dict[int, int]], in_idx: list[int],
+                   out_idx: list[int], interior: list[int]) -> LinearRelation:
+    """`evolution_relation_scalar` of the Laplacian R / D, the vertices
+    given by their indices in its rows. The DtN map Lambda stays integer
+    rows: row j of the Kron reduction is R'_j / D_j, so the j-th spanning
+    vector, phi = e_j and chi = column j of Lambda (its row j, as Lambda
+    is symmetric), is D_j at phi_j and the numerators at chi, over D_j."""
+    keep = in_idx + out_idx
+    if len(set(keep)) != len(keep):
+        raise ValueError("order must enumerate the boundary vertices")
+    kept = _schur_int_rows(d, rows, keep, interior)
+    if kept is None:
+        raise SingularInterior("interior Laplacian block is singular")
+    m_in, m = len(in_idx), len(keep)
+    pos = {v: k for k, v in enumerate(keep)}
+    # coordinates (phi_in, chi_in, phi_out, chi_out); the incoming chi
+    # are sign-reversed
+    span, dens = {}, {}
+    for j, (r, dj) in enumerate(kept):
+        v = {j if j < m_in else m_in + j: dj}
+        for u, x in r.items():
+            i = pos[u]
+            if i < m_in:
+                v[m_in + i] = -x
+            else:
+                v[m + i] = x
+        g = math.gcd(dj, *r.values())
+        span[j] = {c: x // g for c, x in v.items()} if g != 1 else v
+        dens[j] = dj // g
     return LinearRelation(PresymplecticSpace.standard(m_in),
-                          PresymplecticSpace.standard(m_out),
-                          Subspace.from_span(2 * m, span))
+                          PresymplecticSpace.standard(m - m_in),
+                          Subspace(2 * m, tuple(
+                              _rref_int_rows(span, dens, 2 * m)[0])))
 
 
 def with_boundary_vertices(cx: CellComplex,
@@ -173,30 +207,6 @@ def with_boundary_vertices(cx: CellComplex,
                w[1] if w is not None else (1,) * len(cells[1]))
     return ScalarFieldTheory(CellComplex(cells, (cx.faces(1),), flags,
                                          weights, cubical=True))
-
-
-def subgraph_theory(t: ScalarFieldTheory, vertices: Sequence[str],
-                    boundary: Sequence[str],
-                    edges: Sequence[str]) -> ScalarFieldTheory:
-    """The theory on a vertex subset and the named edges. Face lists are
-    the parent's, re-indexed to the kept vertices; ends outside the subset
-    are dropped."""
-    g = t.graph
-    vset, eset = set(vertices), set(edges)
-    v_idx = [i for i, n in enumerate(g.cells[0]) if n in vset]
-    parent_faces = g.faces(1)
-    e_idx = [j for j in range(g.n_cells(1)) if g.cells[1][j] in eset]
-    pos = {i: k for k, i in enumerate(v_idx)}
-    faces = tuple(tuple((pos[i], x) for i, x in parent_faces[j] if i in pos)
-                  for j in e_idx)
-    cells = (tuple(g.cells[0][i] for i in v_idx),
-             tuple(g.cells[1][j] for j in e_idx))
-    bset = set(boundary)
-    flags = (tuple(n in bset for n in cells[0]), (False,) * len(e_idx))
-    w1 = hodge_weights(g, 1)
-    w = ((1,) * len(v_idx), tuple(w1[j] for j in e_idx))
-    return ScalarFieldTheory(CellComplex(cells, (faces,), flags, w,
-                                         cubical=True))
 
 
 @dataclass(frozen=True)
@@ -215,7 +225,10 @@ def glue_scalar(t_whole: ScalarFieldTheory, cut: Sequence[str],
     `left` and `right` are the halves' vertices; they meet in the cut.
     An edge goes left if all its ends are left vertices, and otherwise
     right, where all its ends must be right vertices. Each half's boundary
-    is its cut and whole-boundary vertices."""
+    is its cut and whole-boundary vertices. A half is its edges' Laplacian
+    rows, over the whole graph's D and vertex indices, so each half's DtN
+    map is a Kron reduction over index lists; the whole graph's relation
+    comes from its own Laplacian."""
     cset, lv, rv = set(cut), set(left), set(right)
     if lv | rv != set(t_whole.vertex_names) or lv & rv != cset:
         raise PartitionMismatch("parts do not partition the graph along the cut")
@@ -224,18 +237,23 @@ def glue_scalar(t_whole: ScalarFieldTheory, cut: Sequence[str],
         raise PartitionMismatch("whole boundary must split off the cut")
     in_v, out_v = sorted(wb & lv), sorted(wb & rv)
     g = t_whole.graph
+    names = g.cells[0]
     e_left, e_right = [], []
-    for e, faces in zip(g.cells[1], g.faces(1)):
-        ends = {g.cells[0][i] for i, _ in faces}
+    for e, faces in enumerate(g.faces(1)):
+        ends = {names[i] for i, _ in faces}
         if not (ends <= lv or ends <= rv):
-            raise PartitionMismatch(f"edge {e!r} crosses the cut")
+            raise PartitionMismatch(f"edge {g.cells[1][e]!r} crosses the cut")
         (e_left if ends <= lv else e_right).append(e)
-    t_left = subgraph_theory(t_whole, sorted(lv), sorted(cset | set(in_v)),
-                             e_left)
-    t_right = subgraph_theory(t_whole, sorted(rv), sorted(cset | set(out_v)),
-                              e_right)
-    composite = compose(evolution_relation_scalar(t_left, in_v, cut),
-                        evolution_relation_scalar(t_right, cut, out_v))
+    index = {v: i for i, v in enumerate(names)}
+    bd = cset | wb
+    halves = []
+    for part, edges, a, b in ((lv, e_left, in_v, list(cut)),
+                              (rv, e_right, list(cut), out_v)):
+        halves.append(_kron_relation(
+            *t_whole.laplacian(edges), [index[v] for v in a],
+            [index[v] for v in b],
+            [i for i, v in enumerate(names) if v in part and v not in bd]))
+    composite = compose(*halves)
     whole = evolution_relation_scalar(t_whole, in_v, out_v)
     return GluingReport(composite, exact=composite.body == whole.body,
                         lagrangian=composite.is_canonical())

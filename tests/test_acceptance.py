@@ -55,9 +55,8 @@ from bvkit.theories import (
     mechanics_relation,
     oscillator_flow,
     reduce_relation,
-    subgraph_theory,
 )
-from test_complexes import dense_edge_boundary, dense_faces
+from test_complexes import dense_edge_boundary, dense_faces, subgraph_theory
 
 
 def dot(u, v):

@@ -560,6 +560,69 @@ def test_json_decimals_are_read_as_written(tmp_path, weight, value):
     assert json.loads(out.read_text())["payload"]["action"] == "1/2000"
 
 
+@pytest.mark.parametrize("command, text, diagnostic", [
+    ("bfv-resolve", '{"n_pairs": 0.5, "constraints": []}',
+     "n_pairs must be a non-negative integer, got 0.5"),
+    ("bfv-resolve", '{"n_pairs": 1E-1, "constraints": []}',
+     "n_pairs must be a non-negative integer, got 1E-1"),
+    ("bv-check", '{"fixture": 0.5}', "unknown bulk fixture 0.5"),
+    ("moduli", '{"fixture": "disk", "size": 2.0}',
+     "size must be a non-negative integer, got 2.0"),
+    ("glue", '{"complex": PATH5, "cut": [0.5], "left": [], "right": []}',
+     "cut entry 0.5 is not a vertex of the complex"),
+    ("bfv-resolve", '{"n_pairs": 1e10000000, "constraints": []}',
+     "JSON number 1e10000000 has an exponent beyond 9999"),
+    ("hj-action", '{"complex": PATH5, "boundary_values": {"v0": -2.5E+010000}}',
+     "JSON number -2.5E+010000 has an exponent beyond 9999"),
+])
+def test_json_decimals_in_diagnostics_are_named_as_written(
+        tmp_path, command, text, diagnostic):
+    """A JSON decimal where a count, a name or a vertex belongs is named
+    in the diagnostic by its text, not as the Fraction it reads as; one
+    whose exponent would take seconds to expand is refused unread."""
+    path = tmp_path / "input.json"
+    path.write_text(text.replace(
+        "PATH5", json.dumps(cli.FIXTURES["path5"](None))))
+    out = tmp_path / "report.json"
+    code = cli.main([command, "--input", str(path), "--output", str(out)])
+    assert code == 2
+    assert json.loads(out.read_text())["payload"]["diagnostic"] == diagnostic
+
+
+@pytest.mark.parametrize("values, diagnostic", [
+    ({"v0": "1"}, "boundary_values gives no value for boundary vertex 'v4'"),
+    ({"v0": "1", "v4": [1]},
+     "boundary value of 'v4' must be a number, got [1]"),
+    ({"v0": "1", "v4": None},
+     "boundary value of 'v4' must be a number, got None"),
+    ({"v0": "1", "v4": "x"},
+     "boundary value of 'v4' must be a number, got 'x'"),
+    ({"v0": True, "v4": "1"},
+     "boundary value of 'v0' must be a number, got True"),
+    ({"v0": "1/0", "v4": "1"},
+     "boundary value of 'v0' must be a number, got '1/0'"),
+    ({"v0": "1", "v2": "x", "v4": "1"},
+     "boundary value of 'v2' must be a number, got 'x'"),
+])
+def test_hj_action_names_bad_boundary_values(tmp_path, values, diagnostic):
+    """On path5, whose boundary is v0 and v4: a missing value or one that
+    is not a number is malformed input naming the vertex and the value."""
+    code, rep, _ = run_cli(tmp_path, ["hj-action"],
+                           {"complex": cli.FIXTURES["path5"](None),
+                            "boundary_values": values})
+    assert code == 2 and rep["status"] == "error"
+    assert rep["payload"]["diagnostic"] == diagnostic
+
+
+def test_hj_action_reads_only_the_boundary_values_it_needs(tmp_path):
+    """A value given at an interior vertex is read but not used."""
+    code, rep, _ = run_cli(tmp_path, ["hj-action"],
+                           {"complex": cli.FIXTURES["path5"](None),
+                            "boundary_values": {"v0": "1", "v2": "7",
+                                                "v4": "0"}})
+    assert code == 0 and rep["payload"]["action"] == "1/8"
+
+
 SMALL_VALUES =[0, 1, 2, -1, 3, 0.5, "1", "-1", "1/2", "1/0", "x", "",
                 "v0", True, False, None, [], {}, [0], ["v0"]]
 

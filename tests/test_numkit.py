@@ -763,6 +763,37 @@ def test_schur_complement_denominators_and_singular_drop():
     assert min(outcomes.values()) >= 30, outcomes
 
 
+def test_schur_integer_rows_read_out_as_the_schur_complement():
+    """The integer core's k-th row R'_k / d_k, keyed by the kept indices,
+    is the k-th row of `schur_complement`, with d_k a positive multiple
+    of d; both return None together."""
+    from bvkit.numkit import _schur_int_rows
+
+    rng = random.Random(83)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        n = rng.randint(1, 7)
+        m = random_matrix(rng, n, n) if rng.random() < 0.5 else \
+            low_rank(rng, n, n, rng.randint(1, n))
+        order = list(range(n))
+        rng.shuffle(order)
+        cut = rng.randint(0, n)
+        keep, drop = order[:cut], order[cut:]
+        d, ints = int_form(sparse_rows(m))
+        kept = _schur_int_rows(d, ints, keep, drop)
+        want = schur_complement(d, ints, keep, drop)
+        outcomes[kept is None] += 1
+        assert (kept is None) == (want is None)
+        if kept is None:
+            continue
+        for k, (row, dk) in enumerate(kept):
+            assert dk > 0 and dk % d == 0
+            assert set(row) <= set(keep) and 0 not in row.values()
+            assert {keep.index(j): Fraction(x, dk)
+                    for j, x in row.items()} == want.data[k]
+    assert min(outcomes.values()) >= 20, outcomes
+
+
 def test_kernel_rows_keep_positive_coprime_denominators():
     """Every row the kernel leaves is R / d with d > 0 and
     gcd(d, content(R)) == 1, in reduced and in rank mode."""

@@ -96,6 +96,64 @@ def test_compose_matches_kernel_oracle():
     assert len(seen) == 4 and min(seen.values()) >= 50, seen
 
 
+def one_rref_compose(first, second):
+    """The composite by the rule `compose` used before it eliminated
+    forward: one RREF of the rows (y, x, 0) of first and (-y, 0, z) of
+    second, middle coordinates first, and its rows with no middle part,
+    read without it."""
+    ns, nm, nt = first.source.dim, first.target.dim, second.target.dim
+    span = [{j - ns if j >= ns else j + nm: x for j, x in b.items()}
+            for b in first.body.basis]
+    span += [dict((j, -x) if j < nm else (j + ns, x) for j, x in b.items())
+             for b in second.body.basis]
+    joint = Subspace.from_span(nm + ns + nt, span)
+    return Subspace(ns + nt, tuple({j - nm: x for j, x in b.items()}
+                                   for b in joint.basis if min(b) >= nm))
+
+
+def _degenerate_bodies(rng, a, b):
+    """Bodies in a x b that exercise the corners of composition: empty,
+    full, only middle parts, only outer parts, repeated rows."""
+    n, na = a.dim + b.dim, a.dim
+    rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
+    return [
+        Subspace.zero(n),
+        Subspace.full(n),
+        Subspace.from_span(n, [{j: 1} for j in range(na)]),
+        Subspace.from_span(n, [{j: 1} for j in range(na, n)]),
+        Subspace.from_span(n, rows + rows + [[0] * n]) if n else
+        Subspace.zero(0),
+    ]
+
+
+def test_compose_matches_one_rref_oracle():
+    """Forward elimination of the middle leaves the same canonical basis
+    as the full RREF, entries by the number rule, on random relations
+    with rational entries and on degenerate ones."""
+    rng = random.Random(2301)
+    cases = 0
+    for _ in range(150):
+        ns, nm, nt = (rng.randint(0, 5) for _ in range(3))
+        src, mid, tgt = (PresymplecticSpace.trivial(n) for n in (ns, nm, nt))
+        firsts = [LinearRelation(src, mid, Subspace.from_span(ns + nm, [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+             if rng.random() < 0.7 else 0 for _ in range(ns + nm)]
+            for _ in range(rng.randint(0, ns + nm))]))]
+        seconds = [random_relation(rng, mid, tgt, rng.randint(0, nm + nt))]
+        firsts += [LinearRelation(src, mid, body)
+                   for body in _degenerate_bodies(rng, src, mid)]
+        seconds += [LinearRelation(mid, tgt, body)
+                    for body in _degenerate_bodies(rng, mid, tgt)]
+        for first in firsts:
+            for second in seconds:
+                got = compose(first, second)
+                assert got.body == one_rref_compose(first, second)
+                assert all(type(x) is int or x.denominator > 1
+                           for b in got.body.basis for x in b.values())
+                cases += 1
+    assert cases == 150 * 36
+
+
 def test_identity_relation_is_canonical_and_neutral():
     v = PresymplecticSpace.standard(2)
     ident = identity_relation(v)

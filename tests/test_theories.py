@@ -19,10 +19,18 @@ from bvkit.complexes import (
     torus_complex,
     triangulated_grid_complex,
 )
-from bvkit.numkit import Matrix, kernel, schur_complement, solve_matrix, vec
-from bvkit.relations import compose, identity_relation
+from bvkit.numkit import (
+    Matrix,
+    Subspace,
+    kernel,
+    schur_complement,
+    solve_matrix,
+    vec,
+)
+from bvkit.relations import LinearRelation, compose, identity_relation
 from bvkit.symplect import (
     NotBasic,
+    PresymplecticSpace,
     classify,
     presymplectic_reduce,
 )
@@ -45,8 +53,9 @@ from bvkit.theories import (
     with_boundary_vertices,
 )
 from test_acceptance import partitioned_theory
-from test_complexes import dense_edge_boundary, dense_faces
+from test_complexes import dense_edge_boundary, dense_faces, subgraph_theory
 from test_numkit import int_form
+from test_relations import one_rref_compose
 from test_symplect import omega_complement
 
 
@@ -297,6 +306,102 @@ def test_glue_grid_21_left_to_right():
     assert time.monotonic() - start < 10
 
 
+def dtn_relation(t, in_v, out_v):
+    """Oracle: the evolution relation as it was built from the DtN map's
+    Fraction entries, each spanning vector phi = e_j and chi = column j of
+    Lambda (incoming chi sign-reversed), put through `Subspace.from_span`."""
+    op = dtn(t, order=in_v + out_v)
+    m_in, m = len(in_v), len(in_v) + len(out_v)
+    span = []
+    for j, row in enumerate(op.matrix.data):
+        v = {j if j < m_in else m_in + j: 1}
+        v.update((m_in + i, -x) if i < m_in else (m + i, x)
+                 for i, x in row.items())
+        span.append(v)
+    return LinearRelation(PresymplecticSpace.standard(m_in),
+                          PresymplecticSpace.standard(m - m_in),
+                          Subspace.from_span(2 * m, span))
+
+
+def glue_ladder():
+    """(whole, cut, left half, right half): seeded partitioned graphs of
+    49, 98 and 197 vertices with rational weights, the sizes of the glue
+    benchmark, and grid(10, 10) with its left and right columns as
+    boundary, cut at column 5. The halves are the `subgraph_theory`
+    oracle's complexes."""
+    rng = random.Random(4997)
+    for nl, nr, nc in ((23, 23, 3), (47, 47, 4), (96, 96, 5)):
+        yield partitioned_theory(rng, nl, nr, nc)
+    g = grid_complex(10, 10)
+    column = {n: int(n[1:].split("_")[0]) for n in g.cells[0]}
+    t = with_boundary_vertices(g, [n for n in g.cells[0]
+                                   if column[n] in (0, 10)])
+    cut = [n for n in g.cells[0] if column[n] == 5]
+    # an edge on the cut column goes left
+    ends = [max(column[g.cells[0][i]] for i, _ in f) for f in g.faces(1)]
+    halves = [([n for n in g.cells[0] if column[n] <= 5],
+               [e for e, c in zip(g.cells[1], ends) if c <= 5], 0),
+              ([n for n in g.cells[0] if column[n] >= 5],
+               [e for e, c in zip(g.cells[1], ends) if c > 5], 10)]
+    yield (t, cut, *(subgraph_theory(t, vs, cut + [n for n in g.cells[0]
+                                                   if column[n] == at], es)
+                     for vs, es, at in halves))
+
+
+def test_glue_halves_are_edge_laplacians_over_the_whole_d():
+    """Each half's Laplacian, assembled from its edges over the whole
+    graph's D and vertex indices, is the oracle complex's Laplacian
+    re-indexed; the two halves sum to the whole."""
+    for t, cut, t_l, t_r in glue_ladder():
+        edge = {e: j for j, e in enumerate(t.graph.cells[1])}
+        index = {v: i for i, v in enumerate(t.vertex_names)}
+        d, whole = t.laplacian()
+        summed = [{} for _ in whole]
+        for half in (t_l, t_r):
+            d_h, rows = t.laplacian([edge[e] for e in half.graph.cells[1]])
+            assert d_h == d
+            d_s, oracle = half.laplacian()
+            names = half.vertex_names
+            for k, v in enumerate(names):
+                assert {names[b]: Fraction(x, d_s)
+                        for b, x in oracle[k].items()} == {
+                    t.vertex_names[b]: Fraction(x, d)
+                    for b, x in rows[index[v]].items()}
+            assert not any(rows[i] for v, i in index.items()
+                           if v not in set(names))
+            for acc, row in zip(summed, rows):
+                for b, x in row.items():
+                    acc[b] = acc.get(b, 0) + x
+        assert [{b: x for b, x in r.items() if x} for r in summed] == whole
+
+
+def test_evolution_relation_matches_the_dtn_fraction_path():
+    """The relation spanned by integer rows is the one from the DtN map's
+    Fraction entries, on the whole graphs and on the oracle halves."""
+    for t, cut, t_l, t_r in glue_ladder():
+        wb = set(t.boundary_names())
+        in_v = sorted(wb & set(t_l.vertex_names))
+        out_v = sorted(wb & set(t_r.vertex_names))
+        for theory, a, b in ((t, in_v, out_v), (t_l, in_v, cut),
+                             (t_r, cut, out_v), (t, out_v, in_v)):
+            assert evolution_relation_scalar(theory, a, b) == \
+                dtn_relation(theory, a, b)
+
+
+def test_glue_ladder_is_exact_and_lagrangian():
+    """The composite is the oracle halves' relations composed by one RREF,
+    and it equals the whole graph's relation."""
+    for t, cut, t_l, t_r in glue_ladder():
+        wb = set(t.boundary_names())
+        in_v = sorted(wb & set(t_l.vertex_names))
+        out_v = sorted(wb & set(t_r.vertex_names))
+        rep = glue_scalar(t, cut, t_l.vertex_names, t_r.vertex_names)
+        assert rep.exact and rep.lagrangian
+        assert rep.composite.body == one_rref_compose(
+            dtn_relation(t_l, in_v, cut), dtn_relation(t_r, cut, out_v))
+        assert rep.composite.body == dtn_relation(t, in_v, out_v).body
+
+
 def test_glue_rejects_bad_partition():
     t5 = ScalarFieldTheory(path_complex(5))
     with pytest.raises(PartitionMismatch):
@@ -310,21 +415,29 @@ def test_glue_refuses_an_edge_that_crosses_the_cut():
                     ["v1", "v2", "v3", "v4", "v5"])
 
 
-def test_only_glue_scalar_cuts_a_graph():
-    """The cut rule has one home: in src/, only `theories.glue_scalar`
-    calls `subgraph_theory`."""
+def test_only_glue_scalar_cuts_a_graph(monkeypatch):
+    """The cut rule has one home, `theories.glue_scalar`, and its halves
+    are Laplacian rows, not complexes: src/ defines no `subgraph_theory`
+    (the tests keep it as their oracle), and a gluing constructs no
+    `CellComplex`."""
     src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
-    found = []
-    for path in sorted(src.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, ast.FunctionDef):
-                continue
-            found += [f"{path.name}:{fn.name}" for node in ast.walk(fn)
-                      if isinstance(node, ast.Call)
-                      and "subgraph_theory" in (
-                          getattr(node.func, "id", None),
-                          getattr(node.func, "attr", None))]
-    assert found == ["theories.py:glue_scalar"] * 2
+    defined = [f"{path.name}:{fn.name}" for path in sorted(src.glob("*.py"))
+               for fn in ast.walk(ast.parse(path.read_text()))
+               if isinstance(fn, ast.FunctionDef)
+               and fn.name == "subgraph_theory"]
+    assert defined == []
+    t, cut, t_l, t_r = partitioned_theory(random.Random(313), 9, 8, 3)
+    built = []
+    original = CellComplex.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(CellComplex, "__post_init__", counted)
+    rep = glue_scalar(t, cut, t_l.vertex_names, t_r.vertex_names)
+    assert rep.exact and rep.lagrangian
+    assert built == []
 
 
 def test_on_shell_action_constant_data_is_zero():
