@@ -137,26 +137,27 @@ def bfv_resolve(c: ConstraintSet) -> tuple[GradedSymplecticSpace, Polynomial,
     return ext, s, q
 
 
-def _bracket_matrix_of(s: Polynomial, space: GradedSymplecticSpace) -> Matrix:
-    """Q with {s, x_c} = sum_b Q[c, b] x_b for a quadratic s.
-
-    Q = Lambda^T K, where K[a, b] is the coefficient of x_b in the right
-    derivative of s by x_a: a term t x_a x_b adds t to K[b, a] and, with
-    the Koszul sign of moving x_a past x_b, to K[a, b].
-    """
-    gv = space.base
-    lam = space.bracket_matrix()
-    q: list[dict[int, Number]] = [{} for _ in range(gv.dim)]
+def _right_derivatives(s: Polynomial) -> Matrix:
+    """K for a quadratic s: K[a, b] is the coefficient of x_b in the
+    right derivative of s by x_a. A term t x_a x_b adds t to K[b, a] and,
+    with the Koszul sign of moving x_a past x_b, to K[a, b]."""
+    gv = s.space
+    k: list[dict[int, Number]] = [{} for _ in range(gv.dim)]
     for mono, t in s.terms:
         if len(mono) != 2:
             raise ValueError("generator is not quadratic")
         a, b = mono
         koszul = -t if gv.parity(a) and gv.parity(b) else t
         for i, j, x in ((a, b, koszul), (b, a, t)):
-            for c, y in lam.data[i].items():
-                q[c][j] = q[c].get(j, 0) + y * x
+            k[i][j] = k[i].get(j, 0) + x
     return Matrix(gv.dim, gv.dim, [{j: x for j, x in r.items() if x}
-                                   for r in q])
+                                   for r in k])
+
+
+def _bracket_matrix_of(s: Polynomial, space: GradedSymplecticSpace) -> Matrix:
+    """Q with {s, x_c} = sum_b Q[c, b] x_b for a quadratic s: Lambda^T K,
+    with K its `_right_derivatives`."""
+    return space.bracket_matrix().transpose() @ _right_derivatives(s)
 
 
 def field_from_hamiltonian(s: Polynomial,
@@ -172,10 +173,13 @@ def hamiltonian_of(q: LinearCohomologicalField,
     For a linear field the candidate coefficient matrix is (1/2) Q^T
     omega; only its graded-symmetric part contributes, and the bracket
     relations are verified afterwards, so a field that is not graded
-    Hamiltonian is rejected.
+    Hamiltonian is rejected. With Lambda the inverse of omega, the
+    relations Lambda^T K = Q of `_bracket_matrix_of` say K = omega^T Q,
+    which is checked as such: no inverse is built.
     """
     gv = space.base
-    m = (q.matrix.transpose() @ space.omega).scale(Fraction(1, 4))
+    qt_omega = q.matrix.transpose() @ space.omega
+    m = qt_omega.scale(Fraction(1, 4))
     # the word x_a x_b gets m[a, b] + (-1)^(|a||b|) m[b, a]
     terms = []
     for a, row in enumerate(m.data):
@@ -183,7 +187,7 @@ def hamiltonian_of(q: LinearCohomologicalField,
             koszul = -x if gv.parity(a) and gv.parity(b) else x
             terms += [((a, b), x), ((b, a), koszul)]
     s = Polynomial.build(gv, terms)
-    if _bracket_matrix_of(s, space) != q.matrix:
+    if _right_derivatives(s) != qt_omega.transpose():
         raise NotSymplecticField("field has no quadratic generator")
     return s
 

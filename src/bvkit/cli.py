@@ -232,9 +232,12 @@ def _ed_input(data: dict):
         m = _complex_of(data["complex"])
     else:
         name = data.get("fixture", "disk")
-        size = _count(data, "size", 2)
+        size = _count(data, "size", 3 if name == "annulus" else 2)
         if name in ("disk", "torus") and size < 1:
             raise CommandError(f"{name} size must be at least 1, got {size}")
+        if name == "annulus" and (size < 3 or size % 2 == 0):
+            raise CommandError(
+                f"annulus size must be odd and at least 3, got {size}")
         if name == "disk":
             m = grid_complex(size, size)
         elif name == "annulus":

@@ -10,9 +10,10 @@ the left unless named otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
-from .numkit import Matrix, Number, frac, invert
+from .numkit import Matrix, Number, frac, invert, sparse_rank
 
 Monomial = tuple[int, ...]
 
@@ -54,8 +55,17 @@ class GradedVectorSpace:
 def normalize_monomial(space: GradedVectorSpace,
                        word: Iterable[int]) -> tuple[Optional[Monomial], int]:
     """Sort a generator word; returns (monomial, Koszul sign) or (None, 0)
-    when a repeated odd generator kills it."""
-    w = list(word)
+    when a repeated odd generator kills it. A two-letter word, the only
+    kind a quadratic generator has, is sorted by comparing its letters."""
+    w = tuple(word)
+    if len(w) == 2:
+        a, b = w
+        if a < b:
+            return w, 1
+        if a > b:
+            return (b, a), -1 if space.parity(a) and space.parity(b) else 1
+        return (None, 0) if space.parity(a) else (w, 1)
+    w = list(w)
     sign = 1
     # insertion sort, counting odd-odd transpositions
     for i in range(1, len(w)):
@@ -191,13 +201,18 @@ class GradedSymplecticSpace:
                 odd = deg[a] % 2 and deg[b] % 2
                 if rows[b].get(a, 0) != (x if odd else -x):
                     raise ValueError("omega is not graded antisymmetric")
-        lam = invert(self.omega)
-        if lam is None:
+        # with the antisymmetry above, one entry per row makes omega a
+        # signed permutation; any other omega is ranked once
+        if any(len(row) != 1 for row in rows) and sparse_rank(rows, n) < n:
             raise ValueError("omega is degenerate")
-        object.__setattr__(self, "_bracket", lam)
+
+    @cached_property
+    def _bracket(self) -> Matrix:
+        return invert(self.omega)
 
     def bracket_matrix(self) -> Matrix:
-        """Lambda with {x_a, x_b} = Lambda[a, b], the inverse of omega."""
+        """Lambda with {x_a, x_b} = Lambda[a, b], the inverse of omega,
+        built when a bracket is first taken."""
         return self._bracket
 
 

@@ -22,6 +22,7 @@ Math. Comp. 1968). A quotient is made only when a result is read out.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -255,8 +256,11 @@ def block_diag(*blocks: Matrix) -> Matrix:
 
 def _int_row(row: dict[int, Number]) -> tuple[dict[int, int], int]:
     """(R, d) with R / d == `row`, a dict of nonzero values: d is the lcm
-    of their denominators, so gcd(d, content(R)) == 1. Ints and Fractions
-    both have `.numerator` and `.denominator`."""
+    of their denominators, so gcd(d, content(R)) == 1. A row of ints is
+    copied over 1; ints and Fractions both have `.numerator` and
+    `.denominator`."""
+    if all(type(x) is int for x in row.values()):
+        return dict(row), 1
     d = lcm(*(x.denominator for x in row.values()))
     return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
 
@@ -332,15 +336,19 @@ def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
     ends as a multiple of its row in the reduced row-echelon form; without
     it, each pivot row is dropped once its column is cleared, which is all
     a rank needs, and the rows left span the vectors of the row space
-    that vanish on the eliminated columns.
+    that vanish on the eliminated columns. A step fills in only columns
+    that its pivot row meets, so a column that no row meets at the start
+    is skipped.
     """
-    cols: dict[int, set[int]] = {j: set() for j in range(n_cols)}
+    cols: defaultdict[int, set[int]] = defaultdict(set)
     for i, row in rows.items():
         for j in row:
             cols[j].add(i)
     free = {i for i, row in rows.items() if row}
     pivots: list[tuple[int, int]] = []
     for q in range(start, n_cols):
+        if q not in cols:
+            continue
         live = cols[q] & free
         if not live:
             continue

@@ -9,6 +9,7 @@ canonical (Lagrangian) ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .numkit import (
     Matrix,
@@ -40,7 +41,7 @@ class LinearRelation:
         if self.body.ambient_dim != self.source.dim + self.target.dim:
             raise ValueError("relation body must live in source x target")
 
-    @property
+    @cached_property
     def ambient(self) -> PresymplecticSpace:
         return twisted_product(self.source, self.target)
 

@@ -274,6 +274,11 @@ class NotProjectable(ValueError):
 
 def twisted_product(source: PresymplecticSpace,
                     target: PresymplecticSpace) -> PresymplecticSpace:
-    """Source-sign-reversed product carrying (-omega_src) + omega_tgt."""
-    return PresymplecticSpace(source.dim + target.dim,
-                              block_diag(-source.omega, target.omega))
+    """Source-sign-reversed product carrying (-omega_src) + omega_tgt.
+
+    Both forms were checked antisymmetric when their spaces were built,
+    so their block diagonal is, and it is not checked again."""
+    v = object.__new__(PresymplecticSpace)
+    object.__setattr__(v, "dim", source.dim + target.dim)
+    object.__setattr__(v, "omega", block_diag(-source.omega, target.omega))
+    return v

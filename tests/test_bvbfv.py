@@ -595,6 +595,27 @@ def test_annulus_package_identities():
     check_all(build_ed_package(annulus_complex(3)))
 
 
+@pytest.mark.parametrize("cx", [grid_complex(2, 2), annulus_complex(3)],
+                         ids=["grid22", "annulus3"])
+def test_boundary_bracket_is_the_inverse_of_omega(cx):
+    """Building, checking and taking the moduli of a package read no
+    inverse of the boundary form; the one built on demand inverts it."""
+    p = build_ed_package(cx)
+    check_all(p)
+    moduli_of_vacua(p)
+    assert "_bracket" not in vars(p.boundary)
+    n = p.boundary.base.dim
+    assert p.boundary.omega @ p.boundary.bracket_matrix() == \
+        Matrix.identity(n)
+
+
+def test_bracket_is_the_inverse_of_omega_on_random_spaces():
+    rng = random.Random(73)
+    for i in range(40):
+        sp, _ = random_graded_space(rng, -(i % 2))
+        assert sp.omega @ sp.bracket_matrix() == Matrix.identity(sp.base.dim)
+
+
 def test_boundary_generator_matches_pairing():
     # S-boundary couples ghosts to the divergence of the dual field
     p = build_ed_package(grid_complex(2, 2))
@@ -952,6 +973,22 @@ def test_boundary_bfv_two_circles():
 def test_boundary_bfv_torus():
     out = boundary_bfv_reduction(torus_complex(3, 3), 3)
     assert out[1] == 1 and out[-1] == 1
+
+
+@pytest.mark.parametrize("bf", [False, True], ids=["ed", "bf"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sigma", [
+    circle_complex(3), circle_complex(5), circle_complex(12),
+    disjoint_union(circle_complex(3, "a"), circle_complex(4, "b"))],
+    ids=["circle3", "circle5", "circle12", "circle3+circle4"])
+def test_collar_boundary_field_is_the_boundary_theory(sigma, k, bf):
+    """On the collar prism(Sigma, k) the bulk package induces the BFV
+    theory of Sigma: the cohomology of its boundary field is that of the
+    field `boundary_bfv_reduction` writes down on Sigma."""
+    q = build_ed_package(prism(sigma, k), bf=bf).q_boundary
+    got = bvbfv._linear_cohomology(q.matrix.data,
+                                   [d for _, d in q.space.labels])
+    assert got == boundary_bfv_reduction(sigma, 2)
 
 
 @pytest.mark.parametrize("sigma, b0, middle", [

@@ -126,6 +126,22 @@ def test_moduli_annulus(tmp_path):
     assert dims == {"0": 1, "-1": 1}
 
 
+@pytest.mark.parametrize("command", ["moduli", "bv-check"])
+def test_annulus_fixture_size(tmp_path, command):
+    """The annulus fixture defaults to size 3, as `fixtures` does, and an
+    even size or one below 3 is malformed input naming the size."""
+    code, rep, text = run_cli(tmp_path, [command], {"fixture": "annulus"})
+    assert code == 0 and rep["status"] == "pass"
+    assert run_cli(tmp_path, [command],
+                   {"fixture": "annulus", "size": 3})[2] == text
+    for size in (0, 1, 2, 4):
+        code, rep, _ = run_cli(tmp_path, [command],
+                               {"fixture": "annulus", "size": size})
+        assert code == 2 and rep["status"] == "error"
+        assert rep["payload"]["diagnostic"] == (
+            f"annulus size must be odd and at least 3, got {size}")
+
+
 def test_bfv_commands(tmp_path):
     payload = {"n_pairs": 2, "constraints": [["0", "0", "1", "0"]],
                "truncation": 2}

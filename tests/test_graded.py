@@ -76,6 +76,37 @@ def test_odd_generators_anticommute_and_square_to_zero():
     assert (b * b).is_zero()
 
 
+def insertion_sort_monomial(space, word):
+    """Oracle: sort by adjacent swaps, one sign per odd-odd swap, then
+    kill a repeated odd generator."""
+    w, sign = list(word), 1
+    for i in range(1, len(w)):
+        for j in range(i, 0, -1):
+            if w[j - 1] <= w[j]:
+                break
+            if space.parity(w[j - 1]) and space.parity(w[j]):
+                sign = -sign
+            w[j - 1], w[j] = w[j], w[j - 1]
+    if any(a == b and space.parity(a) for a, b in zip(w, w[1:])):
+        return None, 0
+    return tuple(w), sign
+
+
+def test_two_letter_words_sort_as_insertion_sort():
+    """Every ordered pair, repeats included, over both parities; and some
+    longer words, which keep the general rule."""
+    gv = GradedVectorSpace.make([("x", 0), ("b", -1), ("c", 1), ("y", 2),
+                                 ("e", 1), ("z", -2)])
+    words = [(a, b) for a in range(gv.dim) for b in range(gv.dim)]
+    assert sum(normalize_monomial(gv, w)[1] == -1 for w in words) == 3
+    assert sum(normalize_monomial(gv, w)[0] is None for w in words) == 3
+    rng = random.Random(5)
+    words += [tuple(rng.randrange(gv.dim) for _ in range(rng.randint(0, 5)))
+              for _ in range(200)]
+    for w in words:
+        assert normalize_monomial(gv, w) == insertion_sort_monomial(gv, w), w
+
+
 def test_even_generators_commute():
     gv = GradedVectorSpace.make([("x", 0), ("y", 2)])
     x, y = Polynomial.generator(gv, 0), Polynomial.generator(gv, 1)
