@@ -30,8 +30,6 @@ from .graded import (
 from .numkit import (
     Matrix,
     Number,
-    _int_row,
-    _pivot_columns,
     block_diag,
     sparse_rank,
     vec,
@@ -473,10 +471,8 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
                                   p.boundary.base.labels) if e == 0]
     k = len(pi0)
     pi0_q = (Matrix(k, n, pi0) @ p.q_bulk.matrix).data
-    # each row scaled to integers once (scaling a row changes no rank):
     # q's rows at their coordinates, then pi_0, pi_0 q and the traces
-    rows = [_int_row(r)[0] if r else r
-            for r in (*p.q_bulk.matrix.data, *pi0, *pi0_q)]
+    rows = [*p.q_bulk.matrix.data, *pi0, *pi0_q]
     rows += [{i: 1} for i in p.boundary_fields]
     lies_in: defaultdict[int, set[int]] = defaultdict(set)
     for at, e in enumerate([d + 1 for _, d in gv.labels] + [0] * k + [1] * k
@@ -488,9 +484,7 @@ def moduli_of_vacua(p: BVBFVPackage) -> dict[int, int]:
 
     @cache
     def rank(at: frozenset[int]) -> int:
-        work = {i: dict(rows[i]) for i in at}   # integer rows: unit dens
-        return len(_pivot_columns(work, dict.fromkeys(work, 1), n,
-                                  reduced=False)) if work else 0
+        return sparse_rank([rows[i] for i in at], n) if at else 0
 
     out = {}
     for d, n_d in sorted(gv.components().items()):

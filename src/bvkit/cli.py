@@ -227,6 +227,13 @@ def _constraint_set(data: dict) -> ConstraintSet:
     return ConstraintSet(_darboux(n_pairs), tuple(rows))
 
 
+def _annulus(size: int) -> CellComplex:
+    if size < 3 or size % 2 == 0:
+        raise CommandError(
+            f"annulus size must be odd and at least 3, got {size}")
+    return annulus_complex(size)
+
+
 def _ed_input(data: dict):
     if "complex" in data:
         m = _complex_of(data["complex"])
@@ -235,13 +242,10 @@ def _ed_input(data: dict):
         size = _count(data, "size", 3 if name == "annulus" else 2)
         if name in ("disk", "torus") and size < 1:
             raise CommandError(f"{name} size must be at least 1, got {size}")
-        if name == "annulus" and (size < 3 or size % 2 == 0):
-            raise CommandError(
-                f"annulus size must be odd and at least 3, got {size}")
         if name == "disk":
             m = grid_complex(size, size)
         elif name == "annulus":
-            m = annulus_complex(size)
+            m = _annulus(size)
         elif name == "torus":
             m = torus_complex(size, size)
         else:
@@ -449,7 +453,7 @@ FIXTURES = {
     "grid": lambda cfg: grid_complex(_order_of(cfg, 2),
                                      _order_of(cfg, 2)).to_dict(),
     "disk": lambda cfg: grid_complex(2, 2).to_dict(),
-    "annulus": lambda cfg: annulus_complex(_order_of(cfg, 3)).to_dict(),
+    "annulus": lambda cfg: _annulus(_order_of(cfg, 3)).to_dict(),
     "circle": lambda cfg: circle_complex(_order_of(cfg, 5)).to_dict(),
     "torus": lambda cfg: torus_complex(_order_of(cfg, 3),
                                        _order_of(cfg, 3)).to_dict(),

@@ -15,9 +15,12 @@ division whose operands can both be ints builds a Fraction instead
 
 The elimination itself (`_eliminate`, under `rref`, `sparse_rank` and
 `schur_complement`) is fraction-free: each row is a dict of its nonzero
-integer entries with one positive denominator, and a step combines two
-rows by integer multiples and divides the result by its content (Bareiss,
-Math. Comp. 1968). A quotient is made only when a result is read out.
+integer entries, and a step combines two rows by integer multiples and
+divides the result by its content (Bareiss, Math. Comp. 1968). A row
+space does not see the scale of a row, so rank and RREF work on primitive
+rows; only the Schur complement, whose values are read out, keeps one
+positive denominator per row. A quotient is made only when a result is
+read out.
 """
 
 from __future__ import annotations
@@ -91,25 +94,22 @@ class Matrix:
     matrices are equal exactly when their shapes and row dicts are, and
     every operation touches only nonzeros. Row dicts may be shared
     between matrices and are never modified after construction.
-    `entries`, a tuple of dense row tuples, is built on first use."""
+    `entries`, a tuple of dense row tuples, is built on each read."""
 
-    __slots__ = ("rows", "cols", "data", "_entries")
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int,
                  data: Sequence[dict[int, Number]]):
         self.rows, self.cols, self.data = rows, cols, tuple(data)
-        self._entries: Optional[tuple[Vector, ...]] = None
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "Matrix":
-        dense = tuple(vec(r) for r in rows)
+        dense = [vec(r) for r in rows]
         ncols = len(dense[0]) if dense else 0
         if any(len(r) != ncols for r in dense):
             raise ValueError("column count mismatch")
-        m = Matrix(len(dense), ncols, [{j: x for j, x in enumerate(r) if x}
-                                       for r in dense])
-        m._entries = dense
-        return m
+        return Matrix(len(dense), ncols, [{j: x for j, x in enumerate(r) if x}
+                                          for r in dense])
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Matrix":
@@ -127,9 +127,7 @@ class Matrix:
 
     @property
     def entries(self) -> tuple[Vector, ...]:
-        if self._entries is None:
-            self._entries = tuple(map(self.row, range(self.rows)))
-        return self._entries
+        return tuple(map(self.row, range(self.rows)))
 
     def __getitem__(self, ij: tuple[int, int]) -> Number:
         return self.data[ij[0]].get(ij[1], 0)
@@ -254,36 +252,37 @@ def block_diag(*blocks: Matrix) -> Matrix:
     return Matrix(len(out), c0, out)
 
 
-def _int_row(row: dict[int, Number]) -> tuple[dict[int, int], int]:
-    """(R, d) with R / d == `row`, a dict of nonzero values: d is the lcm
-    of their denominators, so gcd(d, content(R)) == 1. A row of ints is
-    copied over 1; ints and Fractions both have `.numerator` and
-    `.denominator`."""
-    if all(type(x) is int for x in row.values()):
-        return dict(row), 1
-    d = lcm(*(x.denominator for x in row.values()))
-    return {j: x.numerator * (d // x.denominator) for j, x in row.items()}, d
+def _int_row(row: dict[int, Number]) -> dict[int, int]:
+    """The primitive integer multiple of `row`, a dict of nonzero values:
+    scaled by the lcm of their denominators, then divided by the gcd of
+    the result. `gcd` refuses a Fraction, so a row of ints is read as it
+    is; ints and Fractions both have `.numerator` and `.denominator`."""
+    try:
+        g = gcd(*row.values())
+    except TypeError:
+        d = lcm(*(x.denominator for x in row.values()))
+        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+        g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else dict(row)
 
 
-def _int_rows(rows: Iterable[dict[int, Number]]
-              ) -> tuple[dict[int, dict[int, int]], dict[int, int]]:
-    """`_int_row` of each row, keyed by position: (rows, denominators)."""
-    work: dict[int, dict[int, int]] = {}
-    dens: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        work[i], dens[i] = _int_row(row)
-    return work, dens
+def _int_rows(rows: Iterable[dict[int, Number]]) -> dict[int, dict[int, int]]:
+    """`_int_row` of each row, keyed by position."""
+    return {i: _int_row(row) for i, row in enumerate(rows)}
 
 
-def _eliminate(rows: dict[int, dict[int, int]], dens: dict[int, int],
+def _eliminate(rows: dict[int, dict[int, int]],
+               dens: Optional[dict[int, int]],
                cols: dict[int, set[int]], p: int, q: int) -> None:
     """Clear column q from every row but p, fraction-free; the column row
     sets follow.
 
-    Row i stands for rows[i] / dens[i], with integer entries and
-    dens[i] > 0. With a = R_p[q] and b = R_i[q] divided by their gcd,
-    R_i <- a R_i - b R_p and d_i <- a d_i (signs flipped so that a > 0),
-    then R_i and d_i are divided by gcd(d_i, content(R_i)).
+    With `dens`, row i stands for rows[i] / dens[i], with integer entries
+    and dens[i] > 0; without it, row i is rows[i] up to scale, which is
+    all a row space needs. With a = R_p[q] and b = R_i[q] divided by their
+    gcd, R_i <- a R_i - b R_p and d_i <- a d_i (signs flipped so that
+    a > 0), then R_i and d_i are divided by gcd(d_i, content(R_i)), or
+    R_i by its content when there is no d_i.
     """
     prow = rows[p]
     pivot = prow[q]
@@ -297,11 +296,9 @@ def _eliminate(rows: dict[int, dict[int, int]], dens: dict[int, int],
         a, b = pivot // g, b // g
         if a < 0:
             a, b = -a, -b
-        d = dens[i]
         if a != 1:
             for j in row:
                 row[j] *= a
-            d *= a
         for j, x in rest:
             y = row.get(j)
             if y is None:
@@ -314,26 +311,29 @@ def _eliminate(rows: dict[int, dict[int, int]], dens: dict[int, int],
                 else:
                     del row[j]
                     cols[j].discard(i)
-        g = gcd(d, *row.values())
-        if g != 1:
+        if dens is None:
+            g = gcd(*row.values())
+        else:
+            d = dens[i] * a
+            g = gcd(d, *row.values())
+            dens[i] = d // g
+        if g > 1:
             for j in row:
                 row[j] //= g
-            d //= g
-        dens[i] = d
     cols[q] = {p}
 
 
-def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
-                   n_cols: int, reduced: bool,
-                   start: int = 0) -> list[tuple[int, int]]:
+def _pivot_columns(rows: dict[int, dict[int, int]], n_cols: int,
+                   reduced: bool, start: int = 0) -> list[tuple[int, int]]:
     """Eliminate the columns start, ..., n_cols - 1 of sparse integer
     `rows`, whose columns all lie in range(n_cols), in increasing order
     and return the (column, row) pivots.
 
     Each column pivots on the not-yet-pivot row that meets it with the
     fewest nonzeros (ties to the lowest row) and `_eliminate` clears it
-    from every other row. With `reduced`, pivot rows are kept, so each
-    ends as a multiple of its row in the reduced row-echelon form; without
+    from every other row, keeping each row primitive. With `reduced`,
+    pivot rows are kept, so each ends as a multiple of its row in the
+    reduced row-echelon form; without
     it, each pivot row is dropped once its column is cleared, which is all
     a rank needs, and the rows left span the vectors of the row space
     that vanish on the eliminated columns. A step fills in only columns
@@ -354,7 +354,7 @@ def _pivot_columns(rows: dict[int, dict[int, int]], dens: dict[int, int],
             continue
         p = min(live, key=lambda i: (len(rows[i]), i))
         free.remove(p)
-        _eliminate(rows, dens, cols, p, q)
+        _eliminate(rows, None, cols, p, q)
         if not reduced:
             for j in rows.pop(p):
                 cols[j].discard(p)
@@ -367,15 +367,14 @@ def _rref_rows(rows: Iterable[dict[int, Number]], n_cols: int
     """The nonzero RREF rows as {col: value} dicts and their strictly
     increasing pivot columns, for rows given as dicts of nonzero ints or
     Fractions in range(n_cols), which are not modified."""
-    return _rref_int_rows(*_int_rows(rows), n_cols)
+    return _rref_int_rows(_int_rows(rows), n_cols)
 
 
-def _rref_int_rows(rows: dict[int, dict[int, int]], dens: dict[int, int],
-                   n_cols: int) -> tuple[list[dict[int, Number]], list[int]]:
-    """`_rref_rows` of the rows R_i / d_i, given as `_eliminate` works
-    them and reduced in place. `_pivot_columns` reduces; each pivot row is
-    divided by its pivot entry only here."""
-    pivots = _pivot_columns(rows, dens, n_cols, reduced=True)
+def _rref_int_rows(rows: dict[int, dict[int, int]], n_cols: int
+                   ) -> tuple[list[dict[int, Number]], list[int]]:
+    """`_rref_rows` of integer rows, reduced in place. `_pivot_columns`
+    reduces; each pivot row is divided by its pivot entry only here."""
+    pivots = _pivot_columns(rows, n_cols, reduced=True)
     out = []
     for q, p in pivots:
         row = rows[p]
@@ -401,9 +400,8 @@ def sparse_rank(rows: Iterable[dict[int, Number]], n_cols: int) -> int:
     """Exact rank of the matrix whose rows are given as {col: value}
     dicts (ints or Fractions) with columns in range(n_cols); the dicts
     are not modified."""
-    work, dens = _int_rows({j: x for j, x in row.items() if x}
-                           for row in rows)
-    return len(_pivot_columns(work, dens, n_cols, reduced=False))
+    work = _int_rows({j: x for j, x in row.items() if x} for row in rows)
+    return len(_pivot_columns(work, n_cols, reduced=False))
 
 
 def rank(m: Matrix) -> int:

@@ -98,9 +98,9 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     span += [dict((j + ns + nt, -x) if j < nm else (j - nm + ns, x)
                   for j, x in b.items())
              for b in second.body.basis]
-    work, dens = _int_rows(span)
-    _pivot_columns(work, dens, ns + nt + nm, reduced=False, start=ns + nt)
-    body = _rref_int_rows(work, dens, ns + nt)[0]
+    work = _int_rows(span)
+    _pivot_columns(work, ns + nt + nm, reduced=False, start=ns + nt)
+    body = _rref_int_rows(work, ns + nt)[0]
     return LinearRelation(first.source, second.target,
                           Subspace(ns + nt, tuple(body)))
 

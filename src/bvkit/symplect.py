@@ -124,7 +124,7 @@ def classify(v: PresymplecticSpace, l: Subspace) -> ClassificationResult:
     scale = lcm(*(x.denominator for r in v.omega.data for x in r.values()))
     omega = [{j: x.numerator * (scale // x.denominator) for j, x in r.items()}
              for r in v.omega.data]
-    basis = [_int_row(b)[0] for b in l.basis]
+    basis = [_int_row(b) for b in l.basis]
     b_omega = []
     for b in basis:
         row: dict[int, int] = {}

@@ -18,7 +18,6 @@ from .numkit import (
     Matrix,
     Number,
     Subspace,
-    _rref_int_rows,
     _schur_int_rows,
     block_diag,
     dot,
@@ -166,7 +165,8 @@ def _kron_relation(d: int, rows: list[dict[int, int]], in_idx: list[int],
     given by their indices in its rows. The DtN map Lambda stays integer
     rows: row j of the Kron reduction is R'_j / D_j, so the j-th spanning
     vector, phi = e_j and chi = column j of Lambda (its row j, as Lambda
-    is symmetric), is D_j at phi_j and the numerators at chi, over D_j."""
+    is symmetric), times D_j is the integer row D_j at phi_j and the
+    numerators at chi, which `Subspace.from_span` takes as it is."""
     keep = in_idx + out_idx
     if len(set(keep)) != len(keep):
         raise ValueError("order must enumerate the boundary vertices")
@@ -177,7 +177,7 @@ def _kron_relation(d: int, rows: list[dict[int, int]], in_idx: list[int],
     pos = {v: k for k, v in enumerate(keep)}
     # coordinates (phi_in, chi_in, phi_out, chi_out); the incoming chi
     # are sign-reversed
-    span, dens = {}, {}
+    span = []
     for j, (r, dj) in enumerate(kept):
         v = {j if j < m_in else m_in + j: dj}
         for u, x in r.items():
@@ -186,13 +186,10 @@ def _kron_relation(d: int, rows: list[dict[int, int]], in_idx: list[int],
                 v[m_in + i] = -x
             else:
                 v[m + i] = x
-        g = math.gcd(dj, *r.values())
-        span[j] = {c: x // g for c, x in v.items()} if g != 1 else v
-        dens[j] = dj // g
+        span.append(v)
     return LinearRelation(PresymplecticSpace.standard(m_in),
                           PresymplecticSpace.standard(m - m_in),
-                          Subspace(2 * m, tuple(
-                              _rref_int_rows(span, dens, 2 * m)[0])))
+                          Subspace.from_span(2 * m, span))
 
 
 def with_boundary_vertices(cx: CellComplex,

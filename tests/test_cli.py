@@ -11,6 +11,7 @@ import pytest
 from bvkit import cli
 from bvkit.collar import prism
 from bvkit.complexes import (
+    annulus_complex,
     circle_complex,
     disjoint_union,
     grid_complex,
@@ -142,6 +143,22 @@ def test_annulus_fixture_size(tmp_path, command):
             f"annulus size must be odd and at least 3, got {size}")
 
 
+def test_annulus_fixture_order(tmp_path):
+    """`fixtures --fixture annulus` checks --order as the bulk fixture
+    checks its size, and an accepted order still gives annulus_complex."""
+    for n in (1, 2, 4):
+        code, rep, _ = run_cli(tmp_path, ["fixtures", "--fixture", "annulus",
+                                          "--order", str(n)])
+        assert code == 2 and rep["status"] == "error"
+        assert rep["payload"]["diagnostic"] == (
+            f"annulus size must be odd and at least 3, got {n}")
+    for n in (3, 5):
+        code, rep, _ = run_cli(tmp_path, ["fixtures", "--fixture", "annulus",
+                                          "--order", str(n)])
+        assert code == 0
+        assert rep["payload"]["data"] == annulus_complex(n).to_dict()
+
+
 def test_bfv_commands(tmp_path):
     payload = {"n_pairs": 2, "constraints": [["0", "0", "1", "0"]],
                "truncation": 2}
@@ -154,10 +171,18 @@ def test_bfv_commands(tmp_path):
 
 
 def test_boundary_bfv_circle(tmp_path):
-    payload = {"complex": cli.FIXTURES["circle"](None), "d": 2}
-    code, rep, _ = run_cli(tmp_path, ["boundary-bfv"], payload)
-    assert code == 0
-    assert rep["payload"]["dims"] == {"-1": 1, "0": 2, "1": 1}
+    """Circles at d = 2 and tori at d = 3 through the report path: one
+    class in degrees +-1 and 2(n1 - n0 + b0) in degree 0, which is 2 on a
+    circle and 2 n^2 + 2 on torus(n, n)."""
+    cases = [(cli.FIXTURES["circle"](None), 2, 2)]
+    cases += [(circle_complex(n).to_dict(), 2, 2) for n in (3, 40, 400)]
+    cases += [(torus_complex(n, n).to_dict(), 3, 2 * n * n + 2)
+              for n in (2, 5, 20)]
+    for cx, d, middle in cases:
+        code, rep, _ = run_cli(tmp_path, ["boundary-bfv"],
+                               {"complex": cx, "d": d})
+        assert code == 0
+        assert rep["payload"]["dims"] == {"-1": 1, "0": middle, "1": 1}
 
 
 def test_corner_path(tmp_path):

@@ -795,8 +795,10 @@ def test_schur_integer_rows_read_out_as_the_schur_complement():
 
 
 def test_kernel_rows_keep_positive_coprime_denominators():
-    """Every row the kernel leaves is R / d with d > 0 and
-    gcd(d, content(R)) == 1, in reduced and in rank mode."""
+    """Outside the Schur complement a row keeps no denominator: every
+    nonzero row the kernel leaves is a primitive integer row (content 1)
+    with no stored zero, in reduced and in rank mode, and the pivots are
+    rref's."""
     from math import gcd
 
     from bvkit.numkit import _int_rows, _pivot_columns
@@ -808,13 +810,36 @@ def test_kernel_rows_keep_positive_coprime_denominators():
         if rng.random() < 0.5:
             m = -m
         for reduced in (True, False):
-            work, dens = _int_rows(sparse_rows(m))
-            pivots = _pivot_columns(work, dens, cols, reduced)
+            work = _int_rows(sparse_rows(m))
+            pivots = _pivot_columns(work, cols, reduced)
             assert [q for q, _ in pivots] == rref(m)[1]
-            for i, row in work.items():
-                assert dens[i] > 0
-                assert gcd(dens[i], *row.values()) == 1
+            for row in work.values():
+                assert all(type(x) is int for x in row.values())
+                assert not row or gcd(*row.values()) == 1
                 assert 0 not in row.values()
+
+
+def test_schur_denominators_are_coprime_to_their_rows():
+    """With D = 1 each row the Schur core returns is R'_k / d_k with
+    d_k > 0 and gcd(d_k, content(R'_k)) == 1."""
+    from math import gcd
+
+    from bvkit.numkit import _schur_int_rows
+
+    rng = random.Random(89)
+    seen = 0
+    for _ in range(150):
+        n = rng.randint(2, 7)
+        ints = [{j: x for j in range(n) if (x := rng.randint(-4, 4))}
+                for _ in range(n)]
+        cut = rng.randint(1, n - 1)
+        kept = _schur_int_rows(1, ints, list(range(cut)), list(range(cut, n)))
+        if kept is None:
+            continue
+        for row, dk in kept:
+            assert dk > 0 and gcd(dk, *row.values()) == 1
+            seen += dk > 1
+    assert seen >= 50, seen
 
 
 def test_elimination_does_no_fraction_arithmetic(monkeypatch):
@@ -848,10 +873,10 @@ def rescan_pivots(rows, keep, drop):
     from bvkit.numkit import _eliminate, _int_row
 
     idx = list(keep) + list(drop)
-    work, dens, cols = {}, {}, {j: set() for j in idx}
+    work, dens, cols = {}, dict.fromkeys(idx, 1), {j: set() for j in idx}
     for i in idx:
-        work[i], dens[i] = _int_row({j: x for j, x in rows[i].items()
-                                     if x and j in cols})
+        work[i] = _int_row({j: x for j, x in rows[i].items()
+                            if x and j in cols})
         for j in work[i]:
             cols[j].add(i)
     drop_rows, drop_cols = set(drop), set(drop)
