@@ -241,13 +241,11 @@ def _linear_cohomology(rows: Sequence[dict[int, Number]],
 @dataclass(frozen=True)
 class BVBFVPackage:
     bulk: GradedSymplecticSpace          # odd form of degree -1
-    action: Polynomial                   # degree-0 generator
-    action_hessian: Matrix               # same data as a plain quadratic form
+    action_hessian: Matrix               # degree-0 S, a plain quadratic form
     q_bulk: LinearCohomologicalField
     boundary: GradedSymplecticSpace      # even form of degree 0
     alpha_boundary: OneForm
     q_boundary: LinearCohomologicalField
-    s_boundary: Polynomial
     reduction: Reduction                 # its projection is pi
     # bulk antifield coordinates sitting on boundary cells; vacuum
     # classes are taken modulo these directions (the antifield sector
@@ -312,14 +310,13 @@ def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
     bd_v = set(m.boundary_indices(0))
 
     # one pass over the nonzeros of d0, d1 and the star fills the bulk
-    # pairing (each field against its antifield), the Hessian and terms of
-    # S = B.dA + (half) B*B + A+.(dc) (factors ordered as written), and Q;
+    # pairing (each field against its antifield), the Hessian of
+    # S = B.dA + (half) B*B + A+.(dc), and Q;
     # antifield rows of Q conjugate to boundary cells are dropped so that
     # the boundary term survives in the variational split
     omega: list[dict[int, Number]] = [{} for _ in range(n)]
     g: list[dict[int, Number]] = [{} for _ in range(n)]
     q: list[dict[int, Number]] = [{} for _ in range(n)]
-    terms = []
     for field, anti, count, sign in ((off_a, off_ap, ne, 1),
                                      (off_b, off_bp, nf, -1),
                                      (off_c, off_cp, nv, -1)):
@@ -329,24 +326,20 @@ def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
     for e, row in enumerate(d0.data):
         for v, x in row.items():
             g[off_ap + e][off_c + v] = g[off_c + v][off_ap + e] = x
-            terms.append(((off_ap + e, off_c + v), x))
             q[off_a + e][off_c + v] = x
             if v not in bd_v:
                 q[off_cp + v][off_ap + e] = x
     for f, row in enumerate(d1.data):
         for e, x in row.items():
             g[off_b + f][off_a + e] = g[off_a + e][off_b + f] = x
-            terms.append(((off_b + f, off_a + e), x))
             q[off_bp + f][off_a + e] = x
             if e not in bd_e:
                 q[off_ap + e][off_b + f] = -x
     for f, w in enumerate(star):
         if w:
             g[off_b + f][off_b + f] = q[off_bp + f][off_b + f] = w
-            terms.append(((off_b + f, off_b + f), Fraction(w, 2)))
     bulk = GradedSymplecticSpace(gv, Matrix(n, n, omega), -1)
     hessian = Matrix(n, n, g)
-    action = Polynomial.build(gv, terms)
     q_bulk = LinearCohomologicalField(gv, Matrix(n, n, q))
 
     # variational boundary term: rows of the fields whose conjugates are
@@ -367,11 +360,17 @@ def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
         bgv, _graded_from_antisymmetric(red.space.omega.scale(-1), bgv), 0)
     q_boundary = LinearCohomologicalField(bgv,
                                           red.descend_field(q_bulk.matrix))
-    s_boundary = hamiltonian_of(q_boundary, boundary)
     bd_anti = tuple(sorted([off_ap + e for e in bd_e]
                            + [off_cp + v for v in bd_v]))
-    return BVBFVPackage(bulk, action, hessian, q_bulk, boundary, alpha,
-                        q_boundary, s_boundary, red, bd_anti, bd_fields)
+    return BVBFVPackage(bulk, hessian, q_bulk, boundary, alpha, q_boundary,
+                        red, bd_anti, bd_fields)
+
+
+def _action(g: Matrix, gv: GradedVectorSpace) -> Polynomial:
+    """S = sum over a >= b of G[a, b] x_a x_b, halved on the diagonal."""
+    return Polynomial.build(gv, (((a, b), x if b < a else Fraction(x, 2))
+                                 for a, row in enumerate(g.data)
+                                 for b, x in row.items() if b <= a))
 
 
 def _pullback(p: Polynomial, pi: Matrix,
@@ -412,9 +411,10 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
           boundary one-form;
     (ii)  the restriction intertwines Q and the boundary field;
     (iii) both fields square to zero;
-    (iv)  Q(S) equals the pullback of twice the boundary generator minus
-          the contraction of the boundary field into the boundary
-          one-form;
+    (iv)  Q(S), S read off the Hessian, equals the pullback of twice the
+          boundary generator (`hamiltonian_of` of the boundary field, so
+          NotSymplecticField if it has none) minus the contraction of
+          the boundary field into the boundary one-form;
     (v)   the Lie derivative of omega along Q equals minus the
           pulled-back boundary two-form (the transpose of (i)).
     """
@@ -432,10 +432,9 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
     res["nilpotency_bulk"] = q @ q
     res["nilpotency_boundary"] = p.q_boundary.matrix @ p.q_boundary.matrix
 
-    qs = p.q_bulk.apply(p.action)
-    rhs = p.s_boundary.scale(2) - _contract(p.alpha_boundary,
-                                            p.q_boundary.matrix,
-                                            p.boundary.base)
+    qs = p.q_bulk.apply(_action(g, p.bulk.base))
+    rhs = hamiltonian_of(p.q_boundary, p.boundary).scale(2) \
+        - _contract(p.alpha_boundary, p.q_boundary.matrix, p.boundary.base)
     res["master"] = qs - _pullback(rhs, pi, p.bulk.base)
 
     res["lie_derivative"] = (qt_omega + omega @ q) \

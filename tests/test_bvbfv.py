@@ -13,6 +13,7 @@ from bvkit.bvbfv import (
     LinearCohomologicalField,
     NonAbelianBrackets,
     NotSymplecticField,
+    _action,
     _bracket_matrix_of,
     bfv_cohomology,
     bfv_resolve,
@@ -620,9 +621,35 @@ def test_bracket_is_the_inverse_of_omega_on_random_spaces():
 def test_boundary_generator_matches_pairing():
     # S-boundary couples ghosts to the divergence of the dual field
     p = build_ed_package(grid_complex(2, 2))
-    assert not p.s_boundary.is_zero()
-    assert p.s_boundary.degree() == 1
-    assert p.s_boundary.max_word_length() == 2
+    s_boundary = hamiltonian_of(p.q_boundary, p.boundary)
+    assert not s_boundary.is_zero()
+    assert s_boundary.degree() == 1
+    assert s_boundary.max_word_length() == 2
+
+
+@pytest.mark.parametrize("cx, bf", [
+    (grid_complex(2, 2), False), (torus_complex(2, 2), True),
+    (annulus_complex(3), False)], ids=["grid22", "torus22-bf", "annulus3"])
+def test_only_the_check_builds_polynomials(monkeypatch, cx, bf):
+    """The package holds linear data only: building it and taking its
+    moduli builds no polynomial, and the check builds the boundary
+    generator once."""
+    calls = {"hamiltonian_of": 0, "build": 0}
+    hamiltonian, build = bvbfv.hamiltonian_of, Polynomial.build
+
+    def counted_hamiltonian(*args):
+        calls["hamiltonian_of"] += 1
+        return hamiltonian(*args)
+
+    def counted_build(*args):
+        calls["build"] += 1
+        return build(*args)
+    monkeypatch.setattr(bvbfv, "hamiltonian_of", counted_hamiltonian)
+    monkeypatch.setattr(Polynomial, "build", staticmethod(counted_build))
+    moduli_of_vacua(build_ed_package(cx, bf=bf))
+    assert calls == {"hamiltonian_of": 0, "build": 0}
+    check_all(build_ed_package(cx, bf=bf))
+    assert calls["hamiltonian_of"] == 1
 
 
 def test_mutation_sensitivity():
@@ -737,8 +764,8 @@ def test_moduli_ranks_match_subspace_oracle():
         seen["nonzero"] += any(got.values())
         # the package's field drops the rows of the boundary antifields;
         # the full {S, .} keeps them, which the quotient by them must see
-        full = dataclasses.replace(
-            p, q_bulk=field_from_hamiltonian(p.action, p.bulk))
+        full = dataclasses.replace(p, q_bulk=field_from_hamiltonian(
+            _action(p.action_hessian, p.bulk.base), p.bulk))
         assert moduli_of_vacua(full) == oracle_moduli(full), kind
         seen["antifield_rows"] += any(any(full.q_bulk.matrix.row(a))
                                       for a in p.boundary_antifields)
@@ -887,16 +914,28 @@ def changed_boundary_field(p):
 
 
 def test_check_catches_a_changed_boundary_field_at_size():
+    """A changed boundary field with no quadratic generator is refused;
+    twice the field squares to zero and has twice the generator, and it
+    breaks exactly the two identities that read the boundary field
+    against the bulk."""
     p = annulus5_package()
-    changed = changed_boundary_field(p)
-    rep = check_bvbfv(dataclasses.replace(p, q_boundary=changed))
+    with pytest.raises(NotSymplecticField):
+        check_bvbfv(dataclasses.replace(
+            p, q_boundary=changed_boundary_field(p)))
+    doubled = LinearCohomologicalField(p.boundary.base,
+                                       p.q_boundary.matrix.scale(2))
+    assert hamiltonian_of(doubled, p.boundary) == \
+        hamiltonian_of(p.q_boundary, p.boundary).scale(2)
+    rep = check_bvbfv(dataclasses.replace(p, q_boundary=doubled))
     assert not rep.passed
-    assert not rep.residuals["restriction"].is_zero()
+    assert {k for k, r in rep.residuals.items() if not r.is_zero()} == \
+        {"restriction", "master"}
 
 
 def test_hamiltonian_of_refuses_a_changed_field_at_size():
     p = annulus5_package()
-    assert hamiltonian_of(p.q_boundary, p.boundary) == p.s_boundary
+    assert hamiltonian_of(p.q_boundary, p.boundary) == \
+        oracle_hamiltonian_of(p.q_boundary, p.boundary)
     with pytest.raises(NotSymplecticField):
         hamiltonian_of(changed_boundary_field(p), p.boundary)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bvkit import cli
 from bvkit import collar as collar_module
 from bvkit.bvbfv import build_ed_package
 from bvkit.collar import (
@@ -31,6 +32,7 @@ from bvkit.symplect import (
     PresymplecticSpace,
     presymplectic_reduce,
 )
+from test_cli import run_cli
 from test_numkit import from_dense, section_of
 
 
@@ -167,6 +169,30 @@ def test_scalar_collar_reduces_to_darboux_pair():
     assert alpha is not None
     assert alpha.d() == red.space.omega
     assert red.space.is_nondegenerate()
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (5, 3), (12, 5), (40, 5)])
+def test_prism_collar_and_reduce_through_the_cli(tmp_path, n, k):
+    """phi on prism(circle(n), k) with the graph Laplacian as its action:
+    the layer-0 circle is the whole boundary, and the reduction keeps phi
+    and its normal derivative at each of its n vertices, both from the
+    complex (`collar`) and from the Laplacian's rows at layer 0
+    (`reduce`)."""
+    cx = prism(circle_complex(n), k)
+    lap = graph_laplacian(cx)
+    assert cx.boundary_indices(0) == list(range(n))
+    want = {"dim": 2 * n, "preboundary_dim": n * (k + 1), "basic": True}
+    code, rep, _ = run_cli(tmp_path, ["collar"], {
+        "complex": cx.to_dict(), "fields": [{"name": "phi", "cell_dim": 0}],
+        "action": cli.mat_to_json(lap)})
+    assert code == 0
+    assert {key: rep["payload"][key] for key in want} == want
+    alpha = Matrix(lap.rows, lap.cols,
+                   [row if v < n else {} for v, row in enumerate(lap.data)])
+    code, rep, _ = run_cli(tmp_path, ["reduce"],
+                           {"alpha": cli.mat_to_json(alpha)})
+    assert code == 0
+    assert {key: rep["payload"][key] for key in want} == want
 
 
 def test_layer_independence():

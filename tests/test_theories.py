@@ -12,6 +12,7 @@ from bvkit.complexes import (
     NotCubical,
     circle_complex,
     coboundary,
+    cohomology,
     disjoint_union,
     grid_complex,
     hodge_star,
@@ -579,10 +580,17 @@ def test_bf_boundary_circle_reduction_dims():
 
 
 def test_bf_boundary_torus_reduction_dims():
-    tor = torus_complex(3, 3)
-    c, char = classical_boundary_bf(tor)
-    assert c.contains_subspace(char)
-    assert c.dim - char.dim == 4  # two copies of H^1 of the torus
+    """The reduced classical boundary of BF theory is two copies of H^1
+    of Sigma, whatever the cell count."""
+    for sigma, h1 in ((torus_complex(2, 2), 2), (torus_complex(2, 5), 2),
+                      (torus_complex(3, 3), 2), (torus_complex(4, 4), 2),
+                      (torus_complex(8, 8), 2),
+                      (disjoint_union(torus_complex(2, 2),
+                                      torus_complex(2, 3)), 4)):
+        c, char = classical_boundary_bf(sigma)
+        assert c.contains_subspace(char)
+        assert cohomology(sigma, 1).dimension == h1
+        assert c.dim - char.dim == 2 * h1
 
 
 def test_bf_circle_coisotropic():
