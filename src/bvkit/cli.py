@@ -293,10 +293,14 @@ def cmd_reduce(cfg) -> dict:
     data = _load_input(cfg)
     number = frac_reader()
     coeff = mat_from_json(data["alpha"], number)
-    const = (tuple(_json_row(data["const"], "const", number))
-             if "const" in data else None)
-    return {"payload": package_to_json(*preboundary_reduce(
-        OneForm(coeff.rows, coeff, const))), "residuals": []}
+    const = _json_row(data.get("const", []), "const", number)
+    alpha = OneForm(coeff.rows, coeff,
+                    {j: x for j, x in enumerate(const) if x})
+    # after the shape check of alpha, so that a bad alpha is named first
+    if "const" in data and len(const) != coeff.rows:
+        raise ValueError("const length mismatch")
+    return {"payload": package_to_json(*preboundary_reduce(alpha)),
+            "residuals": []}
 
 
 def cmd_dtn(cfg) -> dict:

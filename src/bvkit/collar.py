@@ -180,10 +180,10 @@ def preboundary_reduce(a: OneForm) -> tuple[Reduction, Optional[OneForm]]:
     down when it is basic (None otherwise). A zero form, the boundary
     form of every closed complex, reduces to the 0-dimensional space and
     descends to the zero form there, read off with no elimination."""
-    if a.coeff.is_zero() and not any(a.const):
+    if a.coeff.is_zero() and not a.const:
         return (Reduction(PresymplecticSpace.trivial(0),
                           Matrix.zeros(0, a.ambient_dim), ()),
-                OneForm(0, Matrix.zeros(0, 0), ()))
+                OneForm(0, Matrix.zeros(0, 0)))
     red = presymplectic_reduce(PresymplecticSpace(a.ambient_dim, a.d()))
     try:
         return red, red.descend(a)

@@ -238,7 +238,9 @@ def hodge_weights(k: CellComplex, degree: int) -> tuple[Number, ...]:
 def hodge_star(k: CellComplex, degree: int) -> Matrix:
     """Diagonal pairing of degree-k cochains with dual cochains via the
     per-cell weights; identity for unit weights."""
-    return Matrix.diagonal(hodge_weights(k, degree))
+    w = hodge_weights(k, degree)
+    return Matrix(len(w), len(w), [{i: x} if x else {}
+                                   for i, x in enumerate(w)])
 
 
 def _edge(tail: int, head: int) -> Faces:

@@ -74,16 +74,8 @@ def vec(entries: Iterable) -> Vector:
     return tuple(frac(x) for x in entries)
 
 
-def zero_vec(n: int) -> Vector:
-    return (0,) * n
-
-
-def unit_vec(n: int, i: int) -> Vector:
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
 def dot(u: Sequence[Number], v: Sequence[Number]) -> Number:
-    return sum(a * b for a, b in zip(u, v) if a and b)
+    return sum(a * b for a, b in zip(u, v, strict=True) if a and b)
 
 
 class Matrix:
@@ -119,27 +111,13 @@ class Matrix:
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, [{i: 1} for i in range(n)])
 
-    @staticmethod
-    def diagonal(diag: Sequence) -> "Matrix":
-        d = vec(diag)
-        return Matrix(len(d), len(d), [{i: x} if x else {}
-                                       for i, x in enumerate(d)])
-
     @property
     def entries(self) -> tuple[Vector, ...]:
-        return tuple(map(self.row, range(self.rows)))
+        return tuple(tuple(r.get(j, 0) for j in range(self.cols))
+                     for r in self.data)
 
     def __getitem__(self, ij: tuple[int, int]) -> Number:
         return self.data[ij[0]].get(ij[1], 0)
-
-    def row(self, i: int) -> Vector:
-        out = [0] * self.cols
-        for j, x in self.data[i].items():
-            out[j] = x
-        return tuple(out)
-
-    def col(self, j: int) -> Vector:
-        return tuple(r.get(j, 0) for r in self.data)
 
     def transpose(self) -> "Matrix":
         out: list[dict[int, Number]] = [{} for _ in range(self.cols)]
@@ -549,20 +527,13 @@ class Subspace:
     basis: tuple[dict[int, Number], ...]
 
     @staticmethod
-    def from_span(ambient_dim: int, vectors: Sequence) -> "Subspace":
-        """The span of `vectors`: all {col: value} dicts with columns in
-        range(ambient_dim), or all dense sequences of length ambient_dim.
-        """
-        if not vectors:
-            return Subspace(ambient_dim, ())
-        if isinstance(vectors[0], dict):
-            rows = [{j: x for j, x in v.items() if x} for v in vectors]
-        else:
-            m = Matrix.from_rows(vectors)
-            if m.cols != ambient_dim:
-                raise ValueError(
-                    "spanning vectors do not match ambient dimension")
-            rows = m.data
+    def from_span(ambient_dim: int,
+                  vectors: Sequence[dict[int, Number]]) -> "Subspace":
+        """The span of `vectors`, {col: value} dicts with columns in
+        range(ambient_dim); a vector that is not a dict is refused."""
+        if not all(isinstance(v, dict) for v in vectors):
+            raise TypeError("a spanning vector is not a {col: value} dict")
+        rows = [{j: x for j, x in v.items() if x} for v in vectors]
         return Subspace(ambient_dim,
                         tuple(_rref_rows(rows, ambient_dim)[0]))
 
@@ -582,15 +553,11 @@ class Subspace:
     def matrix(self) -> Matrix:
         return Matrix(self.dim, self.ambient_dim, self.basis)
 
-    def contains(self, v) -> bool:
-        """Whether v, a dense vector of length ambient_dim or a {col:
-        value} dict, lies in the subspace."""
-        if isinstance(v, dict):
-            w = dict(v)
-        elif len(v) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        else:
-            w = dict(enumerate(v))
+    def contains(self, v: dict[int, Number]) -> bool:
+        """Whether v, a {col: value} dict, lies in the subspace."""
+        if not isinstance(v, dict):
+            raise TypeError("a vector is not a {col: value} dict")
+        w = dict(v)
         # the basis is in RREF: each row's pivot entry is 0 in every other
         # row, so v lies in the span iff v - sum v[pivot_i] b_i vanishes
         for b in self.basis:

@@ -17,7 +17,6 @@ from .numkit import (
     _int_rows,
     _pivot_columns,
     _rref_int_rows,
-    unit_vec,
 )
 from .symplect import (
     ClassificationResult,
@@ -60,7 +59,13 @@ class LinearRelation:
                               Subspace.from_span(ns + nt, flipped))
 
     def contains(self, x, y) -> bool:
-        return self.body.contains(tuple(x) + tuple(y))
+        """Whether the pair of dense points (x, y) lies in the relation."""
+        ns = self.source.dim
+        if len(x) != ns or len(y) != self.target.dim:
+            raise ValueError("point does not match source and target")
+        v = {i: a for i, a in enumerate(x) if a}
+        v.update((ns + i, b) for i, b in enumerate(y) if b)
+        return self.body.contains(v)
 
 
 def identity_relation(v: PresymplecticSpace) -> LinearRelation:
@@ -72,9 +77,11 @@ def graph(source: PresymplecticSpace, target: PresymplecticSpace,
     """Relation {(x, f x)} of a linear map given by the matrix f."""
     if f.shape != (target.dim, source.dim):
         raise ValueError("map shape does not match source and target")
-    span = [unit_vec(source.dim, i) + f.col(i) for i in range(source.dim)]
+    ns = source.dim
+    span = [{i: 1, **{ns + j: x for j, x in col.items()}}
+            for i, col in enumerate(f.transpose().data)]
     return LinearRelation(source, target,
-                          Subspace.from_span(source.dim + target.dim, span))
+                          Subspace.from_span(ns + target.dim, span))
 
 
 def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:

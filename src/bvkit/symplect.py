@@ -24,8 +24,6 @@ from .numkit import (
     dot,
     kernel,
     sparse_rank,
-    unit_vec,
-    zero_vec,
 )
 
 
@@ -73,25 +71,23 @@ class PresymplecticSpace:
 class OneForm:
     """Linear-plus-constant one-form: alpha at x is the covector coeff@x + const.
 
-    The constant part carries affine data (the geodesic fixture needs it);
-    it is invisible to d.
+    The constant part carries affine data (the geodesic fixture needs it)
+    as a {col: value} dict of its nonzeros, empty when there is none; it
+    is invisible to d.
     """
 
     ambient_dim: int
     coeff: Matrix
-    const: Vector = None  # type: ignore[assignment]
+    const: dict[int, Number] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.coeff.shape != (self.ambient_dim, self.ambient_dim):
             raise ValueError("coeff must be square of size ambient_dim")
-        if self.const is None:
-            object.__setattr__(self, "const", zero_vec(self.ambient_dim))
-        elif len(self.const) != self.ambient_dim:
-            raise ValueError("const length mismatch")
 
     def at(self, x) -> Vector:
         """Covector of alpha at the point x."""
-        return tuple(a + c for a, c in zip(self.coeff.apply(x), self.const))
+        return tuple(a + self.const.get(j, 0)
+                     for j, a in enumerate(self.coeff.apply(x)))
 
     def evaluate(self, x, dx) -> Number:
         return dot(self.at(x), dx)
@@ -163,14 +159,14 @@ class Reduction:
         S^T const = const[piv] gives a again. Raises NotBasic otherwise.
         """
         p, piv = self.projection, self.pivots
-        pt = p.transpose()
         coeff_red = a.coeff.submatrix(piv, piv)
-        const_red = tuple(a.const[i] for i in piv)
-        if pt @ coeff_red @ p != a.coeff:
+        const = Matrix(1, a.ambient_dim, [a.const])
+        const_red = const.submatrix((0,), piv)
+        if p.transpose() @ coeff_red @ p != a.coeff:
             raise NotBasic("one-form is not invariant along the kernel")
-        if pt.apply(const_red) != tuple(a.const):
+        if const_red @ p != const:
             raise NotBasic("one-form is not horizontal on the kernel")
-        return OneForm(self.space.dim, coeff_red, const_red)
+        return OneForm(self.space.dim, coeff_red, const_red.data[0])
 
     def descend_field(self, q: Matrix) -> Matrix:
         """The vector field on the reduced space that the linear field q
@@ -256,7 +252,7 @@ def gotay_embed(c: PresymplecticSpace) -> GotayEmbedding:
     omega_f = top.vstack(bottom)
     space = PresymplecticSpace(n + k, omega_f)
     emb = Matrix.identity(n).vstack(Matrix.zeros(k, n))
-    image = Subspace.from_span(n + k, [unit_vec(n + k, i) for i in range(n)])
+    image = Subspace.from_span(n + k, [{i: 1} for i in range(n)])
     return GotayEmbedding(space, emb, image)
 
 

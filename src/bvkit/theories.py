@@ -24,7 +24,6 @@ from .numkit import (
     frac,
     kernel,
     schur_complement,
-    unit_vec,
     vec,
 )
 from .relations import LinearRelation, compose, graph
@@ -309,20 +308,15 @@ def geodesic_fixture(step: Number = 1) -> GeodesicFixture:
     n = 6
     # alpha's linear part: dth coefficient on dq2
     coeff = Matrix(n, n, [{}, {2: 1}, {}, {}, {}, {}])
-    const = unit_vec(n, 0)    # velocity times dq picks up d(q1) at the basepoint
+    const = {0: 1}    # velocity times dq picks up d(q1) at the basepoint
     space = PresymplecticSpace(n, d_of_coeff(coeff))
     alpha = OneForm(n, coeff, const)
 
     lam = frac(step)
-    span = []
-    for i in (0, 3, 4, 5):
-        span.append(unit_vec(2 * n, i))
-        span.append(unit_vec(2 * n, n + i))
-    q2, th = unit_vec(2 * n, 1), unit_vec(2 * n, 2)
-    q2p, thp = unit_vec(2 * n, n + 1), unit_vec(2 * n, n + 2)
-    span.append(tuple(a + b for a, b in zip(q2, q2p)))
-    span.append(tuple(a + b + lam * c
-                      for a, b, c in zip(th, thp, q2p)))
+    span = [{j: 1} for i in (0, 3, 4, 5) for j in (i, n + i)]
+    # dq2 is carried along; dth is carried and moves dq2 by lam dth
+    span.append({1: 1, n + 1: 1})
+    span.append({2: 1, n + 2: 1, n + 1: lam})
     rel = LinearRelation(space, space, Subspace.from_span(2 * n, span))
 
     p_src = Matrix.from_rows([[0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]])
@@ -347,13 +341,8 @@ def dirac_counterexample(n: int) -> tuple[PresymplecticSpace, LinearRelation,
         raise ValueError("truncation order must be at least 1")
     dim = n + 2  # x plus the y-jets up to order n
     space = PresymplecticSpace.trivial(dim)
-    span = []
-    x_pair = tuple(unit_vec(2 * dim, 0)[i] + unit_vec(2 * dim, dim)[i]
-                   for i in range(2 * dim))
-    span.append(x_pair)
-    for i in range(1, dim):
-        span.append(unit_vec(2 * dim, i))
-        span.append(unit_vec(2 * dim, dim + i))
+    span = [{0: 1, dim: 1}]    # x is kept
+    span += [{j: 1} for i in range(1, dim) for j in (i, dim + i)]
     rel = LinearRelation(space, space, Subspace.from_span(2 * dim, span))
     return space, rel, rel.classify()
 

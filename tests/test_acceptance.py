@@ -57,6 +57,7 @@ from bvkit.theories import (
     reduce_relation,
 )
 from test_complexes import dense_edge_boundary, dense_faces, subgraph_theory
+from test_numkit import span_of
 
 
 def dot(u, v):
@@ -96,7 +97,7 @@ def random_symplectomorphism(rng, n_pairs):
 
 def random_relation(rng, src, tgt, count):
     n = src.dim + tgt.dim
-    return LinearRelation(src, tgt, Subspace.from_span(
+    return LinearRelation(src, tgt, span_of(
         n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(count)]))
 
 
@@ -226,7 +227,7 @@ def test_criterion_3_variational_split():
         bset = set(p.boundary_fields)
         el_rows = Matrix.from_rows([
             [Fraction(0)] * n if a in bset
-            else list(p.action_hessian.row(a)) for a in range(n)])
+            else list(p.action_hessian.entries[a]) for a in range(n)])
         for _ in range(20):
             x = vec([rng.randint(-5, 5) for _ in range(n)])
             dx = vec([rng.randint(-5, 5) for _ in range(n)])

@@ -580,8 +580,8 @@ def test_builders_match_dense_incidence_tables():
             assert coboundary(cx, k - 1) == d, name
             assert coboundary(cx, k - 1, relative=True) == d.submatrix(
                 _interior(flags[k]), _interior(flags[k - 1])), name
-            seen["cancelled"] += sum(not any(op.col(j))
-                                     for j in range(op.cols))
+            seen["cancelled"] += sum(not any(col)
+                                     for col in op.transpose().data)
         top = cx.n_cells(cx.dim)
         assert cx.boundary_op(cx.dim + 1) == Matrix.zeros(top, 0)
         assert coboundary(cx, cx.dim) == Matrix.zeros(0, top)
@@ -610,8 +610,8 @@ def grows_span_cohomology(cx, degree, relative=False):
 
     if degree > 0:
         d_below = coboundary(cx, degree - 1, relative)
-        for j in range(d_below.cols):
-            grows_span(d_below.col(j))
+        for col in d_below.transpose().entries:
+            grows_span(col)
     cocycles = kernel(coboundary(cx, degree, relative))
     reps = [v for v in cocycles.matrix().entries if grows_span(v)]
     if relative:

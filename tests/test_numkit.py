@@ -11,6 +11,7 @@ from bvkit.complexes import path_complex
 from bvkit.numkit import (
     Matrix,
     Subspace,
+    block_diag,
     dot,
     frac,
     frac_reader,
@@ -31,6 +32,24 @@ from bvkit.theories import ScalarFieldTheory, dtn
 def from_dense(rows, cols, a):
     """The Matrix with the dense rows `a`, also when it has no rows."""
     return Matrix.from_rows(a) if rows else Matrix.zeros(0, cols)
+
+
+def sparse_vec(v):
+    """The {col: value} dict of the nonzeros of a dense vector, the one
+    vector form that bvkit's spans, subspaces and one-forms take."""
+    return {j: x for j, x in enumerate(vec(v)) if x}
+
+
+def span_of(n, vectors):
+    """`Subspace.from_span` of dense vectors, each of length n."""
+    if any(len(v) != n for v in vectors):
+        raise ValueError("spanning vectors do not match ambient dimension")
+    return Subspace.from_span(n, [sparse_vec(v) for v in vectors])
+
+
+def unit(n, i):
+    """The i-th dense unit vector of Q^n."""
+    return tuple(int(j == i) for j in range(n))
 
 
 def random_matrix(rng, rows, cols, den=4, num=6):
@@ -306,9 +325,9 @@ def test_sparse_matrix_matches_dense_oracle():
         seen["zero_row"] += any(not row for row in s.data) and c > 0
         assert (s.rows, s.cols) == (r, c)
         for i in range(r):
-            assert s.row(i) == d.row(i)
+            assert s.entries[i] == d.row(i)
             assert all(s[i, j] == d[i, j] for j in range(c))
-        assert all(s.col(j) == d.col(j) for j in range(c))
+        assert all(s.transpose().entries[j] == d.col(j) for j in range(c))
         assert_matches(s.transpose(), d.transpose())
         assert_matches(-s, -d)
         x = rng.choice([0, 1, -2, Fraction(1, 3)])
@@ -330,7 +349,8 @@ def test_sparse_matrix_matches_dense_oracle():
         cols = [rng.randrange(c) for _ in range(size())] if c else []
         assert_matches(s.submatrix(rows, cols), d.submatrix(rows, cols))
         diag = [rng.choice(values) for _ in range(r)]
-        assert_matches(Matrix.diagonal(diag), DenseMatrix.diagonal(diag))
+        assert_matches(block_diag(*(Matrix.from_rows([[x]]) for x in diag)),
+                       DenseMatrix.diagonal(diag))
         assert_matches(Matrix.identity(r), DenseMatrix.identity(r))
         assert_matches(Matrix.zeros(r, c), DenseMatrix.zeros(r, c))
         # antisymmetry: the upper triangle of a square case mirrored
@@ -447,7 +467,7 @@ def test_kernel_identity():
 
 def test_kernel_hand_example():
     k = kernel(Matrix.from_rows([[1, 1, 0], [0, 0, 1]]))
-    assert k == Subspace.from_span(3, [[1, -1, 0]])
+    assert k == span_of(3, [[1, -1, 0]])
 
 
 def test_kernel_vectors_annihilated():
@@ -1003,7 +1023,7 @@ def intersect(u, v):
     red, pivots = rref(Matrix.from_rows(rows))
     inter = [red.entries[i][n:] for i in range(len(pivots))
              if all(x == 0 for x in red.entries[i][:n])]
-    return Subspace.from_span(n, inter)
+    return span_of(n, inter)
 
 
 def quotient(ambient_dim, w):
@@ -1030,37 +1050,37 @@ def section_of(projection):
 
 def image(m):
     """Oracle: the column space of m, as a subspace of Q^rows."""
-    return Subspace.from_span(m.rows, m.transpose().entries)
+    return Subspace.from_span(m.rows, m.transpose().data)
 
 
 def test_subspace_sum_intersect_axes():
-    u = Subspace.from_span(2, [[1, 0]])
-    v = Subspace.from_span(2, [[0, 1]])
+    u = span_of(2, [[1, 0]])
+    v = span_of(2, [[0, 1]])
     assert sum_spaces(u, v) == Subspace.full(2)
     assert intersect(u, v) == Subspace.zero(2)
 
 
 def test_quotient_drops_spanned_coordinate():
-    dim, proj = quotient(3, Subspace.from_span(3, [[0, 0, 1]]))
+    dim, proj = quotient(3, span_of(3, [[0, 0, 1]]))
     assert dim == 2
-    assert kernel(proj) == Subspace.from_span(3, [[0, 0, 1]])
+    assert kernel(proj) == span_of(3, [[0, 0, 1]])
 
 
 def test_dimension_formula_random():
     rng = random.Random(5)
     for _ in range(15):
-        u = Subspace.from_span(10, [[rng.randint(-3, 3) for _ in range(10)]
-                                    for _ in range(rng.randint(0, 6))])
-        v = Subspace.from_span(10, [[rng.randint(-3, 3) for _ in range(10)]
-                                    for _ in range(rng.randint(0, 6))])
+        u = span_of(10, [[rng.randint(-3, 3) for _ in range(10)]
+                         for _ in range(rng.randint(0, 6))])
+        v = span_of(10, [[rng.randint(-3, 3) for _ in range(10)]
+                         for _ in range(rng.randint(0, 6))])
         assert sum_spaces(u, v).dim + intersect(u, v).dim == u.dim + v.dim
 
 
 def test_quotient_section_roundtrip():
     rng = random.Random(13)
     for _ in range(10):
-        w = Subspace.from_span(6, [[rng.randint(-3, 3) for _ in range(6)]
-                                   for _ in range(rng.randint(0, 4))])
+        w = span_of(6, [[rng.randint(-3, 3) for _ in range(6)]
+                        for _ in range(rng.randint(0, 4))])
         dim, proj = quotient(6, w)
         assert dim == 6 - w.dim
         assert kernel(proj) == w
@@ -1082,9 +1102,9 @@ def test_rank_equals_rank_of_transpose(rows):
        st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                 min_size=2, max_size=5))
 def test_subspace_equality_is_canonical(rows_a, rows_b):
-    u = Subspace.from_span(4, rows_a)
-    both = Subspace.from_span(4, rows_a + rows_b)
-    again = Subspace.from_span(4, rows_b + rows_a)
+    u = span_of(4, rows_a)
+    both = span_of(4, rows_a + rows_b)
+    again = span_of(4, rows_b + rows_a)
     assert both == again
     if both.dim == u.dim:
         assert both == u
@@ -1096,14 +1116,14 @@ def test_contains_matches_stacked_span():
         n = rng.randint(1, 7)
         gens = [[rng.choice([0, 0, 1, -2, Fraction(3, 2)]) for _ in range(n)]
                 for _ in range(rng.randint(0, 4))]
-        u = Subspace.from_span(n, gens)
+        u = span_of(n, gens)
         coeffs = [rng.randint(-2, 2) for _ in gens]
         inside = [sum((c * g[j] for c, g in zip(coeffs, gens)), Fraction(0))
                   for j in range(n)]
         for v in (vec(inside), vec([rng.randint(-2, 2) for _ in range(n)])):
-            stacked = Subspace.from_span(n, list(u.matrix().entries) + [v])
-            assert u.contains(v) == (stacked.dim == u.dim)
-        assert u.contains(vec(inside))
+            stacked = span_of(n, list(u.matrix().entries) + [v])
+            assert u.contains(sparse_vec(v)) == (stacked.dim == u.dim)
+        assert u.contains(sparse_vec(inside))
 
 
 def test_contains_subspace_matches_stacked_span():
@@ -1113,7 +1133,7 @@ def test_contains_subspace_matches_stacked_span():
         n = rng.randint(1, 6)
         gens = [[rng.choice([0, 0, 1, -2, Fraction(3, 2)]) for _ in range(n)]
                 for _ in range(rng.randint(0, 4))]
-        u = Subspace.from_span(n, gens)
+        u = span_of(n, gens)
         # a subspace of u half the time, an unrelated one otherwise
         if rng.random() < 0.5:
             others = [[sum((rng.randint(-2, 2) * g[j] for g in gens),
@@ -1122,7 +1142,7 @@ def test_contains_subspace_matches_stacked_span():
         else:
             others = [[rng.randint(-2, 2) for _ in range(n)]
                       for _ in range(rng.randint(0, 3))]
-        v = Subspace.from_span(n, others)
+        v = span_of(n, others)
         stacked = Subspace.from_span(n, list(u.basis) + list(v.basis))
         want = stacked.dim == u.dim
         assert u.contains_subspace(v) == want
@@ -1197,7 +1217,8 @@ def dense_classify(v, l):
 def random_span(rng, n, seen):
     """Seeded spanning vectors of Q^n: none, the whole space, or a few
     sparse rows with zero and duplicate rows mixed in; each case named in
-    `seen`. Half of them are given as dicts."""
+    `seen`, as {col: value} dicts. Half of them keep their zero entries,
+    which `Subspace.from_span` drops."""
     r = rng.random()
     if r < 0.1:
         seen["empty"] += 1
@@ -1219,12 +1240,11 @@ def random_span(rng, n, seen):
             vs.append(list(rng.choice(vs)))
     if rng.random() < 0.5:
         return [{j: x for j, x in enumerate(v) if x} for v in vs]
-    return vs
+    return [dict(enumerate(v)) for v in vs]
 
 
 def as_dense(n, vs):
-    return [[v.get(j, Fraction(0)) for j in range(n)]
-            if isinstance(v, dict) else v for v in vs]
+    return [[v.get(j, Fraction(0)) for j in range(n)] for v in vs]
 
 
 def random_space(rng, n):
@@ -1250,15 +1270,15 @@ def test_sparse_subspace_matches_dense_oracles():
         vs, ws = random_span(rng, n, seen), random_span(rng, n, seen)
         u, w = Subspace.from_span(n, vs), Subspace.from_span(n, ws)
         assert u.matrix().entries == dense_span(n, as_dense(n, vs))
-        assert u == Subspace.from_span(n, as_dense(n, vs))
+        assert u == span_of(n, as_dense(n, vs))
         assert all(min(b) == next(j for j, x in enumerate(row) if x)
                    for b, row in zip(u.basis, u.matrix().entries))
         stacked = dense_span(n, as_dense(n, vs + ws))
         assert u.contains_subspace(w) == (len(stacked) == u.dim)
         for x in as_dense(n, ws[:2]):
             want = len(dense_span(n, as_dense(n, vs) + [x])) == u.dim
-            assert u.contains(x) == u.contains(
-                {j: y for j, y in enumerate(x) if y}) == want
+            assert u.contains(sparse_vec(x)) == u.contains(
+                dict(enumerate(x))) == want
             seen["contained" if want else "not contained"] += 1
         m = from_dense(len(vs), n, as_dense(n, vs))
         assert kernel(m).matrix().entries == dense_kernel(m)
@@ -1318,16 +1338,31 @@ def test_no_unused_imports_in_src():
 def test_dense_entries_read_only_in_numkit_and_render():
     """`Matrix.entries` is a dense view; outside numkit nothing in src/
     reads it, and the JSON renderer `cli.mat_to_json` writes from the
-    nonzeros."""
+    nonzeros. The sparse dict row is the only vector form src/ builds: no
+    module names a dense unit or zero vector or reads a dense row, column
+    or diagonal off a matrix, and spans and membership refuse a row that
+    is not a dict."""
     src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
-    found = []
+    found, dense = [], []
     for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        dense += [f"{path.name}:{getattr(node, 'lineno', '?')}:{name}"
+                  for node in ast.walk(tree)
+                  for name in [getattr(node, "id", None)
+                               or getattr(node, "name", None)
+                               or getattr(node, "attr", None)]
+                  if name in ("unit_vec", "zero_vec") or (
+                      isinstance(node, ast.Attribute)
+                      and name in ("row", "col", "diagonal"))]
         if path.name == "numkit.py":
             continue
-        found += [f"{path.name}:{node.lineno}"
-                  for node in ast.walk(ast.parse(path.read_text()))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Attribute) and node.attr == "entries"]
-    assert found == []
+    assert found == [] and dense == []
+    with pytest.raises(TypeError):
+        Subspace.from_span(2, [(1, 0)])
+    with pytest.raises(TypeError):
+        Subspace.full(2).contains((1, 0))
 
 
 def test_only_rank_reads_the_dense_rref():
@@ -1391,8 +1426,8 @@ def test_readers_and_readouts_follow_the_number_rule():
 
 
 def test_subspace_ambient_mismatch_raises():
-    u = Subspace.from_span(2, [[1, 0]])
-    v = Subspace.from_span(3, [[1, 0, 0]])
+    u = span_of(2, [[1, 0]])
+    v = span_of(3, [[1, 0, 0]])
     with pytest.raises(ValueError):
         u.contains_subspace(v)
     with pytest.raises(ValueError):

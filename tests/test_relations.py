@@ -14,6 +14,7 @@ from bvkit.relations import (
     project_relation,
 )
 from bvkit.symplect import PresymplecticSpace
+from test_numkit import span_of
 
 
 def random_symmetric(rng, n):
@@ -53,7 +54,7 @@ def random_symplectomorphism(rng, n_pairs):
 
 def random_relation(rng, src, tgt, count):
     n = src.dim + tgt.dim
-    return LinearRelation(src, tgt, Subspace.from_span(
+    return LinearRelation(src, tgt, span_of(
         n, [[rng.randint(-3, 3) for _ in range(n)] for _ in range(count)]))
 
 
@@ -70,7 +71,7 @@ def oracle_compose(first, second):
     outer2 = b2.submatrix(range(k2), range(nm, nm + nt)).transpose()
     span = [outer1.apply(p[:k1]) + outer2.apply(p[k1:])
             for p in params.matrix().entries]
-    return Subspace.from_span(ns + nt, span)
+    return span_of(ns + nt, span)
 
 
 def test_compose_matches_kernel_oracle():
@@ -81,7 +82,7 @@ def test_compose_matches_kernel_oracle():
         src, mid, tgt = (PresymplecticSpace.trivial(n) for n in (ns, nm, nt))
         # few, sparse spanning rows so that middles often match or vanish
         first, second = (
-            LinearRelation(a, b, Subspace.from_span(a.dim + b.dim, [
+            LinearRelation(a, b, span_of(a.dim + b.dim, [
                 [rng.choice([-2, -1, 0, 0, 1, Fraction(1, 3)])
                  for _ in range(a.dim + b.dim)]
                 for _ in range(rng.randint(0, a.dim + b.dim))]))
@@ -121,7 +122,7 @@ def _degenerate_bodies(rng, a, b):
         Subspace.full(n),
         Subspace.from_span(n, [{j: 1} for j in range(na)]),
         Subspace.from_span(n, [{j: 1} for j in range(na, n)]),
-        Subspace.from_span(n, rows + rows + [[0] * n]) if n else
+        span_of(n, rows + rows + [[0] * n]) if n else
         Subspace.zero(0),
     ]
 
@@ -135,7 +136,7 @@ def test_compose_matches_one_rref_oracle():
     for _ in range(150):
         ns, nm, nt = (rng.randint(0, 5) for _ in range(3))
         src, mid, tgt = (PresymplecticSpace.trivial(n) for n in (ns, nm, nt))
-        firsts = [LinearRelation(src, mid, Subspace.from_span(ns + nm, [
+        firsts = [LinearRelation(src, mid, span_of(ns + nm, [
             [Fraction(rng.randint(-9, 9), rng.randint(1, 5))
              if rng.random() < 0.7 else 0 for _ in range(ns + nm)]
             for _ in range(rng.randint(0, ns + nm))]))]
@@ -240,6 +241,22 @@ def test_transpose_is_involution_and_flips_membership():
         assert r.transpose().contains(y, x)
 
 
+def test_contains_checks_each_point_against_its_own_space():
+    """A point pair of the right total length is refused when either
+    side has the wrong length, not read across the source-target split."""
+    v, w = PresymplecticSpace.standard(1), PresymplecticSpace.trivial(1)
+    ident = identity_relation(v)
+    assert ident.contains((1, 0), (1, 0))
+    assert not ident.contains((1, 0), (0, 1))
+    for x, y in (((1, 0, 1), (0,)), ((1,), (0, 1, 0)), ((1, 0), (1,))):
+        with pytest.raises(ValueError):
+            ident.contains(x, y)
+    r = LinearRelation(v, w, span_of(3, [[1, 0, 2]]))
+    assert r.contains((1, 0), (2,)) and not r.contains((1, 0), (1,))
+    with pytest.raises(ValueError):
+        r.contains((1,), (0, 2))
+
+
 def test_projection_of_graph_is_full_domain():
     v = PresymplecticSpace.standard(1)
     r = graph(v, v, Matrix.from_rows([[1, 1], [0, 1]]))
@@ -249,14 +266,14 @@ def test_projection_of_graph_is_full_domain():
 
 def test_projection_of_partial_relation():
     v = PresymplecticSpace.standard(1)
-    body = Subspace.from_span(4, [[1, 0, 0, 0]])
+    body = span_of(4, [[1, 0, 0, 0]])
     r = LinearRelation(v, v, body)
-    assert project_relation(r, "domain") == Subspace.from_span(2, [[1, 0]])
+    assert project_relation(r, "domain") == span_of(2, [[1, 0]])
     assert project_relation(r, "range") == Subspace.zero(2)
 
 
 def test_compose_empty_overlap_gives_zero_body():
     v = PresymplecticSpace.standard(1)
-    a = LinearRelation(v, v, Subspace.from_span(4, [[1, 0, 1, 0]]))
-    b = LinearRelation(v, v, Subspace.from_span(4, [[0, 1, 0, 1]]))
+    a = LinearRelation(v, v, span_of(4, [[1, 0, 1, 0]]))
+    b = LinearRelation(v, v, span_of(4, [[0, 1, 0, 1]]))
     assert compose(a, b).body == Subspace.zero(4)

@@ -14,7 +14,6 @@ from bvkit.numkit import (
     invert,
     kernel,
     rank,
-    unit_vec,
     vec,
 )
 from bvkit.symplect import (
@@ -31,7 +30,16 @@ from bvkit.symplect import (
     twisted_product,
 )
 from bvkit.collar import preboundary_reduce
-from test_numkit import from_dense, intersect, quotient, section_of, sum_spaces
+from test_numkit import (
+    from_dense,
+    intersect,
+    quotient,
+    section_of,
+    span_of,
+    sparse_vec,
+    sum_spaces,
+    unit,
+)
 
 
 def omega_complement(v, l):
@@ -62,15 +70,15 @@ def selector(n, pivots):
 
 
 def random_subspace(rng, n, count):
-    return Subspace.from_span(n, [[rng.randint(-3, 3) for _ in range(n)]
-                                  for _ in range(count)])
+    return span_of(n, [[rng.randint(-3, 3) for _ in range(n)]
+                       for _ in range(count)])
 
 
 def test_sign_convention_matches_pairing_momentum_with_field():
     # alpha = chi d(phi) in coordinates (phi, chi): W[phi-row, chi-col] = 1
     w = Matrix.from_rows([[0, 1], [0, 0]])
     omega = d_of_coeff(w)
-    e_phi, e_chi = unit_vec(2, 0), unit_vec(2, 1)
+    e_phi, e_chi = unit(2, 0), unit(2, 1)
     v = PresymplecticSpace(2, omega)
     assert v.pairing(e_chi, e_phi) == 1
     assert v.pairing(e_phi, e_chi) == -1
@@ -79,12 +87,12 @@ def test_sign_convention_matches_pairing_momentum_with_field():
 def test_standard_space_pairing():
     v = PresymplecticSpace.standard(2)  # coords (q1, q2, p1, p2)
     assert v.is_nondegenerate()
-    assert v.pairing(unit_vec(4, 2), unit_vec(4, 0)) == 1
+    assert v.pairing(unit(4, 2), unit(4, 0)) == 1
 
 
 def test_line_in_plane_is_lagrangian():
     v = PresymplecticSpace.standard(1)
-    line = Subspace.from_span(2, [[1, 0]])
+    line = span_of(2, [[1, 0]])
     res = classify(v, line)
     assert res.is_lagrangian
     assert omega_complement(v, line) == line
@@ -92,7 +100,7 @@ def test_line_in_plane_is_lagrangian():
 
 def test_trivial_form_complement_is_everything():
     v = PresymplecticSpace.trivial(3)
-    l = Subspace.from_span(3, [[1, 2, 0]])
+    l = span_of(3, [[1, 2, 0]])
     assert omega_complement(v, l) == Subspace.full(3)
     res = classify(v, l)
     assert res.is_isotropic and not res.is_coisotropic
@@ -100,10 +108,9 @@ def test_trivial_form_complement_is_everything():
 
 def test_axis_in_four_dims_isotropic_not_coisotropic():
     v = PresymplecticSpace.standard(2)
-    axis = Subspace.from_span(4, [[1, 0, 0, 0]])
+    axis = span_of(4, [[1, 0, 0, 0]])
     perp = omega_complement(v, axis)
-    assert perp == Subspace.from_span(4, [[1, 0, 0, 0], [0, 1, 0, 0],
-                                          [0, 0, 0, 1]])
+    assert perp == span_of(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     res = classify(v, axis)
     assert res.is_isotropic and not res.is_coisotropic
 
@@ -163,7 +170,7 @@ def darboux_case(rng):
     if rng.random() < 0.1:
         axes = rng.choice([[], list(range(n))])
     return (PresymplecticSpace(n, q.transpose() @ omega0 @ q),
-            Subspace.from_span(n, [q_inv.col(j) for j in axes]))
+            Subspace.from_span(n, [q_inv.transpose().data[j] for j in axes]))
 
 
 def random_case(rng):
@@ -176,7 +183,7 @@ def random_case(rng):
     omega = a.transpose() @ j @ a if a.rows else Matrix.zeros(n, n)
     span = [[random_rational(rng) for _ in range(n)]
             for _ in range(rng.randint(0, n + 1))]
-    return PresymplecticSpace(n, omega), Subspace.from_span(n, span)
+    return PresymplecticSpace(n, omega), span_of(n, span)
 
 
 def test_classify_ranks_match_complement_oracle():
@@ -232,13 +239,14 @@ def oracle_reduce(v):
 
 def oracle_descend(proj, sec, a):
     pt, st = proj.transpose(), sec.transpose()
+    const = tuple(a.const.get(j, 0) for j in range(a.ambient_dim))
     coeff_red = st @ a.coeff @ sec
-    const_red = st.apply(a.const)
+    const_red = st.apply(const)
     if pt @ coeff_red @ proj != a.coeff:
         raise NotBasic("one-form is not invariant along the kernel")
-    if pt.apply(const_red) != tuple(a.const):
+    if pt.apply(const_red) != const:
         raise NotBasic("one-form is not horizontal on the kernel")
-    return OneForm(proj.rows, coeff_red, const_red)
+    return OneForm(proj.rows, coeff_red, sparse_vec(const_red))
 
 
 def oracle_project(proj, sec, q):
@@ -281,10 +289,10 @@ def test_reduce_at_pivots_matches_quotient_section_oracle():
 
         k = proj.rows
         coeff = random_block(rng, n, n)
-        const = random_block(rng, 1, n).row(0) if n else ()
+        const = random_block(rng, 1, n).data[0] if n else {}
         pulled = OneForm(n, proj.transpose() @ random_block(rng, k, k) @ proj,
-                         proj.transpose().apply(
-                             random_block(rng, 1, k).row(0) if k else ()))
+                         sparse_vec(proj.transpose().apply(
+                             random_block(rng, 1, k).entries[0] if k else ())))
         for form in (OneForm(n, coeff), OneForm(n, coeff, const), pulled):
             got = outcome(red.descend, form)
             assert got == outcome(oracle_descend, proj, sec, form)
@@ -311,7 +319,7 @@ def test_coisotropic_reduce_momentum_level_set():
     # c = {p1 = 0} in (q1, q2, p1, p2): kernel of restricted form is the
     # q1 direction, leaving one symplectic pair
     v = PresymplecticSpace.standard(2)
-    c = Subspace.from_span(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    c = span_of(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     assert classify(v, c).is_coisotropic
     red = coisotropic_reduce(v, c)
     assert red.space.dim == 2
@@ -321,7 +329,7 @@ def test_coisotropic_reduce_momentum_level_set():
 def test_coisotropic_reduce_rejects_isotropic_line():
     v = PresymplecticSpace.standard(2)
     with pytest.raises(NotCoisotropic):
-        coisotropic_reduce(v, Subspace.from_span(4, [[1, 0, 0, 0]]))
+        coisotropic_reduce(v, span_of(4, [[1, 0, 0, 0]]))
 
 
 def test_coisotropic_reduce_rejects_degenerate_ambient():
@@ -397,7 +405,7 @@ def test_reduce_one_form_rejects_linear_kernel_dependence():
     # kernel direction: W[0,2] = W[2,0] makes dW symmetric-cancelling
     w = Matrix.from_rows([[0, 1, 1], [0, 0, 0], [1, 0, 0]])
     v = PresymplecticSpace(3, d_of_coeff(w))
-    assert v.kernel_subspace().contains(unit_vec(3, 2))
+    assert v.kernel_subspace().contains({2: 1})
     with pytest.raises(NotBasic):
         presymplectic_reduce(v).descend(OneForm(3, w))
 
@@ -405,7 +413,7 @@ def test_reduce_one_form_rejects_linear_kernel_dependence():
 def test_reduce_one_form_rejects_constant_along_kernel():
     w = Matrix.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 0]])
     v = PresymplecticSpace(3, d_of_coeff(w))
-    a = OneForm(3, w, vec([0, 0, 1]))
+    a = OneForm(3, w, {2: 1})
     with pytest.raises(NotBasic):
         presymplectic_reduce(v).descend(a)
 
@@ -414,8 +422,9 @@ def basic_by_kernel_vectors(v, a):
     """Reference rule: a descends when coeff, coeff^T and const all
     vanish on each kernel basis vector of omega."""
     wt = a.coeff.transpose()
+    const = tuple(a.const.get(j, 0) for j in range(a.ambient_dim))
     return all(not any(a.coeff.apply(k)) and not any(wt.apply(k))
-               and dot(a.const, k) == 0
+               and dot(const, k) == 0
                for k in v.kernel_subspace().matrix().entries)
 
 
@@ -439,14 +448,14 @@ def test_reduce_one_form_matches_kernel_vector_rule():
             c[rng.randrange(n)] += 1
         w = Matrix.from_rows(rows)
         v = PresymplecticSpace(n, d_of_coeff(w))
-        a = OneForm(n, w, vec(c))
+        a = OneForm(n, w, sparse_vec(c))
         expected = basic_by_kernel_vectors(v, a)
         seen.add((expected, v.kernel_subspace().dim > 0))
         if expected:
             reduction = presymplectic_reduce(v)
             red, p = reduction.descend(a), reduction.projection
             assert p.transpose() @ red.coeff @ p == w
-            assert p.transpose().apply(red.const) == a.const
+            assert (Matrix(1, p.rows, [red.const]) @ p).data[0] == a.const
         else:
             with pytest.raises(NotBasic):
                 presymplectic_reduce(v).descend(a)
@@ -454,7 +463,7 @@ def test_reduce_one_form_matches_kernel_vector_rule():
 
 
 def test_one_form_evaluate_affine():
-    a = OneForm(2, Matrix.from_rows([[0, 1], [0, 0]]), vec([1, 0]))
+    a = OneForm(2, Matrix.from_rows([[0, 1], [0, 0]]), {0: 1})
     # at x = (2, 3): covector is (3 + 1, 0)
     assert a.at(vec([2, 3])) == vec([4, 0])
     assert a.evaluate(vec([2, 3]), vec([1, 1])) == 4
@@ -463,8 +472,17 @@ def test_one_form_evaluate_affine():
 def test_twisted_product_flips_source_sign():
     v = PresymplecticSpace.standard(1)
     t = twisted_product(v, v)
-    assert t.pairing(unit_vec(4, 1), unit_vec(4, 0)) == -1
-    assert t.pairing(unit_vec(4, 3), unit_vec(4, 2)) == 1
+    assert t.pairing(unit(4, 1), unit(4, 0)) == -1
+    assert t.pairing(unit(4, 3), unit(4, 2)) == 1
+
+
+def test_pairing_and_evaluate_refuse_points_of_the_wrong_length():
+    with pytest.raises(ValueError):
+        PresymplecticSpace.standard(1).pairing((1,), (0, 1))
+    with pytest.raises(ValueError):
+        OneForm(2, Matrix.identity(2)).evaluate((1, 1), (1,))
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
 
 
 def test_only_symplect_reads_pivots():
