@@ -294,9 +294,10 @@ def cmd_reduce(cfg) -> dict:
     number = frac_reader()
     coeff = mat_from_json(data["alpha"], number)
     const = _json_row(data.get("const", []), "const", number)
+    # OneForm checks alpha's shape before the const length is checked, so
+    # that a bad alpha is named first; it takes only the entries that fit
     alpha = OneForm(coeff.rows, coeff,
-                    {j: x for j, x in enumerate(const) if x})
-    # after the shape check of alpha, so that a bad alpha is named first
+                    {j: x for j, x in enumerate(const[:coeff.rows]) if x})
     if "const" in data and len(const) != coeff.rows:
         raise ValueError("const length mismatch")
     return {"payload": package_to_json(*preboundary_reduce(alpha)),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .complexes import CellComplex
-from .numkit import Matrix, Vector
+from .numkit import Matrix
 from .symplect import (
     NotBasic,
     OneForm,
@@ -22,10 +22,6 @@ from .symplect import (
     Reduction,
     presymplectic_reduce,
 )
-
-
-class NonlocalAction(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -41,13 +37,11 @@ class QuadraticLocalTheory:
 
     One variable per cell per field, enumerated field by field in layout
     order. `action` is the symmetric matrix G with S(x) = half x^T G x.
-    `stencil[a]`, when given, lists the variables row a of G may touch.
     """
 
     complex: CellComplex
     field_layout: tuple[FieldSpec, ...]
     action: Matrix
-    stencil: Optional[tuple[tuple[int, ...], ...]] = None
 
     def __post_init__(self):
         n = self.n_vars
@@ -69,10 +63,6 @@ class QuadraticLocalTheory:
             out += (off + i for i in self.complex.boundary_indices(f.cell_dim))
             off += self.complex.n_cells(f.cell_dim)
         return sorted(out)
-
-    def variation(self, x) -> Vector:
-        """Covector of dS at x: dS(x)[dx] = variation(x) . dx."""
-        return self.action.apply(x)
 
 
 def prism(base: CellComplex, layers: int) -> CellComplex:
@@ -137,19 +127,6 @@ def prism(base: CellComplex, layers: int) -> CellComplex:
     return CellComplex(cells, faces, flags, weights, cubical=base.cubical)
 
 
-@dataclass(frozen=True)
-class CollarModel:
-    base: CellComplex
-    layers: int
-    total: CellComplex
-
-    @staticmethod
-    def build(base: CellComplex, layers: int = 2) -> "CollarModel":
-        if layers < 2:
-            raise ValueError("a collar needs at least two layers")
-        return CollarModel(base, layers, prism(base, layers))
-
-
 def boundary_one_form(t: QuadraticLocalTheory,
                       boundary_vars: Optional[Sequence[int]] = None) -> OneForm:
     """Boundary residue of dS: the rows of the action matrix indexed by
@@ -157,11 +134,6 @@ def boundary_one_form(t: QuadraticLocalTheory,
     n = t.n_vars
     bset = set(t.boundary_vars() if boundary_vars is None else boundary_vars)
     rows = t.action.data
-    if t.stencil is not None:
-        for a in range(n):
-            if not rows[a].keys() <= set(t.stencil[a]) | {a}:
-                raise NonlocalAction(
-                    f"action couples variable {a} outside its stencil")
     return OneForm(n, Matrix(n, n, [rows[a] if a in bset else {}
                                     for a in range(n)]))
 

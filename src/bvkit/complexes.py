@@ -1,6 +1,6 @@
-"""Finite cell complexes (paths, circles, cubical grids, triangulations)
-with boundary subcomplexes, coboundary operators, absolute and relative
-rational cohomology, and a diagonal Hodge star on cubical grids.
+"""Finite cell complexes (paths, circles, cubical grids) with boundary
+subcomplexes, coboundary operators, absolute and relative rational
+cohomology, and the per-cell Hodge weights of cubical grids.
 
 Cubical orientation convention, fixed once: a square with lower-left
 corner (i, j) has boundary bottom + right - top - left; an edge points
@@ -12,15 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .numkit import (
-    Matrix,
-    Number,
-    Vector,
-    _rref_rows,
-    frac,
-    frac_reader,
-    kernel,
-)
+from .numkit import Matrix, Number, frac, frac_reader, sparse_rank
 
 
 class NotCubical(ValueError):
@@ -103,9 +95,6 @@ class CellComplex:
         """True when no cell of any dimension carries the boundary flag."""
         return not any(any(flags) for flags in self.boundary_flags)
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.n_cells(k) for k in range(self.dim + 1))
-
     def to_dict(self) -> dict:
         out = {
             "dims": self.dim,
@@ -159,28 +148,6 @@ class CellComplex:
                            cubical=data.get("cubical", False))
 
 
-def validate(k: CellComplex) -> list[str]:
-    """Check the chain-complex and boundary-closure invariants; return a
-    list of human-readable violations, empty when valid."""
-    problems = []
-    for deg in range(2, k.dim + 1):
-        if not (k.boundary_op(deg - 1) @ k.boundary_op(deg)).is_zero():
-            problems.append(f"boundary of boundary nonzero in degree {deg}")
-    for deg in range(1, k.dim + 1):
-        faces = k.faces(deg)
-        for j in k.boundary_indices(deg):
-            for i, _ in faces[j]:
-                if not k.boundary_flags[deg - 1][i]:
-                    problems.append(
-                        f"boundary cell {k.cells[deg][j]} has unflagged "
-                        f"face {k.cells[deg - 1][i]}")
-    if k.weights is not None:
-        for deg, ws in enumerate(k.weights):
-            if any(w <= 0 for w in ws):
-                problems.append(f"nonpositive weight in degree {deg}")
-    return problems
-
-
 def coboundary(k: CellComplex, degree: int, relative: bool = False) -> Matrix:
     """d on degree-`degree` cochains, one row per face list of a
     (degree+1)-cell; with `relative`, on cochains vanishing on the
@@ -201,31 +168,20 @@ class CohomologyReport:
     degree: int
     relative: bool
     dimension: int
-    representative_basis: tuple[Vector, ...]
 
 
 def cohomology(k: CellComplex, degree: int,
                relative: bool = False) -> CohomologyReport:
-    """ker d / im d on the (relative) cochain complex, with representative
-    cocycles expressed in full cochain coordinates: the kernel basis
-    vectors at pivot columns of one RREF of [image of d | kernel of d],
-    that is, each one not in the span of the image and those before it."""
+    """ker d / im d on the (relative) cochain complex, by the rank rule
+    h = n - rank d_degree - rank d_(degree-1), with n the number of
+    (relative) cochain coordinates in this degree."""
     d = coboundary(k, degree, relative)
-    image = (coboundary(k, degree - 1, relative) if degree > 0
-             else Matrix.zeros(d.cols, 0))
-    cocycles = kernel(d)
-    joint = image.hstack(cocycles.matrix().transpose())
-    _, pivots = _rref_rows(joint.data, joint.cols)
-    n = k.n_cells(degree)
-    at = k.interior_indices(degree) if relative else range(n)
-    reps = []
-    for q in pivots:
-        if q >= image.cols:
-            full = [0] * n
-            for pos, x in cocycles.basis[q - image.cols].items():
-                full[at[pos]] = x
-            reps.append(tuple(full))
-    return CohomologyReport(degree, relative, len(reps), tuple(reps))
+    image_rank = 0
+    if degree > 0:
+        image = coboundary(k, degree - 1, relative)
+        image_rank = sparse_rank(image.data, image.cols)
+    return CohomologyReport(degree, relative,
+                            d.cols - sparse_rank(d.data, d.cols) - image_rank)
 
 
 def hodge_weights(k: CellComplex, degree: int) -> tuple[Number, ...]:
@@ -233,14 +189,6 @@ def hodge_weights(k: CellComplex, degree: int) -> tuple[Number, ...]:
     if not k.cubical or k.weights is None:
         raise NotCubical("hodge star needs a weighted cubical complex")
     return k.weights[degree]
-
-
-def hodge_star(k: CellComplex, degree: int) -> Matrix:
-    """Diagonal pairing of degree-k cochains with dual cochains via the
-    per-cell weights; identity for unit weights."""
-    w = hodge_weights(k, degree)
-    return Matrix(len(w), len(w), [{i: x} if x else {}
-                                   for i, x in enumerate(w)])
 
 
 def _edge(tail: int, head: int) -> Faces:
@@ -271,29 +219,6 @@ def circle_complex(n: int, tag: str = "") -> CellComplex:
     edges = tuple(_edge(i, (i + 1) % n) for i in range(n))
     return CellComplex((vs, es), (edges,), ((False,) * n, (False,) * n),
                        ((1,) * n, (1,) * n), cubical=True)
-
-
-def disjoint_union(a: CellComplex, b: CellComplex) -> CellComplex:
-    dim = max(a.dim, b.dim)
-
-    def joined(in_a, in_b):
-        """Per dimension, a's entries followed by b's."""
-        return tuple((in_a[k] if k <= a.dim else ())
-                     + (in_b[k] if k <= b.dim else ())
-                     for k in range(dim + 1))
-
-    # b's faces move past a's cells of one dimension lower; the leading
-    # () below stands in for the vertices, which have no face lists
-    b_faces = tuple(tuple(tuple((i + a.n_cells(k), x) for i, x in f)
-                          for f in fs)
-                    for k, fs in enumerate(b.face_lists))
-    face_lists = joined(((),) + a.face_lists, ((),) + b_faces)[1:]
-    weights = None
-    if a.weights is not None and b.weights is not None:
-        weights = joined(a.weights, b.weights)
-    return CellComplex(joined(a.cells, b.cells), face_lists,
-                       joined(a.boundary_flags, b.boundary_flags), weights,
-                       cubical=a.cubical and b.cubical)
 
 
 def grid_complex(nx: int, ny: int,
@@ -379,37 +304,3 @@ def annulus_complex(n: int = 3) -> CellComplex:
     if n % 2 == 0 or n < 3:
         raise ValueError("need an odd n of at least 3")
     return grid_complex(n, n, holes=[(n // 2, n // 2)])
-
-
-def triangulated_grid_complex(nx: int, ny: int,
-                              holes: Sequence[tuple[int, int]] = ()) -> CellComplex:
-    """Triangulation of the grid by the diagonal from (i,j) to (i+1,j+1)."""
-    base = grid_complex(nx, ny, holes=holes)
-    hole_set = set(holes)
-    squares = [(i, j) for j in range(ny) for i in range(nx)
-               if (i, j) not in hole_set]
-    vidx = {name: k for k, name in enumerate(base.cells[0])}
-    # reuse the cubical edge layout and append one diagonal per square
-    old_edges = base.cells[1]
-    n_old = len(old_edges)
-    eidx = {name: k for k, name in enumerate(old_edges)}
-    diagonals, tris, tri_faces = [], [], []
-    for c, (i, j) in enumerate(squares):
-        diagonals.append(_edge(vidx[f"v{i}_{j}"], vidx[f"v{i + 1}_{j + 1}"]))
-        bottom = eidx[f"h{i}_{j}"]
-        top = eidx[f"h{i}_{j + 1}"]
-        left = eidx[f"w{i}_{j}"]
-        right = eidx[f"w{i + 1}_{j}"]
-        diag = n_old + c
-        tri_faces += [
-            _summed_faces(((bottom, 1), (right, 1), (diag, -1))),
-            _summed_faces(((diag, 1), (top, -1), (left, -1)))]
-        tris += [f"t{i}_{j}a", f"t{i}_{j}b"]
-    eflags = tuple(base.boundary_flags[1]) + (False,) * len(squares)
-    cells = (base.cells[0],
-             old_edges + tuple(f"d{i}_{j}" for (i, j) in squares),
-             tuple(tris))
-    flags = (base.boundary_flags[0], eflags, (False,) * len(tris))
-    return CellComplex(cells, (base.faces(1) + tuple(diagonals),
-                               tuple(tri_faces)),
-                       flags, None, cubical=False)

@@ -18,10 +18,6 @@ from .numkit import Matrix, Number, frac, invert, sparse_rank
 Monomial = tuple[int, ...]
 
 
-class TruncationOverflow(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class GradedVectorSpace:
     """Ordered coordinate list with integer degrees; parity = degree mod 2."""
@@ -47,9 +43,6 @@ class GradedVectorSpace:
         for _, d in self.labels:
             out[d] = out.get(d, 0) + 1
         return out
-
-    def indices_of_degree(self, d: int) -> list[int]:
-        return [i for i, (_, deg) in enumerate(self.labels) if deg == d]
 
 
 def normalize_monomial(space: GradedVectorSpace,
@@ -108,10 +101,6 @@ class Polynomial:
     def constant(space: GradedVectorSpace, c) -> "Polynomial":
         return Polynomial.build(space, [((), frac(c))])
 
-    @staticmethod
-    def generator(space: GradedVectorSpace, i: int) -> "Polynomial":
-        return Polynomial.build(space, [((i,), 1)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -133,21 +122,6 @@ class Polynomial:
             for m2, c2 in other.terms:
                 terms.append((m1 + m2, c1 * c2))
         return Polynomial.build(self.space, terms)
-
-    def monomial_degree(self, m: Monomial) -> int:
-        return sum(self.space.degree(i) for i in m)
-
-    def degrees(self) -> set[int]:
-        return {self.monomial_degree(m) for m, _ in self.terms}
-
-    def degree(self) -> Optional[int]:
-        ds = self.degrees()
-        if len(ds) > 1:
-            raise ValueError("polynomial is not homogeneous")
-        return next(iter(ds)) if ds else None
-
-    def max_word_length(self) -> int:
-        return max((len(m) for m, _ in self.terms), default=0)
 
 
 def _derivative(p: Polynomial, gen: int, left: bool) -> Polynomial:
@@ -217,8 +191,7 @@ class GradedSymplecticSpace:
 
 
 def poisson_bracket(f: Polynomial, g: Polynomial,
-                    space: GradedSymplecticSpace,
-                    max_total_degree: Optional[int] = None) -> Polynomial:
+                    space: GradedSymplecticSpace) -> Polynomial:
     """{f, g} = sum_ab (right d f / d x_a) Lambda[a,b] (left d g / d x_b)."""
     lam = space.bracket_matrix()
     n = space.base.dim
@@ -232,7 +205,5 @@ def poisson_bracket(f: Polynomial, g: Polynomial,
             if gb.is_zero():
                 continue
             out = out + (fa * gb).scale(x)
-    if max_total_degree is not None and out.max_word_length() > max_total_degree:
-        raise TruncationOverflow("bracket exceeds the truncation degree")
     return out
 

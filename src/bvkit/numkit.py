@@ -187,11 +187,19 @@ class Matrix:
         return not any(self.data)
 
     def is_antisymmetric(self) -> bool:
+        """Whether the matrix is square and equals minus its transpose; a
+        row holding a column outside range(cols) is refused."""
         if self.rows != self.cols:
             return False
-        data = self.data
-        return all(data[j].get(i) == -x
-                   for i, r in enumerate(data) for j, x in r.items())
+        data, n = self.data, self.cols
+        for i, r in enumerate(data):
+            for j, x in r.items():
+                if not 0 <= j < n:
+                    raise ValueError(f"row {i} holds column {j} outside "
+                                     f"range({n})")
+                if data[j].get(i) != -x:
+                    return False
+        return True
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
@@ -530,16 +538,20 @@ class Subspace:
     def from_span(ambient_dim: int,
                   vectors: Sequence[dict[int, Number]]) -> "Subspace":
         """The span of `vectors`, {col: value} dicts with columns in
-        range(ambient_dim); a vector that is not a dict is refused."""
-        if not all(isinstance(v, dict) for v in vectors):
-            raise TypeError("a spanning vector is not a {col: value} dict")
-        rows = [{j: x for j, x in v.items() if x} for v in vectors]
+        range(ambient_dim); a vector that is not a dict, or that holds a
+        nonzero outside that range, is refused."""
+        rows = []
+        for i, v in enumerate(vectors):
+            if not isinstance(v, dict):
+                raise TypeError("a spanning vector is not a {col: value} dict")
+            row = {j: x for j, x in v.items() if x}
+            if row and (min(row) < 0 or max(row) >= ambient_dim):
+                j = min(row) if min(row) < 0 else max(row)
+                raise ValueError(f"spanning vector {i} holds column {j} "
+                                 f"outside range({ambient_dim})")
+            rows.append(row)
         return Subspace(ambient_dim,
                         tuple(_rref_rows(rows, ambient_dim)[0]))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -566,11 +578,3 @@ class Subspace:
                 for j, x in b.items():
                     w[j] = w.get(j, 0) - c * x
         return not any(w.values())
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(self.contains(b) for b in other.basis)
-
-    def _check_ambient(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")

@@ -68,10 +68,6 @@ class LinearRelation:
         return self.body.contains(v)
 
 
-def identity_relation(v: PresymplecticSpace) -> LinearRelation:
-    return graph(v, v, Matrix.identity(v.dim))
-
-
 def graph(source: PresymplecticSpace, target: PresymplecticSpace,
           f: Matrix) -> LinearRelation:
     """Relation {(x, f x)} of a linear map given by the matrix f."""
@@ -111,16 +107,3 @@ def compose(first: LinearRelation, second: LinearRelation) -> LinearRelation:
     return LinearRelation(first.source, second.target,
                           Subspace(ns + nt, tuple(body)))
 
-
-def project_relation(rel: LinearRelation, side: str) -> Subspace:
-    """Image of the relation body in the source ("domain") or target
-    ("range") factor."""
-    ns, nt = rel.source.dim, rel.target.dim
-    if side == "domain":
-        return Subspace.from_span(ns, [{j: x for j, x in b.items() if j < ns}
-                                       for b in rel.body.basis])
-    if side == "range":
-        return Subspace.from_span(nt, [
-            {j - ns: x for j, x in b.items() if j >= ns}
-            for b in rel.body.basis])
-    raise ValueError("side must be 'domain' or 'range'")

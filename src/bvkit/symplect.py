@@ -83,6 +83,10 @@ class OneForm:
     def __post_init__(self):
         if self.coeff.shape != (self.ambient_dim, self.ambient_dim):
             raise ValueError("coeff must be square of size ambient_dim")
+        for j in self.const:
+            if not 0 <= j < self.ambient_dim:
+                raise ValueError(f"const holds column {j} outside "
+                                 f"range({self.ambient_dim})")
 
     def at(self, x) -> Vector:
         """Covector of alpha at the point x."""

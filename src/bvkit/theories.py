@@ -94,11 +94,6 @@ class ScalarFieldTheory:
                               {b: x for b, x in row.items() if x}
                               for row in rows]
 
-    def energy(self, phi: Sequence[Number]) -> Number:
-        d, rows = self.laplacian()
-        r_phi = [sum(x * phi[b] for b, x in row.items()) for row in rows]
-        return frac(Fraction(dot(phi, r_phi), 2 * d))
-
 
 @dataclass(frozen=True)
 class DtNOperator:
@@ -189,20 +184,6 @@ def _kron_relation(d: int, rows: list[dict[int, int]], in_idx: list[int],
     return LinearRelation(PresymplecticSpace.standard(m_in),
                           PresymplecticSpace.standard(m - m_in),
                           Subspace.from_span(2 * m, span))
-
-
-def with_boundary_vertices(cx: CellComplex,
-                           names: Sequence[str]) -> ScalarFieldTheory:
-    """The graph theory on the 1-skeleton of a complex with a chosen
-    boundary vertex set."""
-    bset = set(names)
-    cells = (cx.cells[0], cx.cells[1])
-    flags = (tuple(n in bset for n in cells[0]), (False,) * len(cells[1]))
-    w = cx.weights
-    weights = ((1,) * len(cells[0]),
-               w[1] if w is not None else (1,) * len(cells[1]))
-    return ScalarFieldTheory(CellComplex(cells, (cx.faces(1),), flags,
-                                         weights, cubical=True))
 
 
 @dataclass(frozen=True)

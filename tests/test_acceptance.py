@@ -43,7 +43,7 @@ from bvkit.graded import (
     poisson_bracket,
 )
 from bvkit.numkit import Matrix, Subspace, invert, vec
-from bvkit.relations import LinearRelation, compose, graph, identity_relation
+from bvkit.relations import LinearRelation, compose, graph
 from bvkit.symplect import NotBasic, PresymplecticSpace, presymplectic_reduce
 from bvkit.theories import (
     MechanicsFixture,
@@ -56,7 +56,12 @@ from bvkit.theories import (
     oscillator_flow,
     reduce_relation,
 )
-from test_complexes import dense_edge_boundary, dense_faces, subgraph_theory
+from test_complexes import (
+    dense_edge_boundary,
+    dense_faces,
+    hodge_star,
+    subgraph_theory,
+)
 from test_numkit import span_of
 
 
@@ -120,7 +125,7 @@ def test_criterion_1_relation_algebra():
         g = random_symplectomorphism(rng, 2)
         assert compose(graph(v, v, f), graph(v, v, g)).body == \
             graph(v, v, g @ f).body
-    ident = identity_relation(w)
+    ident = graph(w, w, Matrix.identity(w.dim))
     for _ in range(200):
         r = random_relation(rng, w, w, rng.randint(1, 6))
         assert compose(ident, r).body == r.body
@@ -202,7 +207,7 @@ def test_criterion_3_variational_split():
     # scalar field on a path: reduce the boundary one-form and check
     # dS(x)[dx] - EL(x)[dx] equals the reduced form pulled back
     cx = path_complex(5)
-    from bvkit.complexes import coboundary, hodge_star
+    from bvkit.complexes import coboundary
 
     d0 = coboundary(cx, 0)
     lap = d0.transpose() @ hodge_star(cx, 1) @ d0
@@ -225,9 +230,10 @@ def test_criterion_3_variational_split():
         p = build_ed_package(grid_complex(2, 2), bf=bf)
         n = p.bulk.base.dim
         bset = set(p.boundary_fields)
+        hessian = p.action_hessian.entries
         el_rows = Matrix.from_rows([
             [Fraction(0)] * n if a in bset
-            else list(p.action_hessian.entries[a]) for a in range(n)])
+            else list(hessian[a]) for a in range(n)])
         for _ in range(20):
             x = vec([rng.randint(-5, 5) for _ in range(n)])
             dx = vec([rng.randint(-5, 5) for _ in range(n)])
@@ -266,7 +272,7 @@ def test_criterion_4_mechanics():
     assert red.dim == 2
     out = reduce_relation(g.relation, g.source_projection,
                           g.target_projection, red)
-    assert out.body == identity_relation(red).body
+    assert out.body == graph(red, red, Matrix.identity(red.dim)).body
     with pytest.raises(NotBasic):
         presymplectic_reduce(g.space).descend(g.alpha)
 

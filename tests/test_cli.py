@@ -13,17 +13,13 @@ from bvkit.collar import prism
 from bvkit.complexes import (
     annulus_complex,
     circle_complex,
-    disjoint_union,
     grid_complex,
     path_complex,
     torus_complex,
 )
 from bvkit.numkit import Matrix
-from bvkit.theories import (
-    MechanicsFixture,
-    mechanics_relation,
-    with_boundary_vertices,
-)
+from bvkit.theories import MechanicsFixture, mechanics_relation
+from test_complexes import disjoint_union, with_boundary_vertices
 
 
 def run_cli(tmp_path, args, payload=None):
@@ -389,6 +385,16 @@ def test_row_shape_diagnostics(tmp_path, relation, diagnostic):
         code, rep, _ = run_cli(tmp_path, [command], payload)
         assert code == 2
         assert rep["payload"]["diagnostic"] == diagnostic
+
+
+@pytest.mark.parametrize("const", [["1", "0", "3"], ["1"]])
+def test_reduce_names_a_const_of_the_wrong_length(tmp_path, const):
+    """A const longer or shorter than alpha is named by its length, also
+    when its extra entries lie outside alpha's space."""
+    payload = {"alpha": [["0", "1"], ["0", "0"]], "const": const}
+    code, rep, _ = run_cli(tmp_path, ["reduce"], payload)
+    assert code == 2
+    assert rep["payload"]["diagnostic"] == "ValueError: const length mismatch"
 
 
 def test_empty_body_is_the_zero_relation(tmp_path):

@@ -7,9 +7,7 @@ from bvkit import cli
 from bvkit import collar as collar_module
 from bvkit.bvbfv import build_ed_package
 from bvkit.collar import (
-    CollarModel,
     FieldSpec,
-    NonlocalAction,
     QuadraticLocalTheory,
     boundary_one_form,
     el_form,
@@ -19,10 +17,8 @@ from bvkit.collar import (
 from bvkit.complexes import (
     circle_complex,
     coboundary,
-    hodge_star,
     path_complex,
     torus_complex,
-    validate,
 )
 from bvkit.numkit import Matrix, kernel, vec
 from bvkit.symplect import (
@@ -33,6 +29,7 @@ from bvkit.symplect import (
     presymplectic_reduce,
 )
 from test_cli import run_cli
+from test_complexes import euler_characteristic, hodge_star, validate
 from test_numkit import from_dense, section_of
 
 
@@ -47,10 +44,10 @@ def graph_laplacian(cx):
 
 
 def scalar_theory_on_collar(layers, base=None):
-    collar = CollarModel.build(base or point_complex(), layers)
-    t = QuadraticLocalTheory(collar.total, (FieldSpec("phi", 0),),
-                             graph_laplacian(collar.total))
-    return collar, t
+    total = prism(base or point_complex(), layers)
+    t = QuadraticLocalTheory(total, (FieldSpec("phi", 0),),
+                             graph_laplacian(total))
+    return total, t
 
 
 def test_prism_of_point_is_path():
@@ -67,19 +64,19 @@ def test_prism_of_circle_is_cylinder():
     assert total.n_cells(0) == 12
     assert total.n_cells(1) == 8 + 12
     assert total.n_cells(2) == 8
-    assert total.euler_characteristic() == 0
+    assert euler_characteristic(total) == 0
     assert len(total.boundary_indices(0)) == 4  # layer-0 circle only
 
 
 def test_variational_split_is_exact():
     rng = random.Random(3)
-    collar, t = scalar_theory_on_collar(3)
+    _, t = scalar_theory_on_collar(3)
     a = boundary_one_form(t)
     el = el_form(t)
     for _ in range(10):
         x = vec([rng.randint(-5, 5) for _ in range(t.n_vars)])
         dx = vec([rng.randint(-5, 5) for _ in range(t.n_vars)])
-        ds = sum(u * v for u, v in zip(t.variation(x), dx))
+        ds = sum(u * v for u, v in zip(t.action.apply(x), dx))
         el_part = sum(u * v for u, v in zip(el.apply(x), dx))
         assert ds == el_part + a.evaluate(x, dx)
 
@@ -94,9 +91,8 @@ def test_scalar_collar_alpha_is_normal_difference():
 
 
 def test_zero_action_gives_zero_boundary_form():
-    collar = CollarModel.build(point_complex(), 2)
-    t = QuadraticLocalTheory(collar.total, (FieldSpec("phi", 0),),
-                             Matrix.zeros(3, 3))
+    t = QuadraticLocalTheory(prism(point_complex(), 2),
+                             (FieldSpec("phi", 0),), Matrix.zeros(3, 3))
     a = boundary_one_form(t)
     assert a.coeff.is_zero()
     red, _ = preboundary_reduce(a)
@@ -226,23 +222,6 @@ def test_reduction_idempotent():
     again, _ = preboundary_reduce(alpha)
     assert again.space == red.space
     assert again.projection == Matrix.identity(red.space.dim)
-
-
-def test_nonlocal_action_detected():
-    collar = CollarModel.build(point_complex(), 3)
-    lap = graph_laplacian(collar.total)
-    # claim a nearest-neighbor stencil but couple ends of the collar
-    n = lap.rows
-    rows = [list(r) for r in lap.entries]
-    rows[0][n - 1] += 1
-    rows[n - 1][0] += 1
-    bad = Matrix.from_rows(rows)
-    stencil = tuple(tuple(b for b in range(n) if abs(a - b) <= 1)
-                    for a in range(n))
-    t = QuadraticLocalTheory(collar.total, (FieldSpec("phi", 0),), bad,
-                             stencil=stencil)
-    with pytest.raises(NonlocalAction):
-        boundary_one_form(t)
 
 
 def test_symmetry_check_matches_transpose_rule():

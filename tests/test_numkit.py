@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from bvkit.numkit import (
     sparse_rank,
     vec,
 )
-from bvkit.relations import LinearRelation, compose, project_relation
+from bvkit.relations import LinearRelation, compose
 from bvkit.symplect import PresymplecticSpace
 from bvkit.theories import ScalarFieldTheory, dtn
 
@@ -324,10 +325,11 @@ def test_sparse_matrix_matches_dense_oracle():
         seen["empty"] += 0 in s.shape
         seen["zero_row"] += any(not row for row in s.data) and c > 0
         assert (s.rows, s.cols) == (r, c)
+        ent, ent_t = s.entries, s.transpose().entries
         for i in range(r):
-            assert s.entries[i] == d.row(i)
+            assert ent[i] == d.row(i)
             assert all(s[i, j] == d[i, j] for j in range(c))
-        assert all(s.transpose().entries[j] == d.col(j) for j in range(c))
+        assert all(ent_t[j] == d.col(j) for j in range(c))
         assert_matches(s.transpose(), d.transpose())
         assert_matches(-s, -d)
         x = rng.choice([0, 1, -2, Fraction(1, 3)])
@@ -462,7 +464,7 @@ def test_kernel_zero_matrix():
 
 
 def test_kernel_identity():
-    assert kernel(Matrix.identity(2)) == Subspace.zero(2)
+    assert kernel(Matrix.identity(2)) == Subspace(2, ())
 
 
 def test_kernel_hand_example():
@@ -1006,23 +1008,49 @@ def test_schur_complement_with_zero_diagonal_interior():
     assert dtn(t).matrix == Matrix.from_rows([[1, -1], [-1, 1]])
 
 
+def check_ambient(u, v):
+    if u.ambient_dim != v.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+
+
+def contains_subspace(u, v):
+    """Whether the subspace v lies in u, one basis row at a time."""
+    check_ambient(u, v)
+    return all(u.contains(b) for b in v.basis)
+
+
+def project_relation(rel, side):
+    """Image of the relation body in the source ("domain") or target
+    ("range") factor."""
+    ns, nt = rel.source.dim, rel.target.dim
+    if side == "domain":
+        return Subspace.from_span(ns, [{j: x for j, x in b.items() if j < ns}
+                                       for b in rel.body.basis])
+    if side == "range":
+        return Subspace.from_span(nt, [
+            {j - ns: x for j, x in b.items() if j >= ns}
+            for b in rel.body.basis])
+    raise ValueError("side must be 'domain' or 'range'")
+
+
 def sum_spaces(u, v):
     """Oracle: the span of both bases."""
-    u._check_ambient(v)
+    check_ambient(u, v)
     return Subspace.from_span(u.ambient_dim, list(u.basis) + list(v.basis))
 
 
 def intersect(u, v):
     """Oracle: intersection by the Zassenhaus double-block reduction."""
-    u._check_ambient(v)
+    check_ambient(u, v)
     n = u.ambient_dim
     rows = [list(b) + list(b) for b in u.matrix().entries]
     rows += [list(b) + [0] * n for b in v.matrix().entries]
     if not rows:
-        return Subspace.zero(n)
+        return Subspace(n, ())
     red, pivots = rref(Matrix.from_rows(rows))
-    inter = [red.entries[i][n:] for i in range(len(pivots))
-             if all(x == 0 for x in red.entries[i][:n])]
+    ent = red.entries
+    inter = [ent[i][n:] for i in range(len(pivots))
+             if all(x == 0 for x in ent[i][:n])]
     return span_of(n, inter)
 
 
@@ -1057,7 +1085,7 @@ def test_subspace_sum_intersect_axes():
     u = span_of(2, [[1, 0]])
     v = span_of(2, [[0, 1]])
     assert sum_spaces(u, v) == Subspace.full(2)
-    assert intersect(u, v) == Subspace.zero(2)
+    assert intersect(u, v) == Subspace(2, ())
 
 
 def test_quotient_drops_spanned_coordinate():
@@ -1145,7 +1173,7 @@ def test_contains_subspace_matches_stacked_span():
         v = span_of(n, others)
         stacked = Subspace.from_span(n, list(u.basis) + list(v.basis))
         want = stacked.dim == u.dim
-        assert u.contains_subspace(v) == want
+        assert contains_subspace(u, v) == want
         seen[want] += 1
     assert min(seen.values()) > 40, seen
 
@@ -1168,12 +1196,13 @@ def dense_kernel(m):
     RREF."""
     red, pivots = dense_rref(m)
     free = [f for f in range(m.cols) if f not in pivots]
+    ent = red.entries
     basis = []
     for f in free:
         v = [Fraction(0)] * m.cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -red.entries[i][f]
+            v[p] = -ent[i][f]
         basis.append(v)
     return dense_span(m.cols, basis)
 
@@ -1184,8 +1213,9 @@ def dense_solve(a, b):
     if any(p >= a.cols for p in pivots):
         return None
     x = [[Fraction(0)] * b.cols for _ in range(a.cols)]
+    ent = red.entries
     for i, p in enumerate(pivots):
-        x[p] = list(red.entries[i][a.cols:])
+        x[p] = list(ent[i][a.cols:])
     return from_dense(a.cols, b.cols, x)
 
 
@@ -1274,7 +1304,7 @@ def test_sparse_subspace_matches_dense_oracles():
         assert all(min(b) == next(j for j, x in enumerate(row) if x)
                    for b, row in zip(u.basis, u.matrix().entries))
         stacked = dense_span(n, as_dense(n, vs + ws))
-        assert u.contains_subspace(w) == (len(stacked) == u.dim)
+        assert contains_subspace(u, w) == (len(stacked) == u.dim)
         for x in as_dense(n, ws[:2]):
             want = len(dense_span(n, as_dense(n, vs) + [x])) == u.dim
             assert u.contains(sparse_vec(x)) == u.contains(
@@ -1365,6 +1395,105 @@ def test_dense_entries_read_only_in_numkit_and_render():
         Subspace.full(2).contains((1, 0))
 
 
+# Options, wrappers and test builders taken out of src/bvkit, by module,
+# class and name; a parameter is named after its function.
+REMOVED = {
+    "collar.CollarModel", "collar.NonlocalAction",
+    "collar.QuadraticLocalTheory.stencil",
+    "collar.QuadraticLocalTheory.variation",
+    "complexes.CellComplex.euler_characteristic",
+    "complexes.CohomologyReport.representative_basis",
+    "complexes.disjoint_union", "complexes.hodge_star",
+    "complexes.triangulated_grid_complex", "complexes.validate",
+    "graded.GradedVectorSpace.indices_of_degree",
+    "graded.Polynomial.degree", "graded.Polynomial.degrees",
+    "graded.Polynomial.generator", "graded.Polynomial.max_word_length",
+    "graded.Polynomial.monomial_degree", "graded.TruncationOverflow",
+    "graded.poisson_bracket.max_total_degree",
+    "numkit.Subspace._check_ambient", "numkit.Subspace.contains_subspace",
+    "numkit.Subspace.zero",
+    "relations.identity_relation", "relations.project_relation",
+    "theories.ScalarFieldTheory.energy", "theories.with_boundary_vertices",
+}
+
+# The public names of src/bvkit that no command reaches: the rows of the
+# README's table of library functions with no command, in its order.
+LIBRARY = [
+    "collar.prism", "collar.el_form", "complexes.cohomology",
+    "symplect.coisotropic_reduce", "symplect.gotay_embed",
+    "theories.ed_boundary_space", "theories.classical_boundary_ed",
+    "theories.classical_boundary_bf", "theories.mechanics_relation",
+    "theories.oscillator_flow", "theories.geodesic_fixture",
+    "theories.reduce_relation",
+]
+
+
+def _src_trees():
+    src = Path(__file__).resolve().parents[1] / "src" / "bvkit"
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(src.glob("*.py"))}
+
+
+def _defined(prefix, node):
+    """Qualified names of the functions, classes, class fields and
+    function parameters defined in the body of `node`."""
+    out = set()
+    for child in node.body:
+        if isinstance(child, ast.AnnAssign) and isinstance(child.target,
+                                                           ast.Name):
+            out.add(f"{prefix}.{child.target.id}")
+        elif isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            name = f"{prefix}.{child.name}"
+            out.add(name)
+            if isinstance(child, ast.ClassDef):
+                out |= _defined(name, child)
+            else:
+                out |= {f"{name}.{a.arg}" for a in ast.walk(child.args)
+                        if isinstance(a, ast.arg)}
+    return out
+
+
+def _names_in(node):
+    return Counter(n.id if isinstance(n, ast.Name)
+                   else n.attr if isinstance(n, ast.Attribute) else n.name
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_src_keeps_only_what_a_command_or_the_library_table_reaches():
+    """No removed option, wrapper or test builder is defined in src/
+    again, and `complexes` reads no kernel or RREF. Every public
+    module-level function and class is named somewhere else in src/, or
+    is a library function that the README lists with its pinning test."""
+    trees = _src_trees()
+    defined = set()
+    for module, tree in trees.items():
+        defined |= _defined(module, tree)
+    assert REMOVED.isdisjoint(defined), sorted(REMOVED & defined)
+    imported = {a.name for node in ast.walk(trees["complexes"])
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    assert not imported & {"kernel", "_rref_rows"}
+
+    named = sum((_names_in(tree) for tree in trees.values()), Counter())
+    unnamed = [f"{module}.{node.name}" for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not node.name.startswith("_")
+               and named[node.name] == _names_in(node)[node.name]]
+    assert set(unnamed) <= set(LIBRARY), sorted(set(unnamed) - set(LIBRARY))
+    assert set(LIBRARY) <= defined
+
+    root = Path(__file__).resolve().parents[1]
+    section = (root / "README.md").read_text().split(
+        "## Library functions with no command\n")[1].split("\n## ")[0]
+    rows = [[c.strip().strip("`") for c in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    assert [name for name, _, _ in rows] == LIBRARY
+    for _, _, pin in rows:
+        path, test = pin.split("::")
+        assert f"def {test}(" in (root / path).read_text(), pin
+
+
 def test_only_rank_reads_the_dense_rref():
     """`rref` is a dense view of the elimination kernel's sparse readout;
     in src/ only `numkit.rank` calls it."""
@@ -1425,10 +1554,18 @@ def test_readers_and_readouts_follow_the_number_rule():
     assert s.data == ({0: 1},) and type(s[0, 0]) is int
 
 
+@pytest.mark.parametrize("row", [{3: 1}, {0: 1, -1: 1}, {1: 1, 2: 1}])
+def test_from_span_refuses_a_column_outside_its_space(row):
+    col = next(j for j in row if not 0 <= j < 2)
+    with pytest.raises(ValueError,
+                       match=f"spanning vector 1 holds column {col} outside"):
+        Subspace.from_span(2, [{0: 1}, row])
+
+
 def test_subspace_ambient_mismatch_raises():
     u = span_of(2, [[1, 0]])
     v = span_of(3, [[1, 0, 0]])
     with pytest.raises(ValueError):
-        u.contains_subspace(v)
+        contains_subspace(u, v)
     with pytest.raises(ValueError):
-        u.contains_subspace(Subspace.zero(3))
+        contains_subspace(u, Subspace(3, ()))

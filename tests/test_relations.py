@@ -10,11 +10,9 @@ from bvkit.relations import (
     MiddleMismatch,
     compose,
     graph,
-    identity_relation,
-    project_relation,
 )
 from bvkit.symplect import PresymplecticSpace
-from test_numkit import span_of
+from test_numkit import project_relation, span_of
 
 
 def random_symmetric(rng, n):
@@ -118,12 +116,12 @@ def _degenerate_bodies(rng, a, b):
     n, na = a.dim + b.dim, a.dim
     rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(2)]
     return [
-        Subspace.zero(n),
+        Subspace(n, ()),
         Subspace.full(n),
         Subspace.from_span(n, [{j: 1} for j in range(na)]),
         Subspace.from_span(n, [{j: 1} for j in range(na, n)]),
         span_of(n, rows + rows + [[0] * n]) if n else
-        Subspace.zero(0),
+        Subspace(0, ()),
     ]
 
 
@@ -157,7 +155,7 @@ def test_compose_matches_one_rref_oracle():
 
 def test_identity_relation_is_canonical_and_neutral():
     v = PresymplecticSpace.standard(2)
-    ident = identity_relation(v)
+    ident = graph(v, v, Matrix.identity(v.dim))
     assert ident.is_canonical()
     rng = random.Random(1)
     r = random_relation(rng, v, v, 4)
@@ -212,7 +210,7 @@ def test_compose_canonical_stays_canonical():
 def test_compose_isotropic_stays_isotropic():
     rng = random.Random(6)
     v = PresymplecticSpace.standard(2)
-    diag = identity_relation(v)
+    diag = graph(v, v, Matrix.identity(v.dim))
     for _ in range(15):
         m1 = random_symplectomorphism(rng, 2)
         m2 = random_symplectomorphism(rng, 2)
@@ -225,8 +223,9 @@ def test_compose_isotropic_stays_isotropic():
 
 
 def test_middle_mismatch_raises():
-    a = identity_relation(PresymplecticSpace.standard(1))
-    b = identity_relation(PresymplecticSpace.standard(2))
+    v, w = PresymplecticSpace.standard(1), PresymplecticSpace.standard(2)
+    a = graph(v, v, Matrix.identity(2))
+    b = graph(w, w, Matrix.identity(4))
     with pytest.raises(MiddleMismatch):
         compose(a, b)
 
@@ -245,7 +244,7 @@ def test_contains_checks_each_point_against_its_own_space():
     """A point pair of the right total length is refused when either
     side has the wrong length, not read across the source-target split."""
     v, w = PresymplecticSpace.standard(1), PresymplecticSpace.trivial(1)
-    ident = identity_relation(v)
+    ident = graph(v, v, Matrix.identity(v.dim))
     assert ident.contains((1, 0), (1, 0))
     assert not ident.contains((1, 0), (0, 1))
     for x, y in (((1, 0, 1), (0,)), ((1,), (0, 1, 0)), ((1, 0), (1,))):
@@ -269,11 +268,11 @@ def test_projection_of_partial_relation():
     body = span_of(4, [[1, 0, 0, 0]])
     r = LinearRelation(v, v, body)
     assert project_relation(r, "domain") == span_of(2, [[1, 0]])
-    assert project_relation(r, "range") == Subspace.zero(2)
+    assert project_relation(r, "range") == Subspace(2, ())
 
 
 def test_compose_empty_overlap_gives_zero_body():
     v = PresymplecticSpace.standard(1)
     a = LinearRelation(v, v, span_of(4, [[1, 0, 1, 0]]))
     b = LinearRelation(v, v, span_of(4, [[0, 1, 0, 1]]))
-    assert compose(a, b).body == Subspace.zero(4)
+    assert compose(a, b).body == Subspace(4, ())

@@ -31,6 +31,7 @@ from bvkit.symplect import (
 )
 from bvkit.collar import preboundary_reduce
 from test_numkit import (
+    contains_subspace,
     from_dense,
     intersect,
     quotient,
@@ -54,7 +55,7 @@ def omega_complement(v, l):
 def oracle_classify(v, l):
     """(isotropic, coisotropic) by the two inclusions with l^omega."""
     perp = omega_complement(v, l)
-    return perp.contains_subspace(l), l.contains_subspace(perp)
+    return contains_subspace(perp, l), contains_subspace(l, perp)
 
 
 def random_antisymmetric(rng, n):
@@ -117,8 +118,8 @@ def test_axis_in_four_dims_isotropic_not_coisotropic():
 
 def test_zero_subspace_isotropic_full_coisotropic():
     v = PresymplecticSpace.standard(1)
-    assert classify(v, Subspace.zero(2)).is_isotropic
-    assert not classify(v, Subspace.zero(2)).is_coisotropic
+    assert classify(v, Subspace(2, ())).is_isotropic
+    assert not classify(v, Subspace(2, ())).is_coisotropic
     assert classify(v, Subspace.full(2)).is_coisotropic
 
 
@@ -483,6 +484,20 @@ def test_pairing_and_evaluate_refuse_points_of_the_wrong_length():
         OneForm(2, Matrix.identity(2)).evaluate((1, 1), (1,))
     with pytest.raises(ValueError):
         dot((1, 2), (1, 2, 3))
+
+
+def test_one_form_refuses_a_const_column_outside_its_space():
+    with pytest.raises(ValueError, match="const holds column 5 outside"):
+        OneForm(2, Matrix.identity(2), {5: 1})
+    with pytest.raises(ValueError, match="const holds column -1 outside"):
+        OneForm(2, Matrix.identity(2), {-1: 1})
+
+
+@pytest.mark.parametrize("row", [{3: 1}, {-1: 1}])
+def test_presymplectic_space_refuses_an_omega_column_outside_its_width(row):
+    col = next(iter(row))
+    with pytest.raises(ValueError, match=f"row 0 holds column {col} outside"):
+        PresymplecticSpace(2, Matrix(2, 2, [row, {}]))
 
 
 def test_only_symplect_reads_pivots():
