@@ -119,6 +119,8 @@ class CellComplex:
 
     @staticmethod
     def from_dict(data: dict) -> "CellComplex":
+        """The complex of a JSON document, refusing a cell of dimension 2
+        or more whose boundary's boundary is not zero."""
         cells = tuple(tuple(c) for c in data["cells"])
         for name in (x for cs in cells for x in cs):
             if type(name) is not str:
@@ -137,6 +139,14 @@ class CellComplex:
                     by_face[index[k - 1][face]] = x
                 fs.append(tuple((i, x) for i, x in sorted(by_face.items())
                                 if x))
+                if k > 1:
+                    dd: dict[int, Number] = {}
+                    for i, x in fs[-1]:
+                        for j, y in faces[-1][i]:
+                            dd[j] = dd.get(j, 0) + x * y
+                    if any(dd.values()):
+                        raise ValueError(f"the boundary of the boundary of "
+                                         f"cell {name!r} is not zero")
             faces.append(tuple(fs))
         flagged = set(data.get("boundary_flags", []))
         flags = tuple(tuple(name in flagged for name in cs) for cs in cells)

@@ -13,14 +13,14 @@ the int. The one trap is `/`: an int over an int is a float, so a true
 division whose operands can both be ints builds a Fraction instead
 (`Fraction(a, b)`). Values are immutable after construction.
 
-The elimination itself (`_eliminate`, under `rref`, `sparse_rank` and
-`schur_complement`) is fraction-free: each row is a dict of its nonzero
-integer entries, and a step combines two rows by integer multiples and
-divides the result by its content (Bareiss, Math. Comp. 1968). A row
-space does not see the scale of a row, so rank and RREF work on primitive
-rows; only the Schur complement, whose values are read out, keeps one
-positive denominator per row. A quotient is made only when a result is
-read out.
+The elimination (`_eliminate` under `rref` and `sparse_rank`, and the
+Kron reduction of `schur_complement`) is fraction-free: each row is a
+dict of its nonzero integer entries, and a step combines two rows by
+integer multiples and divides the result by its content (Bareiss, Math.
+Comp. 1968). A row space does not see the scale of a row, so rank and
+RREF work on primitive rows; only the Schur complement, whose values are
+read out, keeps one positive denominator per row. A quotient is made
+only when a result is read out.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
@@ -258,17 +258,11 @@ def _int_rows(rows: Iterable[dict[int, Number]]) -> dict[int, dict[int, int]]:
 
 
 def _eliminate(rows: dict[int, dict[int, int]],
-               dens: Optional[dict[int, int]],
                cols: dict[int, set[int]], p: int, q: int) -> None:
     """Clear column q from every row but p, fraction-free; the column row
-    sets follow.
-
-    With `dens`, row i stands for rows[i] / dens[i], with integer entries
-    and dens[i] > 0; without it, row i is rows[i] up to scale, which is
-    all a row space needs. With a = R_p[q] and b = R_i[q] divided by their
-    gcd, R_i <- a R_i - b R_p and d_i <- a d_i (signs flipped so that
-    a > 0), then R_i and d_i are divided by gcd(d_i, content(R_i)), or
-    R_i by its content when there is no d_i.
+    sets follow. With a = R_p[q] and b = R_i[q] over their gcd (signs
+    flipped so that a > 0), R_i <- a R_i - b R_p, then R_i is divided by
+    its content: a row space does not see the scale of a row.
     """
     prow = rows[p]
     pivot = prow[q]
@@ -297,12 +291,7 @@ def _eliminate(rows: dict[int, dict[int, int]],
                 else:
                     del row[j]
                     cols[j].discard(i)
-        if dens is None:
-            g = gcd(*row.values())
-        else:
-            d = dens[i] * a
-            g = gcd(d, *row.values())
-            dens[i] = d // g
+        g = gcd(*row.values())
         if g > 1:
             for j in row:
                 row[j] //= g
@@ -340,7 +329,7 @@ def _pivot_columns(rows: dict[int, dict[int, int]], n_cols: int,
             continue
         p = min(live, key=lambda i: (len(rows[i]), i))
         free.remove(p)
-        _eliminate(rows, None, cols, p, q)
+        _eliminate(rows, cols, p, q)
         if not reduced:
             for j in rows.pop(p):
                 cols[j].discard(p)
@@ -444,11 +433,11 @@ def schur_complement(d: int, rows: Sequence[dict[int, int]],
                      keep: Sequence[int],
                      drop: Sequence[int]) -> Optional[Matrix]:
     """a[keep,keep] - a[keep,drop] a[drop,drop]^-1 a[drop,keep] in `keep`
-    order, or None when a[drop,drop] is singular, for the square matrix
-    a = R / d given by one positive denominator d and the rows of R as
-    {col: int} dicts; only rows and columns in keep and drop are read,
-    and the dicts are not modified. The readout of `_schur_int_rows`:
-    each of its rows is read out once."""
+    order, or None when a[drop,drop] is singular, for the symmetric
+    positive semidefinite matrix a = R / d given by one positive
+    denominator d and the rows of R as {col: int} dicts; only rows and
+    columns in keep and drop are read, and the dicts are not modified.
+    The readout of `_schur_int_rows`: each of its rows is read out once."""
     kept = _schur_int_rows(d, rows, keep, drop)
     if kept is None:
         return None
@@ -466,58 +455,60 @@ def _schur_int_rows(d: int, rows: Sequence[dict[int, int]],
     d_k = d times the row's own denominator; None when a[drop,drop] is
     singular.
 
-    Sparse exact elimination of the dropped indices one pivot at a time
-    (Kron reduction when `a` is a graph Laplacian). Each row is worked as
-    an integer dict of its nonzero entries with a denominator of its own,
-    starting from R's rows over 1, and each column keeps the set of rows
-    it meets, so only nonzeros are touched and fill-in follows the
-    sparsity pattern.
-    The pivot is the nonzero dropped diagonal entry whose row has the
-    fewest nonzeros (ties to the lowest index), popped from a heap of
-    (row length, index) entries: every row an elimination step touches
-    is pushed again, and an entry whose row has since been pivoted,
-    lost its diagonal or changed length is skipped. When every remaining
-    diagonal entry is zero, the same rule picks an entry anywhere in the
-    dropped block and its row and column go together. The Schur
-    complement is unique, so the pivot order does not change the result.
+    Kron reduction: sparse exact elimination of the dropped indices, one
+    diagonal pivot at a time. `a` is symmetric positive semidefinite, and
+    so is each Schur complement on the way: the rows that meet the pivot
+    column are the columns of the pivot row, and a row whose diagonal is
+    not positive is zero. Each row is an integer dict of its nonzeros
+    over a denominator of its own, from R's rows over 1; a step, with
+    a = R_p[p] and b = R_i[p] over their gcd, sets R_i <- a R_i - b R_p
+    and d_i <- a d_i and divides both by gcd(d_i, content(R_i)). The
+    pivot is the positive dropped diagonal entry with the shortest row
+    (ties to the lowest index), popped from a heap of (row length, index)
+    pairs, sorted at first; a dropped row a step touches is pushed again,
+    and a stale entry is skipped. When none is left, every dropped row
+    left is empty, so a[drop,drop] is singular, or else `a` is not
+    positive semidefinite, which raises `ValueError`.
     """
-    idx = list(keep) + list(drop)
-    work: dict[int, dict[int, int]] = {}
-    dens = dict.fromkeys(idx, 1)
-    cols: dict[int, set[int]] = {j: set() for j in idx}
-    for i in idx:
-        work[i] = {j: x for j, x in rows[i].items() if x and j in cols}
-        for j in work[i]:
-            cols[j].add(i)
-    drop_rows, drop_cols = set(drop), set(drop)
-
-    def is_diagonal_pivot(p: int) -> bool:
-        return p in drop_rows and p in drop_cols and p in work[p]
-
-    heap = [(len(work[p]), p) for p in drop_rows if is_diagonal_pivot(p)]
-    heapify(heap)
-    while drop_rows:
+    idx = {*keep, *drop}
+    work = {i: {j: x for j, x in rows[i].items() if x and j in idx}
+            for i in idx}
+    dens, left = dict.fromkeys(idx, 1), set(drop)
+    heap = sorted((len(work[p]), p) for p in left)
+    while left:
         while heap:
             n, p = heappop(heap)
-            if is_diagonal_pivot(p) and len(work[p]) == n:
-                q = p
+            if p in left and work[p].get(p, 0) > 0 and len(work[p]) == n:
                 break
         else:
-            live = [(len(work[p]), p) for p in drop_rows
-                    if not drop_cols.isdisjoint(work[p])]
-            if not live:
-                return None
-            p = min(live)[1]
-            q = min(drop_cols.intersection(work[p]))
-        drop_rows.remove(p)
-        drop_cols.remove(q)
-        touched = cols[q] & drop_rows
-        _eliminate(work, dens, cols, p, q)
-        for j in work.pop(p):
-            cols[j].discard(p)
-        for i in touched:
-            if is_diagonal_pivot(i):
-                heappush(heap, (len(work[i]), i))
+            if any(work[i] for i in left):
+                raise ValueError("matrix is not positive semidefinite")
+            return None
+        left.remove(p)
+        prow = work.pop(p)
+        pivot, rest = prow.pop(p), prow.items()
+        for i in prow:
+            row = work[i]
+            b = row.pop(p)
+            g = gcd(pivot, b)
+            a, b = pivot // g, b // g
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            for j, x in rest:
+                y = row.get(j, 0) - b * x
+                if y:
+                    row[j] = y
+                else:
+                    del row[j]
+            c = dens[i] * a
+            g = gcd(c, *row.values())
+            dens[i] = c // g
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+            if i in left and row.get(i, 0) > 0:
+                heappush(heap, (len(row), i))
     return [(work[i], d * dens[i]) for i in keep]
 
 

@@ -44,6 +44,10 @@ class PartitionMismatch(ValueError):
     pass
 
 
+class NegativeWeight(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class ScalarFieldTheory:
     """Dirichlet energy ½ sum of w_e (phi_u - phi_v)^2 on a weighted graph;
@@ -67,13 +71,14 @@ class ScalarFieldTheory:
 
     def laplacian(self, edges: Optional[Iterable[int]] = None
                   ) -> tuple[int, list[dict[int, int]]]:
-        """(D, R) with R / D == d0^T W d0: R is one {vertex: value} row of
+        """(D, R) with R / D == d0^T W d0, positive semidefinite as W >= 0
+        (a negative weight raises `NegativeWeight`): R is one row of
         nonzero integers per vertex, and D the lcm of the edge weights'
         denominators times the square of the lcm of the incidence
         coefficients' denominators. Assembled edge by edge from the face
         lists: an edge of weight w with faces (a, x_a) adds D w x_a x_b at
-        (a, b). With `edges`, a list of edge indices, only those edges are
-        assembled, still over the whole graph's D and vertex indices."""
+        (a, b); with `edges`, a list of edge indices, only those, still
+        over the whole graph's D and vertex indices."""
         weights, faces = hodge_weights(self.graph, 1), self.graph.faces(1)
         dw = math.lcm(*[w.denominator for w in weights])
         xs = [x for f in faces for _, x in f]
@@ -84,6 +89,9 @@ class ScalarFieldTheory:
         for e in range(len(faces)) if edges is None else edges:
             w = weights[e]
             c = w.numerator * (dw // w.denominator)
+            if c < 0:
+                raise NegativeWeight(f"edge {self.graph.cells[1][e]!r} has "
+                                     f"negative weight {w}")
             terms = faces[e] if as_is else [
                 (a, x.numerator * (dx // x.denominator)) for a, x in faces[e]]
             for a, xa in terms:

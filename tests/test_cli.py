@@ -44,6 +44,61 @@ def test_dtn_path_oracles(tmp_path):
         assert rep["payload"]["matrix"] == [[scale, neg], [neg, scale]]
 
 
+@pytest.mark.parametrize("command", ["dtn", "glue", "hj-action"])
+def test_a_negative_edge_weight_exits_2_naming_the_edge(tmp_path, command):
+    """The Dirichlet energy is a minimum only for non-negative weights.
+    path5 with weights (2, -1, 1, 1) once gave the DtN map
+    [[2/3, -2/3], [-2/3, 2/3]]; now each scalar command refuses it and
+    names the edge. A zero weight is still read."""
+    def payload(weights):
+        cx = cli.FIXTURES["path5"](None)
+        cx["weights"][1] = weights
+        return {"dtn": cx,
+                "glue": {"complex": cx, "cut": ["v2"],
+                         "left": ["v0", "v1", "v2"],
+                         "right": ["v2", "v3", "v4"]},
+                "hj-action": {"complex": cx,
+                              "boundary_values": {"v0": "1", "v4": "0"}},
+                }[command]
+
+    code, rep, _ = run_cli(tmp_path, [command], payload(["2", "-1", "1", "1"]))
+    assert code == 2
+    assert rep["payload"] == {
+        "diagnostic": "NegativeWeight: edge 'e1' has negative weight -1"}
+    code, rep, _ = run_cli(tmp_path, [command], payload(["2", "0", "1", "1"]))
+    assert code == 0
+    if command == "dtn":
+        assert rep["payload"]["matrix"] == [["0", "0"], ["0", "0"]]
+
+
+def _one_face_sign_flipped(cx):
+    """cx's JSON with the sign of the first face of square f0_0 flipped,
+    so that the boundary of that square's boundary is not zero."""
+    data = cx.to_dict()
+    entry = next(e for e in data["boundary"] if e["cell"] == "f0_0")
+    face, sign = entry["faces"][0]
+    entry["faces"][0] = [face, str(-Fraction(sign))]
+    return data
+
+
+@pytest.mark.parametrize("command, data", [
+    ("bv-check", {"complex": _one_face_sign_flipped(grid_complex(2, 2))}),
+    ("moduli", {"complex": _one_face_sign_flipped(grid_complex(2, 2))}),
+    ("boundary-bfv", {"complex": _one_face_sign_flipped(torus_complex(2, 2)),
+                      "d": 3}),
+])
+def test_a_complex_whose_boundary_has_a_boundary_exits_2(tmp_path, command,
+                                                         data):
+    """Such a complex once got as far as `field must square to zero` in
+    bv-check and moduli, and a report that passed in boundary-bfv; now
+    reading it fails, naming the square."""
+    code, rep, _ = run_cli(tmp_path, [command], data)
+    assert code == 2
+    assert rep["payload"] == {"diagnostic": (
+        "malformed complex JSON: ValueError(\"the boundary of the boundary "
+        "of cell 'f0_0' is not zero\")")}
+
+
 def test_glue_path(tmp_path):
     fix = cli.FIXTURES["path5"](None)
     payload = {"complex": fix, "cut": ["v2"],

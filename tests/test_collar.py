@@ -15,17 +15,21 @@ from bvkit.collar import (
     prism,
 )
 from bvkit.complexes import (
+    annulus_complex,
     circle_complex,
     coboundary,
+    grid_complex,
+    hodge_weights,
     path_complex,
     torus_complex,
 )
-from bvkit.numkit import Matrix, kernel, vec
+from bvkit.numkit import Matrix, Subspace, kernel, vec
 from bvkit.symplect import (
     NotBasic,
     NotProjectable,
     OneForm,
     PresymplecticSpace,
+    classify,
     presymplectic_reduce,
 )
 from test_cli import run_cli
@@ -333,3 +337,73 @@ def test_project_vector_field_matches_kernel_vector_rule():
             with pytest.raises(NotProjectable):
                 red.descend_field(q)
     assert seen == {True, False}
+
+
+def first_order_gauge_theory(cx, bf):
+    """S = B d1 A + 1/2 B*B with A on edges and B on faces, * the face
+    weights: electrodynamics, or abelian BF theory with `bf`, which drops
+    the * term. G holds d1 and its transpose off the diagonal."""
+    n1, n2 = cx.n_cells(1), cx.n_cells(2)
+    rows = [{} for _ in range(n1 + n2)]
+    for f, faces in enumerate(cx.faces(2)):
+        for e, x in faces:
+            rows[e][n1 + f] = rows[n1 + f][e] = x
+        if not bf:
+            rows[n1 + f][n1 + f] = hodge_weights(cx, 2)[f]
+    return QuadraticLocalTheory(cx, (FieldSpec("A", 1), FieldSpec("B", 2)),
+                                Matrix(n1 + n2, n1 + n2, rows))
+
+
+def evolution_relation(t, dropped=None):
+    """The reduced boundary space of the one path, with A on the
+    boundary edges as boundary data, and the image L of the solutions
+    (the kernel of the field equations, less the `dropped` one) in it."""
+    bd = t.complex.boundary_indices(1)
+    red, _ = preboundary_reduce(boundary_one_form(t, bd))
+    el = el_form(t, bd)
+    el = Matrix(el.rows, el.cols,
+                [{} if a == dropped else r for a, r in enumerate(el.data)])
+    images = kernel(el).matrix() @ red.projection.transpose()
+    return red.space, Subspace.from_span(red.space.dim, images.data)
+
+
+def faces_on_the_boundary(cx):
+    bd = set(cx.boundary_indices(1))
+    return sum(any(e in bd for e, _ in faces) for faces in cx.faces(2))
+
+
+@pytest.mark.parametrize("bf", [False, True], ids=["ed", "bf"])
+@pytest.mark.parametrize("cx, dim", [
+    *(pytest.param(grid_complex(n, n), 8 * (n - 1), id=f"grid{n}")
+      for n in (2, 3, 4, 5, 10, 20)),
+    pytest.param(annulus_complex(3), 16, id="annulus3"),
+    pytest.param(annulus_complex(5), 40, id="annulus5"),
+    pytest.param(grid_complex(5, 5, holes=[(1, 1), (3, 3)]), 40,
+                 id="two-holes")])
+def test_gauge_evolution_relation_is_lagrangian(cx, dim, bf):
+    """The boundary values of the solutions of electrodynamics and BF
+    theory are a Lagrangian subspace of the reduced boundary fields
+    (arXiv:1201.0290). Each face with a boundary edge pairs its B with
+    the A of those edges, so the reduced dimension is twice their count:
+    8(n - 1) on grid(n, n)."""
+    space, lag = evolution_relation(first_order_gauge_theory(cx, bf))
+    assert space.dim == dim == 2 * faces_on_the_boundary(cx)
+    assert lag.dim == dim // 2
+    assert classify(space, lag).is_lagrangian
+
+
+def test_gauge_evolution_relation_loses_isotropy_without_a_face_equation():
+    """Isotropy holds for any solutions, so the teeth are in the count.
+    On grid(3, 3) dropping the equation of one face (a row of B) leaves
+    L of dimension 9 in 16, not isotropic; dropping the equation of an
+    interior edge leaves it Lagrangian, as the gauge redundancy makes
+    that equation follow from the others."""
+    t = first_order_gauge_theory(grid_complex(3, 3), bf=False)
+    n1 = t.complex.n_cells(1)
+    space, lag = evolution_relation(t, dropped=n1 + 4)
+    assert (space.dim, lag.dim) == (16, 9)
+    assert not classify(space, lag).is_isotropic
+    for e in t.complex.interior_indices(1):
+        space, lag = evolution_relation(t, dropped=e)
+        assert (space.dim, lag.dim) == (16, 8)
+        assert classify(space, lag).is_lagrangian

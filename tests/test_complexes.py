@@ -480,23 +480,33 @@ def dense_from_dict(data):
     return tuple(ops), weights
 
 
-def random_complex_dict(rng, dims=2):
+def random_complex_dict(rng, dims=2, any_faces=False):
     """A JSON complex whose face lists repeat faces (the last entry
     counts), carry "0" signs, come out of face order, and sometimes list
-    a cell twice (the last listing counts)."""
+    a cell twice (the last listing counts). A cell of dimension 2 or more
+    takes its faces from the cells below it that are listed with none,
+    so that the boundary of its boundary is zero; with `any_faces`, from
+    all of them, so that it seldom is."""
     cells = [[f"c{k}_{i}" for i in range(rng.randint(1, 6))]
              for k in range(dims + 1)]
     signs = ["1", "-1", "0", "2", "-1/3", "5/2", 1, -2]
     boundary = []
+    bare = set(cells[0])
     for k in range(1, dims + 1):
+        pool = [c for c in cells[k - 1] if any_faces or c in bare]
         for name in cells[k]:
-            if rng.random() < 0.1:
+            if rng.random() < 0.1 or not pool:
+                bare.add(name)
                 continue
+            listed_bare = k < dims and rng.random() < 0.3
             for _ in range(1 + (rng.random() < 0.2)):
-                faces = [[rng.choice(cells[k - 1]), rng.choice(signs)]
-                         for _ in range(rng.randint(0, 5))]
+                faces = [] if listed_bare else [
+                    [rng.choice(pool), rng.choice(signs)]
+                    for _ in range(rng.randint(0, 5))]
                 rng.shuffle(faces)
                 boundary.append({"cell": name, "faces": faces})
+            if listed_bare:
+                bare.add(name)
     rng.shuffle(boundary)
     return {"dims": dims, "cells": cells, "boundary": boundary,
             "weights": [[rng.choice(signs[3:]) for _ in cs] for cs in cells]}
@@ -506,7 +516,7 @@ def test_face_lists_from_json_match_dense_scan():
     import random
 
     rng = random.Random(71)
-    seen = {"repeat": 0, "zero": 0, "unordered": 0}
+    seen = {"repeat": 0, "zero": 0, "unordered": 0, "two_cells": 0}
     for _ in range(60):
         data = random_complex_dict(rng, rng.randint(1, 3))
         cx = CellComplex.from_dict(data)
@@ -518,11 +528,38 @@ def test_face_lists_from_json_match_dense_scan():
             assert coboundary(cx, k - 1) == ops[k - 1].transpose()
             assert type(cx.faces(k)) is tuple
             assert all(type(f) is tuple for f in cx.faces(k))
+        seen["two_cells"] += any(cx.faces(k)[j] for k in range(2, cx.dim + 1)
+                                 for j in range(cx.n_cells(k)))
         for entry in data["boundary"]:
             names = [f for f, _ in entry["faces"]]
             seen["repeat"] += len(set(names)) < len(names)
             seen["zero"] += any(s == "0" for _, s in entry["faces"])
             seen["unordered"] += names != sorted(names)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_from_dict_refuses_a_cell_whose_boundary_has_a_boundary():
+    """d(d(c)) = 0 for every cell c of dimension 2 or more, checked
+    against the dense product of the incidence matrices: a complex where
+    it fails is refused, naming its first such cell."""
+    import random
+
+    rng = random.Random(75)
+    seen = {True: 0, False: 0}
+    for _ in range(120):
+        data = random_complex_dict(rng, rng.randint(2, 3), any_faces=True)
+        ops, _ = dense_from_dict(data)
+        bad = [name for k in range(2, len(ops) + 1)
+               for name, col in zip(data["cells"][k],
+                                    (ops[k - 2] @ ops[k - 1]).transpose().data)
+               if col]
+        seen[bool(bad)] += 1
+        if not bad:
+            assert CellComplex.from_dict(data).boundary_op(1) == ops[0]
+            continue
+        want = f"^the boundary of the boundary of cell '{bad[0]}' is not zero$"
+        with pytest.raises(ValueError, match=want):
+            CellComplex.from_dict(data)
     assert min(seen.values()) >= 20, seen
 
 

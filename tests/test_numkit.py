@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvkit.complexes import path_complex
 from bvkit.numkit import (
     Matrix,
     Subspace,
@@ -27,7 +26,6 @@ from bvkit.numkit import (
 )
 from bvkit.relations import LinearRelation, compose
 from bvkit.symplect import PresymplecticSpace
-from bvkit.theories import ScalarFieldTheory, dtn
 
 
 def from_dense(rows, cols, a):
@@ -589,19 +587,25 @@ def dense_schur(a, keep, drop):
     return a.submatrix(keep, keep) - a.submatrix(keep, drop) @ x
 
 
+def gram(b):
+    """BᵀB: symmetric positive semidefinite for any B, the contract of
+    `schur_complement`, and singular on any index set where B's columns
+    are dependent."""
+    return b.transpose() @ b
+
+
 def test_schur_complement_matches_dense_formula():
     rng = random.Random(17)
     outcomes = {True: 0, False: 0}
     for _ in range(300):
         n = rng.randint(0, 8)
         density = rng.choice([0.2, 0.4, 0.7])
-        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                 if rng.random() < density else 0 for _ in range(n)]
-                for _ in range(n)]
-        if rng.random() < 0.4:  # force off-diagonal pivots
-            for i in range(n):
-                rows[i][i] = 0
-        a = from_dense(n, n, rows)
+        k = rng.randint(0, n + 2)
+        # zero and dependent columns of b make dropped blocks singular
+        a = gram(from_dense(k, n, [
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+             if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(k)]))
         role = [rng.choice(["keep", "drop", "drop", "neither"])
                 for _ in range(n)]
         keep = [i for i in range(n) if role[i] == "keep"]
@@ -687,10 +691,12 @@ def test_integer_kernel_wide_coefficients():
         order = list(range(n))
         rng.shuffle(order)
         cut = rng.randint(0, n)
-        check_kernel(m, order[:cut], order[cut:])
+        check_kernel(m)
+        g = gram(m)
+        check_kernel(g, order[:cut], order[cut:])
         r = wide_matrix(rng, rng.randint(1, 5), rng.randint(1, 7))
         check_kernel(r)
-        big += any(x.denominator > 2 ** 30 for row in m.entries for x in row)
+        big += any(x.denominator > 2 ** 30 for row in g.entries for x in row)
     assert big >= 30
 
 
@@ -718,11 +724,13 @@ def test_integer_kernel_negative_pivots_zero_rows_and_rank_deficiency():
         if rng.random() < 0.5:  # negate so that leading entries are < 0
             m = -m
         check_kernel(m)
-        if rows == cols:
-            order = list(range(rows))
-            rng.shuffle(order)
-            cut = rng.randint(0, rows - 1)
-            seen["none"] += check_kernel(m, order[:cut], order[cut:]) is None
+        # the Schur complement of its Gram matrix, singular where m's
+        # columns are dependent
+        order = list(range(cols))
+        rng.shuffle(order)
+        cut = rng.randint(0, cols - 1)
+        seen["none"] += check_kernel(gram(m), order[:cut],
+                                     order[cut:]) is None
         red, pivots = rref(m)
         seen["negative"] += any(m[i, q] < 0 for i in range(rows)
                                 for q in pivots[:1])
@@ -764,18 +772,18 @@ def test_schur_complement_denominators_and_singular_drop():
     for _ in range(120):
         k, d = rng.randint(0, 4), rng.randint(1, 5)
         n = k + d
-        a = [[Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7, 12]))
+        b = [[Fraction(rng.randint(-9, 9), rng.choice([2, 3, 7, 12]))
               for _ in range(n)] for _ in range(n)]
         singular = rng.random() < 0.5
-        if singular:  # a dropped row that combines the other dropped rows
-            drop_rows = list(range(k, n))
+        if singular:  # a dropped column of b that combines the others
+            drop_cols = list(range(k, n))
             c = [Fraction(rng.randint(-2, 2), rng.randint(1, 3))
-                 for _ in drop_rows]
-            target = rng.choice(drop_rows)
-            for j in range(k, n):
-                a[target][j] = sum((ci * a[i][j] for ci, i in zip(c, drop_rows)
-                                    if i != target), Fraction(0))
-        m = from_dense(n, n, a)
+                 for _ in drop_cols]
+            target = rng.choice(drop_cols)
+            for row in b:
+                row[target] = sum((ci * row[j] for ci, j in zip(c, drop_cols)
+                                   if j != target), Fraction(0))
+        m = gram(from_dense(n, n, b))
         got = check_kernel(m, list(range(k)), list(range(k, n)))
         if singular:
             assert got is None
@@ -795,8 +803,8 @@ def test_schur_integer_rows_read_out_as_the_schur_complement():
     outcomes = {True: 0, False: 0}
     for _ in range(150):
         n = rng.randint(1, 7)
-        m = random_matrix(rng, n, n) if rng.random() < 0.5 else \
-            low_rank(rng, n, n, rng.randint(1, n))
+        m = gram(random_matrix(rng, n, n) if rng.random() < 0.5 else
+                 low_rank(rng, n, n, rng.randint(1, n)))
         order = list(range(n))
         rng.shuffle(order)
         cut = rng.randint(0, n)
@@ -852,8 +860,9 @@ def test_schur_denominators_are_coprime_to_their_rows():
     seen = 0
     for _ in range(150):
         n = rng.randint(2, 7)
-        ints = [{j: x for j in range(n) if (x := rng.randint(-4, 4))}
-                for _ in range(n)]
+        b = Matrix.from_rows([[rng.randint(-4, 4) for _ in range(n)]
+                              for _ in range(rng.randint(1, n))])
+        ints = list(gram(b).data)
         cut = rng.randint(1, n - 1)
         kept = _schur_int_rows(1, ints, list(range(cut)), list(range(cut, n)))
         if kept is None:
@@ -869,7 +878,7 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
     cases = [wide_matrix(rng, 5, 5, bits=20) for _ in range(5)]
     cases += [hilbert(6), -low_rank(rng, 6, 6, 3)]
     rows = [sparse_rows(m) for m in cases]
-    ints = [int_form(r) for r in rows]
+    ints = [int_form(sparse_rows(gram(m))) for m in cases]
     want = [(rref(m), sparse_rank(r, m.cols),
              schur_complement(*i, [0, 1], [2, 3, 4]))
             for m, r, i in zip(cases, rows, ints)]
@@ -888,81 +897,95 @@ def test_elimination_does_no_fraction_arithmetic(monkeypatch):
 
 
 def rescan_pivots(rows, keep, drop):
-    """Oracle: the (row, column) pivots of the Kron reduction when each
-    step rescans every remaining dropped row for the nonzero diagonal
-    entry with the shortest row (ties to the lowest index), falling back
-    to the same rule over the whole dropped block; None if singular."""
-    from bvkit.numkit import _eliminate, _int_row
-
-    idx = list(keep) + list(drop)
-    work, dens, cols = {}, dict.fromkeys(idx, 1), {j: set() for j in idx}
-    for i in idx:
-        work[i] = _int_row({j: x for j, x in rows[i].items()
-                            if x and j in cols})
-        for j in work[i]:
-            cols[j].add(i)
-    drop_rows, drop_cols = set(drop), set(drop)
-    pivots = []
-    while drop_rows:
-        diag = [(len(work[p]), p) for p in drop_rows
-                if p in drop_cols and p in work[p]]
-        if diag:
-            p = q = min(diag)[1]
-        else:
-            live = [(len(work[p]), p) for p in drop_rows
-                    if not drop_cols.isdisjoint(work[p])]
-            if not live:
-                return None
-            p = min(live)[1]
-            q = min(drop_cols.intersection(work[p]))
-        pivots.append((p, q))
-        drop_rows.remove(p)
-        drop_cols.remove(q)
-        _eliminate(work, dens, cols, p, q)
-        for j in work.pop(p):
-            cols[j].discard(p)
+    """Oracle: the pivots of the Kron reduction when each step rescans
+    every remaining dropped row for the positive diagonal entry with the
+    shortest row (ties to the lowest index), and clears the pivot column
+    from every row that meets it by Fraction arithmetic; None if no such
+    entry is left before the dropped rows run out."""
+    idx = set(keep) | set(drop)
+    work = {i: {j: Fraction(x) for j, x in rows[i].items()
+                if x and j in idx} for i in idx}
+    left, pivots = set(drop), []
+    while left:
+        diag = [(len(work[p]), p) for p in left if work[p].get(p, 0) > 0]
+        if not diag:
+            return None
+        p = min(diag)[1]
+        pivots.append(p)
+        left.remove(p)
+        prow = work.pop(p)
+        for row in work.values():
+            f = row.pop(p, 0) / prow[p]
+            for j, x in prow.items():
+                if f and j != p:
+                    y = row.get(j, 0) - f * x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
     return pivots
 
 
 def schur_pivots(monkeypatch, rows, keep, drop):
-    """schur_complement's result and the (row, column) pivots it took."""
+    """schur_complement's result, the dropped indices in the order it
+    pivoted on them, and how many heap entries it popped. Each pop reads
+    the set of dropped rows not yet pivoted, so the pivots are the rows
+    that leave it between one pop and the next, or after the last."""
+    import sys
+
     from bvkit import numkit
 
-    taken = []
-    eliminate = numkit._eliminate
+    snapshots, pop, live = [], numkit.heappop, {}
 
-    def record(work, dens, cols, p, q):
-        taken.append((p, q))
-        eliminate(work, dens, cols, p, q)
+    def record(heap):
+        live["left"] = sys._getframe(1).f_locals["left"]
+        snapshots.append(set(live["left"]))
+        return pop(heap)
 
-    monkeypatch.setattr(numkit, "_eliminate", record)
+    monkeypatch.setattr(numkit, "heappop", record)
     got = schur_complement(*int_form(rows), keep, drop)
     monkeypatch.undo()
-    return got, taken
+    if live:
+        snapshots.append(set(live["left"]))
+    taken = [p for s, t in zip(snapshots, snapshots[1:]) for p in s - t]
+    return got, taken, len(snapshots) - 1
+
+
+def random_psd_rows(rng, n):
+    """Sparse rows of a seeded n x n symmetric positive semidefinite
+    matrix: a graph Laplacian with non-negative weights, zeros among
+    them, or a Gram matrix of sparse rows."""
+    density = rng.choice([0.2, 0.4, 0.7])
+    if rng.random() < 0.5:
+        a = [[Fraction(0)] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u):
+                if rng.random() < density:
+                    w = Fraction(rng.choice([0, 1, 2, 3]), rng.randint(1, 2))
+                    a[u][u] += w
+                    a[v][v] += w
+                    a[u][v] -= w
+                    a[v][u] -= w
+        return sparse_rows(from_dense(n, n, a))
+    b = from_dense(n, n, [[Fraction(rng.choice([-3, -1, 1, 2]),
+                                    rng.randint(1, 2))
+                           if rng.random() < density else 0
+                           for _ in range(n)] for _ in range(n)])
+    return sparse_rows(gram(b))
 
 
 def test_schur_pivot_heap_follows_the_rescan_rule(monkeypatch):
     rng = random.Random(79)
-    kinds = {"diagonal": 0, "off_diagonal": 0, "singular": 0}
+    kinds = {"regular": 0, "stale": 0, "singular": 0}
     for _ in range(300):
         n = rng.randint(1, 14)
-        mode = rng.choice(["no_diagonal", "some_diagonal", "dominant"])
-        density = rng.choice([0.2, 0.4, 0.7])
-        rows = [{j: Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 2))
-                 for j in range(n) if rng.random() < density}
-                for _ in range(n)]
-        for i, r in enumerate(rows):
-            if mode == "no_diagonal" or (mode == "some_diagonal"
-                                         and rng.random() < 0.5):
-                r.pop(i, None)  # a zero diagonal that fill-in may fill
-            elif mode == "dominant":
-                r[i] = sum(map(abs, r.values())) + 1
+        rows = random_psd_rows(rng, n)
         order = list(range(n))
         rng.shuffle(order)
         cut = rng.randint(0, n - 1)
         keep, drop = order[:cut], order[cut:]
         before = [dict(r) for r in rows]
-        got, taken = schur_pivots(monkeypatch, rows, keep, drop)
+        got, taken, pops = schur_pivots(monkeypatch, rows, keep, drop)
         want = rescan_pivots(rows, keep, drop)
         assert rows == before
         a = Matrix.from_rows([[r.get(j, 0) for j in range(n)] for r in rows])
@@ -972,40 +995,41 @@ def test_schur_pivot_heap_follows_the_rescan_rule(monkeypatch):
             kinds["singular"] += 1
         else:
             assert taken == want
-            kinds["off_diagonal"] += any(p != q for p, q in taken)
-            kinds["diagonal"] += all(p == q for p, q in taken)
+            kinds["regular"] += 1
+            kinds["stale"] += pops > len(taken)
     assert min(kinds.values()) >= 30, kinds
 
 
-def test_schur_fill_in_makes_a_zero_dropped_diagonal_a_pivot(monkeypatch):
-    # row 1 has a zero diagonal until pivot 0 fills it with 0 - 1 * 1
-    rows = [{0: 1, 1: 1}, {0: 1, 2: 1, 3: 1}, {1: 1, 2: 2, 3: 1},
-            {1: 1, 2: 1, 3: 1}]
-    before = [dict(r) for r in rows]
-    got, taken = schur_pivots(monkeypatch, rows, [3], [0, 1, 2])
-    assert taken == [(0, 0), (1, 1), (2, 2)]
-    a = Matrix.from_rows([[r.get(j, 0) for j in range(4)] for r in rows])
-    assert got == dense_schur(a, [3], [0, 1, 2]) is not None
-    assert rows == before
-
-
-def test_schur_singular_dropped_block_is_none():
-    # the dropped block [[1, 1], [1, 1]] and one with an empty dropped row
-    for rows in ([{0: 1, 1: 1, 2: 1}, {0: 1, 1: 1}, {0: 1, 2: 5}],
-                 [{0: 2, 2: 1}, {2: 3}, {0: 1, 1: 1, 2: 1}]):
+def test_schur_refuses_a_dropped_diagonal_that_is_not_positive():
+    """No positive semidefinite matrix has a row whose diagonal is not
+    positive but which is nonzero. Each of these has an invertible
+    dropped block, whose Schur complement the kernel refuses: a zero
+    diagonal ([[0, 1], [1, 0]], once met by an off-diagonal pivot), a
+    zero diagonal that pivot 0 fills with 0 - 1 * 1, and a negative
+    one."""
+    for rows, keep, drop in (
+            ([{1: 1, 2: 1}, {0: 1}, {0: 1, 2: 1}], [2], [0, 1]),
+            ([{0: 1, 1: 1}, {0: 1, 2: 1, 3: 1}, {1: 1, 2: 2, 3: 1},
+              {1: 1, 2: 1, 3: 1}], [3], [0, 1, 2]),
+            ([{0: -2, 1: 1}, {0: 1, 1: 1}], [1], [0])):
+        n = len(rows)
+        a = Matrix.from_rows([[r.get(j, 0) for j in range(n)] for r in rows])
+        assert a.transpose() == a and dense_schur(a, keep, drop) is not None
         before = [dict(r) for r in rows]
-        assert schur_complement(1, rows, [2], [0, 1]) is None
+        with pytest.raises(ValueError,
+                           match="^matrix is not positive semidefinite$"):
+            schur_complement(1, rows, keep, drop)
         assert rows == before
 
 
-def test_schur_complement_with_zero_diagonal_interior():
-    # interior block [[0, 1], [1, 0]]: invertible, but no diagonal pivot
-    t = ScalarFieldTheory(path_complex(4, weights=[1, -1, 1]))
-    d, lap = t.laplacian()
-    assert d == 1
-    assert [{j: x for j, x in lap[i].items() if j in (1, 2)}
-            for i in (1, 2)] == [{2: 1}, {1: 1}]
-    assert dtn(t).matrix == Matrix.from_rows([[1, -1], [-1, 1]])
+def test_schur_singular_dropped_block_is_none():
+    # the dropped block [[1, 1], [1, 1]] of the Gram matrix of
+    # [[1, 1, 0], [0, 0, 1]], and one with an empty dropped row
+    for rows in ([{0: 1, 1: 1}, {0: 1, 1: 1}, {2: 1}],
+                 [{0: 2, 2: 1}, {}, {0: 1, 2: 1}]):
+        before = [dict(r) for r in rows]
+        assert schur_complement(1, rows, [2], [0, 1]) is None
+        assert rows == before
 
 
 def check_ambient(u, v):
