@@ -77,19 +77,15 @@ class LinearCohomologicalField:
         if not (self.matrix @ self.matrix).is_zero():
             raise ValueError("field must square to zero")
 
-    def _words(self, m: Monomial) -> Iterator[tuple[Monomial, Number]]:
-        """Q(m) as unnormalized words: Q is linear and odd, so the
-        generator at each position is replaced by each Q[a, b] x_b, with
-        sign (-1)^(odd generators before it)."""
-        odd = 0
-        for pos, a in enumerate(m):
-            for b, x in self.matrix.data[a].items():
-                yield m[:pos] + (b,) + m[pos + 1:], -x if odd else x
-            odd ^= self.space.parity(a)
-
-    def apply(self, p: Polynomial) -> Polynomial:
-        return Polynomial.build(self.space, (
-            (word, c * x) for m, c in p.terms for word, x in self._words(m)))
+    def on_words(self, w: Matrix) -> Matrix:
+        """Q(W) for a word matrix W: Q(x_a x_b) = Q(x_a) x_b
+        + (-1)^|a| x_a Q(x_b), so Q(W) = Q^T W + P W Q, with P negating
+        the rows of the odd coordinates."""
+        parity = self.space.parity
+        pw = Matrix(w.rows, w.cols, [{b: -x for b, x in row.items()}
+                                     if parity(a) else row
+                                     for a, row in enumerate(w.data)])
+        return self.matrix.transpose() @ w + pw @ self.matrix
 
 
 @dataclass(frozen=True)
@@ -164,30 +160,35 @@ def field_from_hamiltonian(s: Polynomial,
     return LinearCohomologicalField(space.base, _bracket_matrix_of(s, space))
 
 
+def _words(w: Matrix) -> Iterator[tuple[Monomial, Number]]:
+    """The words of the word matrix W, which stands for the polynomial
+    sum_ab W[a, b] x_a x_b; `Polynomial.build` normalizes them."""
+    return (((a, b), x) for a, row in enumerate(w.data) for b, x in row.items())
+
+
+def _generator_matrix(q: LinearCohomologicalField,
+                      space: GradedSymplecticSpace) -> Matrix:
+    """N = Q^T omega, the word matrix of twice the quadratic S with
+    {S, x_a} = Q(x_a). Such an S exists exactly when N is graded
+    symmetric, N[b, a] = (-1)^(|a||b|) N[a, b], so that an odd diagonal
+    entry is 0; otherwise NotSymplecticField is raised. No inverse of
+    omega is built."""
+    parity = space.base.parity
+    n = q.matrix.transpose() @ space.omega
+    for a, row in enumerate(n.data):
+        for b, x in row.items():
+            if n.data[b].get(a) != (-x if parity(a) and parity(b) else x):
+                raise NotSymplecticField("field has no quadratic generator")
+    return n
+
+
 def hamiltonian_of(q: LinearCohomologicalField,
                    space: GradedSymplecticSpace) -> Polynomial:
-    """The quadratic S with {S, x_a} = Q(x_a), of degree form_degree + 1.
-
-    For a linear field the candidate coefficient matrix is (1/2) Q^T
-    omega; only its graded-symmetric part contributes, and the bracket
-    relations are verified afterwards, so a field that is not graded
-    Hamiltonian is rejected. With Lambda the inverse of omega, the
-    relations Lambda^T K = Q of `_bracket_matrix_of` say K = omega^T Q,
-    which is checked as such: no inverse is built.
-    """
-    gv = space.base
-    qt_omega = q.matrix.transpose() @ space.omega
-    m = qt_omega.scale(Fraction(1, 4))
-    # the word x_a x_b gets m[a, b] + (-1)^(|a||b|) m[b, a]
-    terms = []
-    for a, row in enumerate(m.data):
-        for b, x in row.items():
-            koszul = -x if gv.parity(a) and gv.parity(b) else x
-            terms += [((a, b), x), ((b, a), koszul)]
-    s = Polynomial.build(gv, terms)
-    if _right_derivatives(s) != qt_omega.transpose():
-        raise NotSymplecticField("field has no quadratic generator")
-    return s
+    """The quadratic S with {S, x_a} = Q(x_a), of degree form_degree + 1:
+    the words of half of `_generator_matrix`, so a field that is not
+    graded Hamiltonian is refused."""
+    return Polynomial.build(space.base, _words(
+        _generator_matrix(q, space).scale(Fraction(1, 2))))
 
 
 def bfv_cohomology(q: LinearCohomologicalField, truncation: int,
@@ -366,37 +367,6 @@ def build_ed_package(m: CellComplex, bf: bool = False) -> BVBFVPackage:
                         red, bd_anti, bd_fields)
 
 
-def _action(g: Matrix, gv: GradedVectorSpace) -> Polynomial:
-    """S = sum over a >= b of G[a, b] x_a x_b, halved on the diagonal."""
-    return Polynomial.build(gv, (((a, b), x if b < a else Fraction(x, 2))
-                                 for a, row in enumerate(g.data)
-                                 for b, x in row.items() if b <= a))
-
-
-def _pullback(p: Polynomial, pi: Matrix,
-              bulk: GradedVectorSpace) -> Polynomial:
-    """Substitute each boundary generator by its linear expression in
-    bulk coordinates."""
-    images = [Polynomial.build(bulk, [((j,), x) for j, x in row.items()])
-              for row in pi.data]
-    out_terms: list[tuple[Monomial, Number]] = []
-    for mono, coeff in p.terms:
-        prod = Polynomial.constant(bulk, coeff)
-        for i in mono:
-            prod = prod * images[i]
-        out_terms.extend(prod.terms)
-    return Polynomial.build(bulk, out_terms)
-
-
-def _contract(alpha: OneForm, q: Matrix,
-              gv: GradedVectorSpace) -> Polynomial:
-    """iota of a linear field into a linear one-form: coefficient times
-    inserted component, in that order."""
-    return Polynomial.build(gv, (
-        ((i, j), x * y) for row, q_row in zip(alpha.coeff.data, q.data)
-        for i, x in row.items() for j, y in q_row.items()))
-
-
 @dataclass(frozen=True)
 class CheckReport:
     residuals: dict
@@ -411,10 +381,13 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
           boundary one-form;
     (ii)  the restriction intertwines Q and the boundary field;
     (iii) both fields square to zero;
-    (iv)  Q(S), S read off the Hessian, equals the pullback of twice the
-          boundary generator (`hamiltonian_of` of the boundary field, so
-          NotSymplecticField if it has none) minus the contraction of
-          the boundary field into the boundary one-form;
+    (iv)  Q(S) equals the pullback of twice the boundary generator minus
+          the contraction of the boundary field into the boundary
+          one-form; on word matrices (W stands for sum_ab W[a, b] x_a x_b)
+          Q^T S + P S Q - pi^T (N - C^T Q_bd) pi builds the one residual
+          polynomial, with S the Hessian's lower triangle, diagonal
+          halved, N from `_generator_matrix` (so NotSymplecticField if the
+          boundary field has no generator) and C the one-form's matrix;
     (v)   the Lie derivative of omega along Q equals minus the
           pulled-back boundary two-form (the transpose of (i)).
     """
@@ -425,17 +398,21 @@ def check_bvbfv(p: BVBFVPackage) -> CheckReport:
     pi_t = pi.transpose()
     qt_omega = q.transpose() @ omega
     c_bd = p.alpha_boundary.coeff
+    q_bd = p.q_boundary.matrix
     res = {}
 
     res["fundamental"] = qt_omega - g + pi_t @ c_bd.transpose() @ pi
-    res["restriction"] = pi @ q - p.q_boundary.matrix @ pi
+    res["restriction"] = pi @ q - q_bd @ pi
     res["nilpotency_bulk"] = q @ q
-    res["nilpotency_boundary"] = p.q_boundary.matrix @ p.q_boundary.matrix
+    res["nilpotency_boundary"] = q_bd @ q_bd
 
-    qs = p.q_bulk.apply(_action(g, p.bulk.base))
-    rhs = hamiltonian_of(p.q_boundary, p.boundary).scale(2) \
-        - _contract(p.alpha_boundary, p.q_boundary.matrix, p.boundary.base)
-    res["master"] = qs - _pullback(rhs, pi, p.bulk.base)
+    s = Matrix(g.rows, g.cols, [{b: x if b < a else Fraction(x, 2)
+                                 for b, x in row.items() if b <= a}
+                                for a, row in enumerate(g.data)])
+    rhs = _generator_matrix(p.q_boundary, p.boundary) \
+        - c_bd.transpose() @ q_bd
+    res["master"] = Polynomial.build(p.bulk.base, _words(
+        p.q_bulk.on_words(s) - pi_t @ rhs @ pi))
 
     res["lie_derivative"] = (qt_omega + omega @ q) \
         + pi_t @ p.reduction.space.omega @ pi

@@ -111,8 +111,7 @@ def relation_to_json(rel: LinearRelation) -> dict:
     return {
         "source": {"omega": mat_to_json(rel.source.omega)},
         "target": {"omega": mat_to_json(rel.target.omega)},
-        "body": [[str(b.get(j, 0)) for j in range(rel.body.ambient_dim)]
-                 for b in rel.body.basis],
+        "body": mat_to_json(rel.body.matrix()),
     }
 
 

@@ -97,10 +97,6 @@ class Polynomial:
     def zero(space: GradedVectorSpace) -> "Polynomial":
         return Polynomial(space, ())
 
-    @staticmethod
-    def constant(space: GradedVectorSpace, c) -> "Polynomial":
-        return Polynomial.build(space, [((), frac(c))])
-
     def is_zero(self) -> bool:
         return not self.terms
 

@@ -437,7 +437,14 @@ def schur_complement(d: int, rows: Sequence[dict[int, int]],
     positive semidefinite matrix a = R / d given by one positive
     denominator d and the rows of R as {col: int} dicts; only rows and
     columns in keep and drop are read, and the dicts are not modified.
-    The readout of `_schur_int_rows`: each of its rows is read out once."""
+    A matrix that is not symmetric there is refused with a `ValueError`
+    naming an entry (i, j) that differs from (j, i). The readout of
+    `_schur_int_rows`: each of its rows is read out once."""
+    idx = {*keep, *drop}
+    for i in idx:
+        for j, x in rows[i].items():
+            if j in idx and rows[j].get(i, 0) != x:
+                raise ValueError(f"matrix is not symmetric at ({i}, {j})")
     kept = _schur_int_rows(d, rows, keep, drop)
     if kept is None:
         return None

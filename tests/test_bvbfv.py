@@ -6,14 +6,13 @@ from functools import cache
 
 import pytest
 
-from bvkit import bvbfv, numkit
+from bvkit import bvbfv, cli, numkit
 from bvkit.bvbfv import (
     ConstraintSet,
     DependentConstraints,
     LinearCohomologicalField,
     NonAbelianBrackets,
     NotSymplecticField,
-    _action,
     _bracket_matrix_of,
     bfv_cohomology,
     bfv_resolve,
@@ -207,10 +206,33 @@ def oracle_cohomology(q, t, degree):
     return cocycles - image(q_matrix(below, here)).dim
 
 
+def field_words(q, m):
+    """Q(m) as unnormalized words: Q is linear and odd, so the generator
+    at each position is replaced by each Q[a, b] x_b, with sign
+    (-1)^(odd generators before it)."""
+    odd = 0
+    for pos, a in enumerate(m):
+        for b, x in q.matrix.data[a].items():
+            yield m[:pos] + (b,) + m[pos + 1:], -x if odd else x
+        odd ^= q.space.parity(a)
+
+
+def field_apply(q, p):
+    """Oracle: Q applied to a polynomial, one monomial at a time."""
+    return Polynomial.build(q.space, (
+        (word, c * x) for m, c in p.terms for word, x in field_words(q, m)))
+
+
+def word_polynomial(gv, w):
+    """The polynomial sum_ab W[a, b] x_a x_b of a word matrix W."""
+    return Polynomial.build(gv, [((a, b), x) for a, row in enumerate(w.data)
+                                 for b, x in row.items()])
+
+
 def on_monomial(q, m):
     """The nonzero terms of Q(m): the field's words, each normalized."""
     out = {}
-    for word, x in q._words(m):
+    for word, x in field_words(q, m):
         mono, sign = normalize_monomial(q.space, word)
         if mono is not None:
             out[mono] = out.get(mono, 0) + sign * x
@@ -234,6 +256,8 @@ def rank_cohomology(q, t, degrees):
 
 
 def test_q_rule_matches_derivation_oracle():
+    """The oracle's rule on monomials, and the field's rule on word
+    matrices, Q(W) = Q^T W + P W Q, on seeded quadratics."""
     rng = random.Random(43)
     seen = {"k0": 0, "signed": 0, "t0": 0, "t3": 0}
     for q, t in seeded_fields(41, 40):
@@ -243,11 +267,13 @@ def test_q_rule_matches_derivation_oracle():
             want = derivation_apply(gv, images, Polynomial.build(gv, [(m, 1)]))
             assert on_monomial(q, m) == dict(want.terms)
         for _ in range(5):
-            f = Polynomial.build(gv, [
-                (tuple(rng.randrange(gv.dim) for _ in range(rng.randint(0, 4))),
-                 Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
-                for _ in range(rng.randint(0, 6))])
-            assert q.apply(f) == derivation_apply(gv, images, f)
+            rows = [{} for _ in range(gv.dim)]
+            for _ in range(rng.randint(0, 6)):
+                a, b = rng.randrange(gv.dim), rng.randrange(gv.dim)
+                rows[a][b] = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+            w = Matrix(gv.dim, gv.dim, rows)
+            assert word_polynomial(gv, q.on_words(w)) == \
+                derivation_apply(gv, images, word_polynomial(gv, w))
         k = len(indices_of_degree(gv, 1))
         seen["k0"] += k == 0
         seen["signed"] += k >= 2 and t >= 2
@@ -634,24 +660,117 @@ def test_boundary_generator_matches_pairing():
     (annulus_complex(3), False)], ids=["grid22", "torus22-bf", "annulus3"])
 def test_only_the_check_builds_polynomials(monkeypatch, cx, bf):
     """The package holds linear data only: building it and taking its
-    moduli builds no polynomial, and the check builds the boundary
-    generator once."""
-    calls = {"hamiltonian_of": 0, "build": 0}
-    hamiltonian, build = bvbfv.hamiltonian_of, Polynomial.build
+    moduli builds no polynomial and checks no generator. The check runs
+    the boundary field's generator check once and builds one polynomial,
+    the master residual."""
+    calls = {"generator_matrix": 0, "build": 0}
+    generator_matrix, build = bvbfv._generator_matrix, Polynomial.build
 
-    def counted_hamiltonian(*args):
-        calls["hamiltonian_of"] += 1
-        return hamiltonian(*args)
+    def counted_generator_matrix(*args):
+        calls["generator_matrix"] += 1
+        return generator_matrix(*args)
 
     def counted_build(*args):
         calls["build"] += 1
         return build(*args)
-    monkeypatch.setattr(bvbfv, "hamiltonian_of", counted_hamiltonian)
+    monkeypatch.setattr(bvbfv, "_generator_matrix", counted_generator_matrix)
     monkeypatch.setattr(Polynomial, "build", staticmethod(counted_build))
-    moduli_of_vacua(build_ed_package(cx, bf=bf))
-    assert calls == {"hamiltonian_of": 0, "build": 0}
-    check_all(build_ed_package(cx, bf=bf))
-    assert calls["hamiltonian_of"] == 1
+    p = build_ed_package(cx, bf=bf)
+    moduli_of_vacua(p)
+    assert calls == {"generator_matrix": 0, "build": 0}
+    check_all(p)
+    assert calls == {"generator_matrix": 1, "build": 1}
+
+
+def action_polynomial(g, gv):
+    """S = sum over a >= b of G[a, b] x_a x_b, halved on the diagonal."""
+    return Polynomial.build(gv, (((a, b), x if b < a else Fraction(x, 2))
+                                 for a, row in enumerate(g.data)
+                                 for b, x in row.items() if b <= a))
+
+
+def pullback(p, pi, bulk):
+    """Substitute each boundary generator by its linear expression in
+    bulk coordinates."""
+    images = [Polynomial.build(bulk, [((j,), x) for j, x in row.items()])
+              for row in pi.data]
+    out_terms = []
+    for mono, coeff in p.terms:
+        prod = Polynomial.build(bulk, [((), coeff)])
+        for i in mono:
+            prod = prod * images[i]
+        out_terms.extend(prod.terms)
+    return Polynomial.build(bulk, out_terms)
+
+
+def contract(alpha, q, gv):
+    """iota of a linear field into a linear one-form: coefficient times
+    inserted component, in that order."""
+    return Polynomial.build(gv, (
+        ((i, j), x * y) for row, q_row in zip(alpha.coeff.data, q.data)
+        for i, x in row.items() for j, y in q_row.items()))
+
+
+def oracle_master(p):
+    """Oracle: identity (iv) through polynomials, Q(S) minus the pullback
+    of 2 S^bd - iota_(Q^bd) alpha^bd, with Q applied to S one monomial at
+    a time."""
+    qs = field_apply(p.q_bulk, action_polynomial(p.action_hessian,
+                                                 p.bulk.base))
+    rhs = hamiltonian_of(p.q_boundary, p.boundary).scale(2) \
+        - contract(p.alpha_boundary, p.q_boundary.matrix, p.boundary.base)
+    return qs - pullback(rhs, p.reduction.projection, p.bulk.base)
+
+
+def weighted_grid(rng, n):
+    return grid_complex(n, n, weights={
+        ("f", x, y): Fraction(rng.randint(1, 9), rng.choice((2, 3)))
+        for y in range(n) for x in range(n)})
+
+
+@pytest.mark.parametrize("make, bf", [
+    *[(lambda rng, n=n: grid_complex(n, n), bf)
+      for n in range(2, 7) for bf in (False, True)],
+    *[(lambda rng, n=n: annulus_complex(n), bf)
+      for n in (3, 5, 7) for bf in (False, True)],
+    *[(lambda rng, n=n: torus_complex(n, n), True) for n in (2, 3)],
+    *[(lambda rng, n=n: weighted_grid(rng, n), bf)
+      for n in (2, 3, 4) for bf in (False, True)]],
+    ids=[*[f"grid{n}{n}-{m}" for n in range(2, 7) for m in ("ed", "bf")],
+         *[f"annulus{n}-{m}" for n in (3, 5, 7) for m in ("ed", "bf")],
+         "torus22-bf", "torus33-bf",
+         *[f"weighted{n}{n}-{m}" for n in (2, 3, 4) for m in ("ed", "bf")]])
+def test_master_word_matrix_matches_polynomial_oracle(make, bf):
+    """The check's word-matrix residual of (iv) is the polynomial oracle's,
+    term for term and in the bytes of its report: on the package, with
+    twice the boundary field, and with one off-diagonal Hessian entry
+    changed on both sides of the diagonal, at a pair of coordinates not
+    both killed by Q."""
+    rng = random.Random(83)
+    p = build_ed_package(make(rng), bf=bf)
+    g, q = p.action_hessian, p.q_bulk.matrix
+    a, b = rng.choice([(a, b) for a, row in enumerate(g.data) for b in row
+                       if b < a and (q.data[a] or q.data[b])])
+    rows = [dict(r) for r in g.data]
+    rows[a][b] = rows[b][a] = rows[a][b] + Fraction(rng.randint(1, 3), 2)
+    mutants = {
+        "package": p,
+        "doubled": dataclasses.replace(p, q_boundary=LinearCohomologicalField(
+            p.boundary.base, p.q_boundary.matrix.scale(2))),
+        "hessian": dataclasses.replace(
+            p, action_hessian=Matrix(g.rows, g.cols, rows)),
+    }
+    nonzero = set()
+    for name, m in mutants.items():
+        got, want = check_bvbfv(m).residuals["master"], oracle_master(m)
+        assert got == want, name
+        assert cli.render({"r": cli.residual("master", got)}) == \
+            cli.render({"r": cli.residual("master", want)}), name
+        if not got.is_zero():
+            nonzero.add(name)
+    # a closed complex has no boundary field to double
+    closed = p.reduction.projection.rows == 0
+    assert nonzero == ({"hessian"} if closed else {"doubled", "hessian"})
 
 
 def test_mutation_sensitivity():
@@ -766,7 +885,7 @@ def test_moduli_ranks_match_subspace_oracle():
         # the package's field drops the rows of the boundary antifields;
         # the full {S, .} keeps them, which the quotient by them must see
         full = dataclasses.replace(p, q_bulk=field_from_hamiltonian(
-            _action(p.action_hessian, p.bulk.base), p.bulk))
+            action_polynomial(p.action_hessian, p.bulk.base), p.bulk))
         assert moduli_of_vacua(full) == oracle_moduli(full), kind
         seen["antifield_rows"] += any(full.q_bulk.matrix.data[a]
                                       for a in p.boundary_antifields)

@@ -140,7 +140,7 @@ def test_left_right_derivative_agree_on_even_disagree_on_odd():
 def test_canonical_bracket_values():
     gv, sp = mixed_space()
     q, p, b, c = [generator(gv, i) for i in range(4)]
-    one = Polynomial.constant(gv, 1)
+    one = Polynomial.build(gv, [((), 1)])
     assert poisson_bracket(q, p, sp).terms == one.terms
     assert poisson_bracket(b, c, sp).terms == one.terms
     assert poisson_bracket(c, b, sp).terms == one.terms

@@ -621,6 +621,32 @@ def test_schur_complement_matches_dense_formula():
     assert min(outcomes.values()) > 30
 
 
+def test_schur_complement_refuses_a_matrix_that_is_not_symmetric():
+    """An entry missing on one side, or different on the two sides, is
+    named; an entry outside keep and drop is not read."""
+    with pytest.raises(ValueError, match=r"not symmetric at \(1, 0\)"):
+        schur_complement(1, [{0: 2}, {0: 1, 1: 3}], [0], [1])
+    with pytest.raises(ValueError, match=r"not symmetric at \(0, 1\)"):
+        schur_complement(1, [{0: 2, 1: 1}, {0: 5, 1: 3}], [0], [1])
+    assert schur_complement(1, [{0: 2, 1: 1}, {0: 1, 1: 3}, {0: 7}],
+                            [0], [1]) == Matrix(1, 1, [{0: Fraction(5, 3)}])
+    rng = random.Random(19)
+    for _ in range(100):
+        n = rng.randint(2, 6)
+        a = gram(from_dense(n, n, [[rng.randint(-3, 3) for _ in range(n)]
+                                   for _ in range(n)]))
+        rows = sparse_rows(a)
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[i].get(j, 0) + rng.choice([-1, 1])
+        if not rows[i][j]:
+            del rows[i][j]
+        keep = list(range(n))
+        drop = [keep.pop(rng.randrange(n))]
+        with pytest.raises(ValueError, match="not symmetric") as e:
+            schur_complement(1, rows, keep, drop)
+        assert str(e.value).endswith((f"({i}, {j})", f"({j}, {i})"))
+
+
 def wide_matrix(rng, rows, cols, bits=40, density=0.6):
     """Entries with numerators and denominators up to 2**bits."""
     top = 2 ** bits
@@ -1443,7 +1469,7 @@ REMOVED = {
 # The public names of src/bvkit that no command reaches: the rows of the
 # README's table of library functions with no command, in its order.
 LIBRARY = [
-    "collar.prism", "collar.el_form", "complexes.cohomology",
+    "bvbfv.hamiltonian_of", "collar.prism", "collar.el_form", "complexes.cohomology",
     "symplect.coisotropic_reduce", "symplect.gotay_embed",
     "theories.ed_boundary_space", "theories.classical_boundary_ed",
     "theories.classical_boundary_bf", "theories.mechanics_relation",
